@@ -10,7 +10,6 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,17 +267,6 @@ def char_eval(gamma: GroupVec, x: GroupVec) -> complex:
     return out
 
 
-def char_eval_index(spec: GroupSpec, gamma: int, x: int) -> complex:
-    """char_eval on mixed-radix indices; exact phase arithmetic mod lcm."""
-    m = spec.exponent
-    phase = 0
-    for mj in spec.moduli:
-        phase += (m // mj) * (gamma % mj) * (x % mj)
-        gamma //= mj
-        x //= mj
-    return cmath.exp(2j * cmath.pi * (phase % m) / m)
-
-
 @dataclass(frozen=True)
 class SubspaceF2:
     """A subspace of F2^n given by a reduced row-echelon basis.
@@ -506,7 +494,8 @@ class SubgroupEnum:
         return self._coset_ids
 
     def quotient_add_table(self) -> np.ndarray:
-        """Addition table of the quotient group on coset ids."""
+        """Addition table of the quotient group on coset ids (quadratic in
+        the number of cosets; streaming state steps coset members instead)."""
         ids = self.coset_ids()
         reps = [int(np.argmax(ids == q)) for q in range(self.n_cosets)]
         table = np.empty((self.n_cosets, self.n_cosets), dtype=np.int64)

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .algebra import GroupSpec
 from .compiler import (
+    VARIANTS,
     CompilerError,
     ReductionConfig,
     minimax_boost,
@@ -174,6 +175,17 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
     )
 
 
+def _variant(cfg: dict, group: GroupSpec) -> str:
+    """The configured compiler variant; exact_f2 on all-2 groups and
+    exact_group otherwise by default."""
+    variant = cfg.get("variant", "exact_f2" if group.is_boolean else "exact_group")
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; want one of {', '.join(VARIANTS)}")
+    if variant.endswith("_f2") and not group.is_boolean:
+        raise ConfigError(f"variant {variant!r} needs an all-2 group, got {group!r}")
+    return variant
+
+
 def _write_report(out_dir: Path, name: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -215,8 +227,7 @@ def _run_reduce(config: ExperimentConfig) -> tuple[dict, bool]:
         raise ConfigError("function and protocol live on different groups")
     D = _load_distribution(config.raw, f.group)
     cfg = _reduction_config(config.raw, config.seed)
-    variant = config.raw.get("variant", "exact_f2" if f.group.is_boolean else "exact_group")
-    res = compile_reduce(family, f, D, cfg, variant)
+    res = compile_reduce(family, f, D, cfg, _variant(config.raw, f.group))
     sketch_path = config.out_dir / "sketch.json"
     config.out_dir.mkdir(parents=True, exist_ok=True)
     sketch_path.write_text(serialize_sketch(res.sketch) + "\n")
@@ -244,7 +255,7 @@ def _run_boost(config: ExperimentConfig) -> tuple[dict, bool]:
     _load_distribution(config.raw, f.group)  # shape/zoo validation up front
     cfg = _reduction_config(config.raw, config.seed)
     rounds = int(config.raw.get("rounds", 10))
-    res = minimax_boost(f, family, cfg, rounds)
+    res = minimax_boost(f, family, cfg, rounds, _variant(config.raw, f.group))
     config.out_dir.mkdir(parents=True, exist_ok=True)
     sketch_path = config.out_dir / "mixture.json"
     sketch_path.write_text(serialize_sketch(res.mixture) + "\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -853,19 +853,7 @@ def minimax_boost(
     weight_sums = []
     for t in range(rounds):
         D_t = Distribution(group, weights / weights.sum(), name=f"boost-round-{t}")
-        round_cfg = ReductionConfig(
-            players=cfg.players,
-            transcript_trials=cfg.transcript_trials,
-            delta=cfg.delta,
-            target_q=cfg.target_q,
-            target_eps=cfg.target_eps,
-            seed=derive_seed(cfg.seed, f"boost-{t}"),
-            r_tape_exhaustive_limit=cfg.r_tape_exhaustive_limit,
-            r_tape_samples=cfg.r_tape_samples,
-            r_eval_samples=cfg.r_eval_samples,
-            dissociated_limit=cfg.dissociated_limit,
-            chang_constant=cfg.chang_constant,
-        )
+        round_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"boost-{t}"))
         res = reduce(protocol_source, f, D_t, round_cfg, variant)
         sketches.append(res.sketch)
         reports.append(res.report)

@@ -38,12 +38,10 @@ __all__ = [
     "TransformLimitError",
     "DissociationLimitError",
     "ChangBoundError",
-    "MixingBoundError",
 ]
 
 TRANSFORM_SIZE_LIMIT = 1 << 20
 DISSOCIATED_DEFAULT_LIMIT = 16
-_MITM_THRESHOLD = 12
 CHANG_DEFAULT_CONSTANT = 8.0
 
 
@@ -56,10 +54,6 @@ class DissociationLimitError(ValueError):
 
 
 class ChangBoundError(AssertionError):
-    pass
-
-
-class MixingBoundError(AssertionError):
     pass
 
 
@@ -238,12 +232,20 @@ def dual_annihilator_mask(
         return mask
     if invariant.spec != group:
         raise ValueError("subgroup does not live in the given group")
-    m = group.exponent
-    weights = np.asarray([m // mj for mj in group.moduli], dtype=np.int64)
-    coords = group.coords_matrix()
-    mask = np.ones(group.size, dtype=bool)
-    for g in invariant.generators():
-        gc = coords[g] * weights
+    return _pairing_mask(group, invariant.generators())
+
+
+def _pairing_mask(spec: GroupSpec, gammas: Iterable[int]) -> np.ndarray:
+    """Boolean mask over G of the x with gamma(x) = 1 for every listed gamma.
+
+    Exact: gamma(x) = 1 iff sum_j (m/m_j) gamma_j x_j = 0 mod m, m = lcm.
+    """
+    m = spec.exponent
+    weights = np.asarray([m // mj for mj in spec.moduli], dtype=np.int64)
+    coords = spec.coords_matrix()
+    mask = np.ones(spec.size, dtype=bool)
+    for g in gammas:
+        gc = np.asarray(spec.decode(g), dtype=np.int64) * weights
         mask &= (coords @ gc) % m == 0
     return mask
 
@@ -274,8 +276,6 @@ def mixing_gap(
     indicators: Sequence[NormalizedIndicator],
     invariant: SubspaceF2 | SubgroupEnum,
     hp: DenseFunction,
-    check_players: int | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Largest deviation the invariant shift can cause to a shift average.
 
@@ -283,10 +283,7 @@ def mixing_gap(
     with y_i uniform on the given sets and v uniform on the invariant
     subgroup.  (Over F2 the signs are immaterial; over general groups this
     subtracted-shift orientation is the one the sketch compiler consumes.)
-
-    If check_players=N is given, asserts the bound |G| * 2^(-N/8); this is
-    guaranteed when the invariant structure annihilates the joint heavy
-    spectrum of the sets, as built by the compiler.
+    The compiler compares the result against |G| * 2^(-N/8) itself.
     """
     group = hp.group
     if np.max(np.abs(np.abs(hp.values) - 1.0)) > 1e-6:
@@ -298,14 +295,7 @@ def mixing_gap(
         prod *= ind.spectrum().coeffs
     keep = ~dual_annihilator_mask(group, invariant)
     diff = inverse_transform(Spectrum(group, prod * keep))
-    gap = float(np.max(np.abs(diff.values)))
-    if check_players is not None:
-        bound = group.size * 2.0 ** (-check_players / 8.0)
-        if gap > bound + tol:
-            raise MixingBoundError(
-                f"mixing gap {gap:.6g} exceeds |G|*2^(-N/8) = {bound:.6g}"
-            )
-    return gap
+    return float(np.max(np.abs(diff.values)))
 
 
 def chang_sum(
@@ -333,62 +323,45 @@ def chang_sum(
     return total
 
 
-def _signed_combination_sums(
-    spec: GroupSpec, coords: np.ndarray
-) -> dict[int, tuple[bool, bool]]:
-    """All {-1,0,1}-combination sums of the given dual rows.
+def _greedy_dissociated(
+    spec: GroupSpec, gammas: Iterable[int], limit: int | None = None
+) -> list[int]:
+    """Keep each gamma, in order, unless it is a {-1,0,1}-combination of
+    those kept before it.
 
-    Returns index -> (reachable by the all-zero combination, reachable by
-    some nonzero combination).
+    The kept set stays dissociated; reach is a bitmap over G of every
+    signed sum of the kept elements, grown by reach |= (reach + gamma) |
+    (reach - gamma).  Raises DissociationLimitError when a candidate
+    arrives while `limit` elements are already kept.
     """
-    k = coords.shape[0]
-    sums: dict[int, tuple[bool, bool]] = {0: (True, False)}
-    for i in range(k):
-        row = coords[i]
-        nxt: dict[int, tuple[bool, bool]] = {}
-        for idx, (zero, nonzero) in sums.items():
-            base = spec.decode(idx)
-            for a in (-1, 0, 1):
-                c = tuple(
-                    (b + a * r) % m for b, r, m in zip(base, row, spec.moduli)
-                )
-                j = spec.encode(c)
-                z, nz = nxt.get(j, (False, False))
-                if a == 0:
-                    nxt[j] = (z or zero, nz or nonzero)
-                else:
-                    nxt[j] = (z, nz or zero or nonzero)
-        sums = nxt
-    return sums
+    chosen: list[int] = []
+    reach = None
+    axes = tuple(range(spec.n))
+    for g in gammas:
+        if limit is not None and len(chosen) >= limit:
+            raise DissociationLimitError(
+                f"dissociated set would exceed the enumeration limit {limit}"
+            )
+        if reach is None:
+            _check_size(spec)
+            reach = np.zeros(spec.moduli[::-1], dtype=bool)  # axis -1 = coordinate 0
+            reach.flat[0] = True
+        shift = spec.decode(g)[::-1]
+        if reach[shift]:
+            continue
+        chosen.append(g)
+        reach |= np.roll(reach, shift, axes) | np.roll(reach, [-a for a in shift], axes)
+    return chosen
 
 
 def is_dissociated(spec: GroupSpec, gammas: Sequence[int]) -> bool:
     """No nontrivial {-1,0,1}-combination of the dual elements sums to zero.
 
-    Exhaustive 3^k enumeration, split meet-in-the-middle above k=12.
-    Over F2 this coincides with linear independence.
+    Equivalently, the greedy scan keeps every element: each one is outside
+    the signed sums of those before it.  Over F2 this coincides with
+    linear independence.
     """
-    k = len(gammas)
-    if k == 0:
-        return True
-    coords = np.stack([np.asarray(spec.decode(g), dtype=np.int64) for g in gammas])
-    if k <= _MITM_THRESHOLD:
-        sums = _signed_combination_sums(spec, coords)
-        _, nonzero_hits_zero = sums.get(0, (False, False))
-        return not nonzero_hits_zero
-    half = k // 2
-    left = _signed_combination_sums(spec, coords[:half])
-    right = _signed_combination_sums(spec, coords[half:])
-    for idx, (r_zero, r_nonzero) in right.items():
-        neg = spec.neg(idx)
-        if neg not in left:
-            continue
-        l_zero, l_nonzero = left[neg]
-        if r_nonzero and (l_zero or l_nonzero):
-            return False
-        if r_zero and l_nonzero:
-            return False
-    return True
+    return len(_greedy_dissociated(spec, gammas)) == len(gammas)
 
 
 def extract_dissociated(
@@ -399,8 +372,8 @@ def extract_dissociated(
 ) -> list[int]:
     """Greedy maximal dissociated subset, heaviest first (lex tie-break).
 
-    Raises DissociationLimitError if the greedy set would grow beyond the
-    enumeration limit.  Over F2 the result provably equals the greedy
+    Raises DissociationLimitError if a candidate arrives once the set
+    holds `limit` elements.  Over F2 the result provably equals the greedy
     maximal independent subset, and this is asserted.
     """
     if len(gammas) != len(weights):
@@ -409,15 +382,7 @@ def extract_dissociated(
         range(len(gammas)),
         key=lambda i: (-weights[i], spec.decode(gammas[i])),
     )
-    chosen: list[int] = []
-    for i in order:
-        cand = chosen + [gammas[i]]
-        if len(cand) > limit:
-            raise DissociationLimitError(
-                f"dissociated set would exceed the enumeration limit {limit}"
-            )
-        if is_dissociated(spec, cand):
-            chosen.append(gammas[i])
+    chosen = _greedy_dissociated(spec, [gammas[i] for i in order], limit)
     if spec.is_boolean:
         independent = max_independent_subset(
             list(gammas), list(weights), n=spec.n
@@ -427,16 +392,6 @@ def extract_dissociated(
 
 
 def annihilator(spec: GroupSpec, gammas: Sequence[int]) -> SubgroupEnum:
-    """The subgroup of all x with gamma(x) = 1 for every listed character.
-
-    Exact enumeration: gamma(x) = 1 iff sum_j (m/m_j) gamma_j x_j = 0 mod m.
-    """
+    """The subgroup of all x with gamma(x) = 1 for every listed character."""
     _check_size(spec)
-    m = spec.exponent
-    weights = np.asarray([m // mj for mj in spec.moduli], dtype=np.int64)
-    coords = spec.coords_matrix()
-    mask = np.ones(spec.size, dtype=bool)
-    for g in gammas:
-        gc = np.asarray(spec.decode(g), dtype=np.int64) * weights
-        mask &= (coords @ gc) % m == 0
-    return SubgroupEnum(spec, np.nonzero(mask)[0].tolist())
+    return SubgroupEnum(spec, np.nonzero(_pairing_mask(spec, gammas))[0].tolist())

@@ -104,25 +104,38 @@ class Gf2Field:
                 return
         raise RuntimeError("no generator found (non-irreducible modulus?)")
 
-    def mul(self, x: int, y: int) -> int:
+    def mul(self, x, y):
+        """x * y in the field: ints give an int, int64 arrays multiply
+        elementwise."""
         if self.bits == 1:
             return x & y
-        if self._log is not None:
+        if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
+            if self._log is None:
+                return self._mul_slow(x, y)
             if x == 0 or y == 0:
                 return 0
             return int(self._exp[self._log[x] + self._log[y]])
-        return self._mul_slow(x, y)
+        if self._log is None:
+            return np.vectorize(self._mul_slow, otypes=[np.int64])(x, y)
+        return np.where((x == 0) | (y == 0), 0, self._exp[self._log[x] + self._log[y]])
 
-    def mul_vec(self, x: np.ndarray, y: int) -> np.ndarray:
-        """Vectorized multiply of an array by a scalar field element."""
-        if self.bits == 1:
-            return x & y
-        if y == 0:
-            return np.zeros_like(x)
-        if self._log is not None:
-            out = self._exp[self._log[x] + self._log[y]]
-            return np.where(x == 0, 0, out)
-        return np.asarray([self._mul_slow(int(v), y) for v in x], dtype=x.dtype)
+
+def _seed_words(seed, bits: int, count: int) -> list:
+    """The first `count` b-bit words of a seed, lowest bits first;
+    elementwise on an array of seeds."""
+    mask = (1 << bits) - 1
+    return [(seed >> (bits * w)) & mask for w in range(count)]
+
+
+def _tree_block(field: Gf2Field, words: Sequence, index: int):
+    """Block `index` from seed words (base, a_1, c_1, ..., a_d, c_d): apply
+    h_j(x) = a_j*x + c_j for every set bit j-1 of index, highest level
+    first.  Words are ints, or int64 arrays holding one seed per entry."""
+    x = words[0]
+    for j in range((len(words) - 1) // 2, 0, -1):
+        if (index >> (j - 1)) & 1:
+            x = field.mul(words[2 * j - 1], x) ^ words[2 * j]
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +158,8 @@ class NisanGenerator:
         if not 0 <= self.seed < 1 << self.seed_bits:
             raise ValueError("seed does not fit the declared layout")
         object.__setattr__(self, "field", Gf2Field(self.block_bits))
+        words = _seed_words(int(self.seed), self.block_bits, 2 * self.depth + 1)
+        object.__setattr__(self, "_words", words)
 
     @property
     def depth(self) -> int:
@@ -154,30 +169,11 @@ class NisanGenerator:
     def seed_bits(self) -> int:
         return self.block_bits * (2 * self.depth + 1)
 
-    def _parse(self):
-        b, mask = self.block_bits, (1 << self.block_bits) - 1
-        base = self.seed & mask
-        hashes = []
-        for j in range(1, self.depth + 1):
-            a = (self.seed >> (b * (2 * j - 1))) & mask
-            c = (self.seed >> (b * 2 * j)) & mask
-            hashes.append((a, c))
-        return base, hashes
-
     def block(self, index: int) -> int:
         """The b bits at block position index, via O(depth) hash steps."""
         if not 0 <= index < self.block_count:
             raise IndexError(f"block index {index} out of range")
-        base, hashes = self._parse()
-        x = base
-        for j in range(self.depth, 0, -1):
-            if (index >> (j - 1)) & 1:
-                a, c = hashes[j - 1]
-                x = self.field.mul(a, x) ^ c
-        return x
-
-    def blocks(self, indices: Iterable[int]) -> list[int]:
-        return [self.block(i) for i in indices]
+        return _tree_block(self.field, self._words, index)
 
 
 @dataclass(frozen=True)
@@ -262,65 +258,26 @@ def fsm_distance(
         dist = nxt
     true_dist = np.asarray([float(p) for p in dist])
 
-    gen_probe = NisanGenerator(block_bits, block_count, 0)
-    seed_bits = gen_probe.seed_bits
-    depth = gen_probe.depth
-    field = Gf2Field(block_bits)
-
-    def final_states_for_seeds(seeds: list[int]) -> np.ndarray:
-        n = len(seeds)
-        mask = (1 << block_bits) - 1
-        base = np.asarray([s & mask for s in seeds], dtype=np.int64)
-        hashes = []
-        for j in range(1, depth + 1):
-            a = np.asarray(
-                [(s >> (block_bits * (2 * j - 1))) & mask for s in seeds],
-                dtype=np.int64,
-            )
-            c = np.asarray(
-                [(s >> (block_bits * 2 * j)) & mask for s in seeds], dtype=np.int64
-            )
-            hashes.append((a, c))
-        states = np.full(n, fsm.initial, dtype=np.int64)
-        if field._log is not None and block_bits > 1:
-            logt, expt = field._log, field._exp
-        for idx in range(block_count):
-            x = base.copy()
-            for j in range(depth, 0, -1):
-                if (idx >> (j - 1)) & 1:
-                    a, c = hashes[j - 1]
-                    if block_bits == 1:
-                        x = (a & x) ^ c
-                    elif field._log is not None:
-                        prod = expt[logt[a] + logt[x]]
-                        x = np.where((a == 0) | (x == 0), 0, prod) ^ c
-                    else:
-                        x = np.asarray(
-                            [field.mul(int(av), int(xv)) for av, xv in zip(a, x)],
-                            dtype=np.int64,
-                        ) ^ c
-            states = table[states, x]
-        return states
-
-    if 1 << seed_bits <= exact_seed_limit:
-        all_seeds = list(range(1 << seed_bits))
-        states = final_states_for_seeds(all_seeds)
-        prg_dist = np.bincount(states, minlength=fsm.n_states) / len(all_seeds)
-        exact = True
-        used = len(all_seeds)
-        stderr = 0.0
-    else:
+    gen = NisanGenerator(block_bits, block_count, 0)
+    exact = 1 << gen.seed_bits <= exact_seed_limit
+    if exact:
+        seeds = np.arange(1 << gen.seed_bits, dtype=np.int64)
+    else:  # seeds wider than 64 bits: Python ints in an object array
         rng = derived_rng(seed, "fsm-distance")
-        seeds = [rng.getrandbits(seed_bits) for _ in range(samples)]
-        states = final_states_for_seeds(seeds)
-        prg_dist = np.bincount(states, minlength=fsm.n_states) / samples
-        exact = False
-        used = samples
-        stderr = float(
-            np.sum(np.sqrt(np.maximum(prg_dist * (1 - prg_dist), 0) / samples))
-        )
+        seeds = [rng.getrandbits(gen.seed_bits) for _ in range(samples)]
+        seeds = np.asarray(seeds, dtype=object)
+    # every seed at once: word w of all seeds is one int64 array
+    words = _seed_words(seeds, block_bits, 2 * gen.depth + 1)
+    words = [np.asarray(w, dtype=np.int64) for w in words]
+    states = np.full(len(seeds), fsm.initial, dtype=np.int64)
+    for idx in range(block_count):
+        states = table[states, _tree_block(gen.field, words, idx)]
+    prg_dist = np.bincount(states, minlength=fsm.n_states) / len(seeds)
+    stderr = 0.0 if exact else float(
+        np.sum(np.sqrt(np.maximum(prg_dist * (1 - prg_dist), 0) / len(seeds)))
+    )
     l1 = float(np.sum(np.abs(true_dist - prg_dist)))
-    return FsmDistanceResult(l1, exact, used, true_dist, prg_dist, stderr)
+    return FsmDistanceResult(l1, exact, len(seeds), true_dist, prg_dist, stderr)
 
 
 @dataclass(frozen=True, eq=False)

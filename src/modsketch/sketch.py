@@ -283,8 +283,8 @@ class SketchState:
             self._vec = [0] * sketch.k
         else:
             self._q = 0  # coset id of the accumulated input
-            self._qadd = sketch.subgroup.quotient_add_table()
-            self._unit_cosets = sketch.subgroup.coset_ids()
+            self._ids = sketch.subgroup.coset_ids()
+            self._least = np.unique(self._ids, return_index=True)[1]  # per coset id
 
     @property
     def n(self) -> int:
@@ -304,14 +304,12 @@ class SketchState:
             for j, row in enumerate(sk.rows):
                 self._vec[j] = (self._vec[j] + row[coordinate] * increment) % sk.p
         else:
-            spec = sk.group
-            delta = spec.encode(
-                tuple(
-                    increment % m if j == coordinate else 0
-                    for j, m in enumerate(spec.moduli)
-                )
-            )
-            self._q = int(self._qadd[self._q, self._unit_cosets[delta]])
+            # step the coset's least member along the coordinate; its coset
+            # is the coset of the accumulated input plus the update
+            m, stride = sk.group.moduli[coordinate], sk.group.strides[coordinate]
+            x = int(self._least[self._q])
+            digit = x // stride % m
+            self._q = int(self._ids[x + ((digit + increment) % m - digit) * stride])
 
     def values(self):
         """The maintained linear image of the accumulated input."""

@@ -286,3 +286,43 @@ def test_config_kind_mismatch(tmp_path):
         },
     )
     assert main(["reduce", "--config", cfg]) == 2
+
+
+def _zp_boost_config(tmp_path, **extra):
+    return _write_config(
+        tmp_path,
+        {
+            "experiment": "boost",
+            "function": {"name": "mod-p-sum-zero", "params": {"n": 4, "p": 3}},
+            "protocol": {"name": "running-sum-mod-p", "params": {"n": 4, "p": 3}},
+            "reduction": {"players": 20, "trials": 4, "target_q": 1.0},
+            "rounds": 2,
+            **extra,
+        },
+    )
+
+
+def test_boost_on_zp_and_variant_errors(tmp_path, capsys):
+    out = tmp_path / "zp"
+    assert main(["boost", "--config", _zp_boost_config(tmp_path), "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert report["experiment"] == "boost"
+    assert len(report["result"]["per_x_success"]) == 3**4
+    capsys.readouterr()
+    for variant in ("exact-zp", "exact_f2"):  # unknown; F2 on a Z_3 group
+        cfg = _zp_boost_config(tmp_path, variant=variant)
+        assert main(["boost", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    reduce_cfg = _write_config(
+        tmp_path,
+        {
+            "experiment": "reduce",
+            "function": {"name": "parity", "params": {"n": 4}},
+            "protocol": {"name": "parity-chain", "params": {"n": 4}},
+            "reduction": {"players": 8},
+            "variant": "exact",
+        },
+    )
+    assert main(["reduce", "--config", reduce_cfg, "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown variant 'exact'")

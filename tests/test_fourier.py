@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modsketch.algebra import (
     GroupSpec,
@@ -32,6 +34,7 @@ from modsketch.fourier import (
 
 from oracles import (
     exhaustive_annihilator,
+    group_decode,
     is_dissociated_bruteforce,
     naive_convolve,
     naive_dft,
@@ -193,7 +196,7 @@ def test_is_dissociated_matches_bruteforce():
 
 
 def test_is_dissociated_meet_in_middle_agrees():
-    # force the MITM path with 13 elements over a big boolean cube
+    # 13 elements over a big boolean cube (3^13 signed combinations)
     spec = GroupSpec.boolean(16)
     gammas = [1 << i for i in range(13)]
     assert is_dissociated(spec, gammas)
@@ -218,6 +221,44 @@ def test_extract_dissociated_equals_independent_greedy_over_f2():
         got = extract_dissociated(spec, gammas, weights)
         want = max_independent_subset(gammas, weights, n=7)
         assert got == want
+
+
+def _greedy_oracle(moduli, gammas, weights, limit):
+    """extract_dissociated's greedy, testing each candidate by brute force."""
+    order = sorted(
+        range(len(gammas)), key=lambda i: (-weights[i], group_decode(moduli, gammas[i]))
+    )
+    chosen = []
+    for i in order:
+        if len(chosen) >= limit:
+            return None  # the limit error
+        if is_dissociated_bruteforce(moduli, chosen + [gammas[i]]):
+            chosen.append(gammas[i])
+    return chosen
+
+
+@st.composite
+def _dissociation_inputs(draw):
+    moduli = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    size = math.prod(moduli)
+    gammas = draw(st.lists(st.integers(0, size - 1), max_size=6))
+    weights = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=len(gammas),
+                            max_size=len(gammas)))
+    return moduli, gammas, weights, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dissociation_inputs())
+def test_extract_dissociated_matches_bruteforce_greedy(inputs):
+    moduli, gammas, weights, limit = inputs
+    spec = GroupSpec(moduli)
+    want = _greedy_oracle(moduli, gammas, weights, limit)
+    if want is None:
+        with pytest.raises(DissociationLimitError):
+            extract_dissociated(spec, gammas, weights, limit=limit)
+    else:
+        assert extract_dissociated(spec, gammas, weights, limit=limit) == want
+    assert is_dissociated(spec, gammas) == is_dissociated_bruteforce(moduli, gammas)
 
 
 def test_extract_dissociated_limit_error():

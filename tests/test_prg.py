@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modsketch.prg import (
+    FSMSpec,
     Gf2Field,
     NisanGenerator,
     RowTemplate,
@@ -13,6 +14,7 @@ from modsketch.prg import (
     derandomized_apply,
     fsm_distance,
 )
+from modsketch.seeding import derived_rng
 
 from oracles import accumulate_stream, prg_expand_tree
 
@@ -32,12 +34,22 @@ def test_gf2_field_properties():
 
 
 def test_gf2_vectorized_matches_scalar():
-    field = Gf2Field(8)
+    # 1 bit is a plain AND, 8 and 16 use log tables, 20 the shift-multiply
     rng = np.random.default_rng(0)
-    xs = rng.integers(0, 256, size=200)
-    for y in (0, 1, 37, 255):
-        vec = field.mul_vec(xs, y)
-        assert all(int(v) == field.mul(int(x), y) for x, v in zip(xs, vec))
+    for bits in (1, 8, 16, 20):
+        field = Gf2Field(bits)
+        xs = rng.integers(0, 1 << bits, size=200)
+        ys = rng.integers(0, 1 << bits, size=200)
+        ys[:3] = (0, 1, (1 << bits) - 1)
+        xs[3] = 0
+        for y in (0, 1, 37 % (1 << bits), (1 << bits) - 1):
+            vec = field.mul(xs, y)
+            assert vec.dtype == np.int64
+            assert all(int(v) == field.mul(int(x), y) for x, v in zip(xs, vec))
+        pairwise = field.mul(xs, ys)
+        assert all(
+            int(v) == field.mul(int(x), int(y)) for x, y, v in zip(xs, ys, pairwise)
+        )
 
 
 def test_seed_length_formula():
@@ -70,7 +82,8 @@ def test_blocks_match_full_expansion_oracle():
     for _ in range(4096):
         seed = rng.getrandbits(gen0.seed_bits)
         gen = NisanGenerator(b, k, seed)
-        base, hashes = gen._parse()
+        words = [(seed >> (b * w)) & 0xFF for w in range(2 * 4 + 1)]
+        base, hashes = words[0], list(zip(words[1::2], words[2::2]))
         expanded = prg_expand_tree(base, hashes, field.mul)
         assert [gen.block(i) for i in range(k)] == expanded
 
@@ -93,6 +106,34 @@ def test_fsm_distance_block_parity_counter():
     assert res.l1 <= 0.05
     assert abs(res.true_dist.sum() - 1) < 1e-12
     assert abs(res.prg_dist.sum() - 1) < 1e-9
+
+
+def test_fsm_distance_matches_scalar_generator():
+    # the batched chain over all seeds must give the histogram of final
+    # states that the scalar generator gives seed by seed
+    rng = random.Random(11)
+    for bits, count, samples in ((2, 4, 0), (1, 8, 0), (4, 2, 0), (8, 16, 1500)):
+        n_states = 5
+        table = tuple(
+            tuple(rng.randrange(n_states) for _ in range(1 << bits))
+            for _ in range(n_states)
+        )
+        fsm = FSMSpec(n_states, bits, 1, table)
+        res = fsm_distance(fsm, bits, count, samples=samples, seed=3)
+        seed_bits = NisanGenerator(bits, count, 0).seed_bits
+        if res.exact:
+            seeds = range(1 << seed_bits)
+        else:
+            draw = derived_rng(3, "fsm-distance")
+            seeds = [draw.getrandbits(seed_bits) for _ in range(samples)]
+        finals = []
+        for seed in seeds:
+            gen = NisanGenerator(bits, count, seed)
+            finals.append(fsm.run([gen.block(i) for i in range(count)]))
+        assert res.exact == (samples == 0)
+        assert res.samples == len(finals)
+        want = np.bincount(finals, minlength=n_states) / len(finals)
+        assert np.array_equal(res.prg_dist, want)
 
 
 def test_row_template_layout_and_regeneration():

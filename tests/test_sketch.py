@@ -1,5 +1,6 @@
 """Sketch evaluation, streaming maintenance, quality measures, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from modsketch.sketch import (
     HInvariantSketch,
     LinearJuntaF2,
     RandomizedSketch,
+    SketchState,
     ZpJunta,
     apply_stream,
     approx_error,
@@ -157,19 +159,27 @@ def test_apply_stream_group_action_composition():
 
 
 def test_apply_stream_h_invariant():
-    spec = GroupSpec.cyclic_power(3, 4)
-    sub = subgroup_generated(
-        spec, [spec.encode((1, 2, 0, 0)), spec.encode((0, 1, 2, 0)), spec.encode((0, 0, 1, 2))]
-    )
-    ids = sub.coset_ids()
-    post = tuple(range(sub.n_cosets))
-    sk = HInvariantSketch(sub, post)
     rng = random.Random(6)
-    updates = [(rng.randrange(4), rng.randrange(-3, 4)) for _ in range(40)]
-    state = apply_stream(sk, updates)
-    x = spec.encode(tuple(accumulate_stream(4, 3, updates)))
-    assert state.values() == ids[x]
-    assert state.output() == sk.eval(x)
+    cases = (
+        ((3, 3, 3, 3), [(1, 2, 0, 0), (0, 1, 2, 0), (0, 0, 1, 2)]),
+        ((4, 6, 2), [(2, 3, 0), (0, 2, 1)]),  # mixed moduli
+        ((3,) * 7, [(1, 0, 2, 0, 1, 0, 0), (0, 1, 1, 2, 0, 0, 1)]),  # 243 cosets
+    )
+    for moduli, gens in cases:
+        spec = GroupSpec(moduli)
+        sub = subgroup_generated(spec, [spec.encode(g) for g in gens])
+        ids = sub.coset_ids()
+        sk = HInvariantSketch(sub, tuple(range(sub.n_cosets)))
+        n, lcm = spec.n, math.lcm(*moduli)
+        updates = [(rng.randrange(n), rng.randrange(-lcm, lcm + 1)) for _ in range(60)]
+        state = SketchState(sk)
+        for i, (coord, inc) in enumerate(updates):
+            state.apply(coord, inc)
+            x = spec.encode(tuple(accumulate_stream(n, lcm, updates[: i + 1])))
+            assert state.values() == ids[x]
+            assert state.output() == sk.eval(x)
+        assert apply_stream(sk, updates).values() == state.values()
+    assert sub.n_cosets == 243
 
 
 def test_apply_stream_coordinate_range_error():
