@@ -27,14 +27,13 @@ from .compiler import (
     minimax_boost,
     reduce as compile_reduce,
 )
-from .fourier import DenseFunction
+from .fourier import ChangBoundError, DenseFunction, DissociationLimitError, TransformLimitError
 from .prg import RowTemplate, block_parity_counter, derandomized_apply, fsm_distance
 from .protocol import additive_lift
 from .seeding import derived_rng, parse_seed
 from .sketch import (
     Distribution,
     deserialize_sketch,
-    eval_sketch_all,
     serialize_sketch,
     success_probability,
     apply_stream,
@@ -115,7 +114,10 @@ class ExperimentConfig:
                 f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}"
             )
         seed_text = seed_override or str(raw.get("seed", "0"))
-        seed = parse_seed(seed_text)
+        try:
+            seed = parse_seed(seed_text)
+        except ValueError as e:
+            raise ConfigError(f"bad seed {seed_text!r}: want decimal or 0x-prefixed hex") from e
         out_dir = Path(out or raw.get("out", "."))
         return cls(kind, raw, seed, out_dir, tolerance)
 
@@ -236,7 +238,7 @@ def _run_reduce(config: ExperimentConfig) -> tuple[dict, bool]:
         "sketch_file": str(sketch_path),
     }
     if config.raw.get("output", {}).get("per_x_table"):
-        out = np.asarray(eval_sketch_all(res.sketch))
+        out = np.asarray(res.sketch.eval_all())
         fv = f.real_values()
         table = _write_per_x_csv(
             config.out_dir,
@@ -264,6 +266,7 @@ def _run_boost(config: ExperimentConfig) -> tuple[dict, bool]:
         "min_success": str(res.min_success),
         "sketch_file": str(sketch_path),
         "per_x_success": [str(p) for p in res.per_x_success],
+        "checks": res.checks,
     }
     target = config.raw.get("reduction", {}).get("target_q")
     ok = True if target is None else float(res.min_success) >= target - config.tolerance
@@ -274,7 +277,10 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
     path = config.raw.get("sketch-file")
     if not path:
         raise ConfigError("sketch-eval needs sketch-file")
-    sketch = deserialize_sketch(Path(path).read_text())
+    try:
+        sketch = deserialize_sketch(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"bad sketch file {path}: {e!r}") from e
     f = _load_function(config.raw)
     result: dict = {"sketch_file": path}
     ok = True
@@ -305,7 +311,7 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
         entries = sketch.entries if hasattr(sketch, "entries") else [(1, sketch)]
         per_x = np.zeros(f.group.size)
         for w, sk in entries:
-            out = np.asarray(eval_sketch_all(sk), dtype=np.float64)
+            out = np.asarray(sk.eval_all(), dtype=np.float64)
             per_x += float(w) * (out - fv) ** 2
         table = _write_per_x_csv(
             config.out_dir, "sq_error_per_x.csv", f.group, {"sq_error": per_x}
@@ -432,7 +438,7 @@ def main(argv=None) -> int:
     for name in EXPERIMENT_KINDS:
         p = sub.add_parser(name, help=f"run a {name} experiment from a JSON config")
         p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--seed", default=None, help="seed override (decimal or hex)")
+        p.add_argument("--seed", default=None, help="seed override (decimal or 0x-prefixed hex)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument(
             "--tolerance",
@@ -453,10 +459,10 @@ def main(argv=None) -> int:
                 f"config is for {config.kind!r} but the {args.command!r} subcommand was used"
             )
         record, ok = run_experiment(config)
-    except ConfigError as e:
+    except (ConfigError, DissociationLimitError, TransformLimitError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except CompilerError as e:
+    except (CompilerError, ChangBoundError) as e:
         print(f"stage failure: {e}", file=sys.stderr)
         return 1
     print(json.dumps({k: record[k] for k in ("experiment", "ok", "report_file")}, indent=2))

@@ -178,8 +178,7 @@ class InvariantStructure:
     kind: str  # "subspace" or "subgroup"
     generators: list[int]  # dual indices, greedy order
     invariant: SubspaceF2 | SubgroupEnum
-    bucket_ids: np.ndarray
-    n_buckets: int
+    sketch: LinearJuntaF2 | HInvariantSketch  # the sketch it emits, all-zero post
 
     @property
     def cost(self) -> int:
@@ -187,7 +186,7 @@ class InvariantStructure:
 
     @property
     def complexity(self) -> int:
-        return self.n_buckets
+        return len(self.sketch.post)
 
 
 @dataclass
@@ -492,19 +491,14 @@ def build_invariant_structure(
     w_list = [float(weights[g]) for g in s_list]
     if kind == "subspace":
         gens = max_independent_subset(s_list, w_list, n=group.n)
-        space = rank_basis(gens, group.n)
-        invariant = orthogonal_complement(space)
-        xs = np.arange(group.size, dtype=np.uint64)
-        bucket = np.zeros(group.size, dtype=np.int64)
-        for j, g in enumerate(gens):
-            bucket |= ((np.bitwise_count(xs & np.uint64(g)) & 1) << j).astype(np.int64)
-        return InvariantStructure("subspace", gens, invariant, bucket, 1 << len(gens))
+        invariant = orthogonal_complement(rank_basis(gens, group.n))
+        shape = LinearJuntaF2(group.n, tuple(gens), (0,) * (1 << len(gens)))
+        return InvariantStructure("subspace", gens, invariant, shape)
     if kind != "subgroup":
         raise ValueError(f"unknown structure kind {kind!r}")
     gens = extract_dissociated(group, s_list, w_list, limit=dissociated_limit)
     sub = annihilator(group, gens)
-    bucket = sub.coset_ids()
-    return InvariantStructure("subgroup", gens, sub, np.asarray(bucket), sub.n_cosets)
+    return InvariantStructure("subgroup", gens, sub, HInvariantSketch(sub, (0,) * sub.n_cosets))
 
 
 @dataclass
@@ -515,14 +509,14 @@ class JuntaResult:
     coset_deviation: float
 
 
-def _bucket_reduce(bucket_ids: np.ndarray, n_buckets: int, values: np.ndarray):
+def _bucket_reduce(ids: np.ndarray, n_buckets: int, values: np.ndarray):
     """(sum, min, max) of values per bucket."""
     sums = np.zeros(n_buckets, dtype=np.float64)
-    np.add.at(sums, bucket_ids, values)
+    np.add.at(sums, ids, values)
     mins = np.full(n_buckets, np.inf)
     maxs = np.full(n_buckets, -np.inf)
-    np.minimum.at(mins, bucket_ids, values)
-    np.maximum.at(maxs, bucket_ids, values)
+    np.minimum.at(mins, ids, values)
+    np.maximum.at(maxs, ids, values)
     return sums, mins, maxs
 
 
@@ -543,11 +537,11 @@ def build_junta(
     which weakly dominates averaging over Bernoulli roundings.  Approx mode
     keeps the [0,1]-valued bucket averages as the post table.
     """
-    group = f.group
+    ids, n_buckets = structure.sketch.buckets(), structure.complexity
     w_fn = averaged_shift(player_sets.indicators, tail.h, structure.invariant)
     w = w_fn.real_values(tol=1e-7)
-    _, mins, maxs = _bucket_reduce(structure.bucket_ids, structure.n_buckets, w)
-    deviation = float(np.max(maxs - mins)) if structure.n_buckets else 0.0
+    _, mins, maxs = _bucket_reduce(ids, n_buckets, w)
+    deviation = float(np.max(maxs - mins)) if n_buckets else 0.0
     if deviation > 1e-9:
         raise InvariantViolation(
             "build-junta", f"averaged tail varies by {deviation:.3g} within a bucket"
@@ -555,35 +549,27 @@ def build_junta(
     if np.min(w) < -1e-9 or np.max(w) > 1 + 1e-9:
         raise InvariantViolation("build-junta", "averaged tail escapes [0,1]")
     w = np.clip(w, 0.0, 1.0)
-    order = np.argsort(structure.bucket_ids, kind="stable")
-    first = order[np.searchsorted(structure.bucket_ids[order], np.arange(structure.n_buckets))]
+    order = np.argsort(ids, kind="stable")
+    first = order[np.searchsorted(ids[order], np.arange(n_buckets))]
     bucket_w = w[first]
 
     fv = f.real_values()
     if mode == "exact":
-        agree1, _, _ = _bucket_reduce(
-            structure.bucket_ids, structure.n_buckets, D.probs * fv
-        )
-        agree0, _, _ = _bucket_reduce(
-            structure.bucket_ids, structure.n_buckets, D.probs * (1.0 - fv)
-        )
+        agree1, _, _ = _bucket_reduce(ids, n_buckets, D.probs * fv)
+        agree0, _, _ = _bucket_reduce(ids, n_buckets, D.probs * (1.0 - fv))
         post = np.where(
             agree1 > agree0, 1, np.where(agree0 > agree1, 0, (bucket_w >= 0.5).astype(int))
         )
-        out = post[structure.bucket_ids]
+        out = post[ids]
         quality = float(np.dot(D.probs, (out == fv).astype(np.float64)))
         post_values = tuple(int(v) for v in post)
     else:
         post = bucket_w
-        out = post[structure.bucket_ids]
+        out = post[ids]
         quality = float(np.dot(D.probs, (out - fv) ** 2))
         post_values = tuple(float(v) for v in post)
 
-    if structure.kind == "subspace":
-        sketch = LinearJuntaF2(group.n, tuple(structure.generators), post_values)
-    else:
-        sketch = HInvariantSketch(structure.invariant, post_values)
-    return JuntaResult(sketch, w, quality, deviation)
+    return JuntaResult(replace(structure.sketch, post=post_values), w, quality, deviation)
 
 
 def approx_encode(values: np.ndarray) -> np.ndarray:
@@ -820,7 +806,7 @@ class BoostResult:
     min_success: Fraction
     per_x_success: list[Fraction]
     round_reports: list[ReductionReport]
-    weight_sums: list[float]
+    checks: dict
 
 
 def minimax_boost(
@@ -834,7 +820,8 @@ def minimax_boost(
     """Multiplicative-weights loop over inputs: repeatedly reduce against
     the current hardest distribution, downweight inputs the new junta gets
     right, and return the uniform mixture of the collected juntas with its
-    exact per-input success profile."""
+    exact per-input success profile.  Checks the Hedge regret bound on the
+    reported qualities q_t: (1 - e^-eta) sum_t q_t <= eta min_x L(x) + ln|G|."""
     if rounds < 1:
         raise ValueError("need at least one round")
     group = f.group
@@ -850,7 +837,6 @@ def minimax_boost(
     sketches = []
     corrects = np.zeros(group.size, dtype=np.int64)
     reports = []
-    weight_sums = []
     for t in range(rounds):
         D_t = Distribution(group, weights / weights.sum(), name=f"boost-round-{t}")
         round_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"boost-{t}"))
@@ -862,11 +848,11 @@ def minimax_boost(
         corrects += correct.astype(np.int64)
         weights = weights * np.exp(-eta * correct)
         weights = weights / weights.sum()
-        s = float(weights.sum())
-        weight_sums.append(s)
-        if abs(s - 1.0) > 1e-12:
-            raise InvariantViolation("boost", f"weights sum to {s}, not 1")
 
+    checks: dict = {}
+    lhs = (1 - math.exp(-eta)) * sum(r.quality for r in reports)
+    rhs = eta * int(corrects.min()) + math.log(group.size)
+    _record(checks, "hedge-regret", lhs, rhs, lhs <= rhs + BOUNDARY_TOL, "boost")
     per_x = [Fraction(int(cx), rounds) for cx in corrects]
     mixture = RandomizedSketch.uniform_mixture(sketches, seed=cfg.seed)
-    return BoostResult(mixture, min(per_x), per_x, reports, weight_sums)
+    return BoostResult(mixture, min(per_x), per_x, reports, checks)

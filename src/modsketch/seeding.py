@@ -22,11 +22,6 @@ def derived_rng(seed: int, label: str) -> random.Random:
 
 
 def parse_seed(text: str) -> int:
-    """Parse a seed given as decimal or hex (0x-prefixed or bare hex)."""
+    """Parse a seed given as decimal or 0x-prefixed hex ("ff" is an error)."""
     text = text.strip().lower()
-    if text.startswith("0x"):
-        return int(text, 16)
-    try:
-        return int(text)
-    except ValueError:
-        return int(text, 16)
+    return int(text, 16) if text.startswith("0x") else int(text, 10)

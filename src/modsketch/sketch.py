@@ -1,16 +1,20 @@
 """Linear sketches over F2, Z_p and general finite abelian groups.
 
-A deterministic sketch is a small linear projection plus a dense
-post-processing table; a randomized sketch is a finite, exactly weighted
-distribution over deterministic ones.  Sketches can be evaluated offline,
-maintained online through update streams, measured exactly or by Monte
-Carlo, and serialized to a versioned JSON text format.
+A deterministic sketch of every kind is post[bucket(x)]: a dense table
+read at a linear image of the input.  Each kind has the same members:
+group, check_input (the input as eval takes it, or ValueError), eval,
+buckets (the bucket of every input), eval_all, and stepper, the (step,
+read) pair a SketchState drives: step(i, c) adds c at coordinate i, read()
+returns (values, bucket).  A randomized sketch is a finite, exactly
+weighted distribution over deterministic ones.  Sketches can be
+evaluated offline, maintained online through update streams, measured
+exactly or by Monte Carlo, and serialized to a versioned JSON text format.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,12 +42,12 @@ __all__ = [
 ]
 
 POST_TABLE_LIMIT = 1 << 20
-EXACT_EVAL_LIMIT = 1 << 24  # support size x input space for exact measurement
+EXACT_EVAL_LIMIT = 1 << 24  # input space of a dense evaluation; support x input space exactly
 
 
-def _check_post_size(size: int):
-    if size > POST_TABLE_LIMIT:
-        raise ValueError(f"post-processing table of size {size} exceeds the cap")
+def _check_size(size: int, limit: int = POST_TABLE_LIMIT, what: str = "post-processing table"):
+    if size > limit:
+        raise ValueError(f"{what} of size {size} exceeds the cap")
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class LinearJuntaF2:
     post: tuple
 
     def __post_init__(self):
-        _check_post_size(1 << len(self.rows))
+        _check_size(1 << len(self.rows))
         if len(self.post) != 1 << len(self.rows):
             raise ValueError("post table must have size 2^k")
         if any(not 0 <= r < (1 << self.n) for r in self.rows):
@@ -73,6 +77,16 @@ class LinearJuntaF2:
     def cost(self) -> int:
         return len(self.rows)
 
+    @property
+    def group(self) -> GroupSpec:
+        return GroupSpec.boolean(self.n)
+
+    def check_input(self, x) -> int:
+        x = x.bits if hasattr(x, "bits") else int(x)
+        if not 0 <= x < 1 << self.n:
+            raise ValueError(f"input {x} out of range for n={self.n}")
+        return x
+
     def sketch_value(self, x: int) -> int:
         z = 0
         for j, row in enumerate(self.rows):
@@ -82,8 +96,8 @@ class LinearJuntaF2:
     def eval(self, x: int):
         return self.post[self.sketch_value(x)]
 
-    def sketch_values_all(self) -> np.ndarray:
-        """Sketch value of every input (vectorized)."""
+    def buckets(self) -> np.ndarray:
+        _check_size(1 << self.n, EXACT_EVAL_LIMIT, "input space")
         xs = np.arange(1 << self.n, dtype=np.uint64)
         z = np.zeros(1 << self.n, dtype=np.int64)
         for j, row in enumerate(self.rows):
@@ -91,7 +105,18 @@ class LinearJuntaF2:
         return z
 
     def eval_all(self) -> np.ndarray:
-        return np.asarray(self.post)[self.sketch_values_all()]
+        return np.asarray(self.post)[self.buckets()]
+
+    def stepper(self):
+        cols = [sum(((row >> i) & 1) << j for j, row in enumerate(self.rows)) for i in range(self.n)]
+        z = 0
+
+        def step(i: int, c: int):
+            nonlocal z
+            if c & 1:
+                z ^= cols[i]
+
+        return step, lambda: (z, z)
 
 
 @dataclass(frozen=True)
@@ -104,7 +129,7 @@ class ZpJunta:
     post: tuple
 
     def __post_init__(self):
-        _check_post_size(self.p ** len(self.rows))
+        _check_size(self.p ** len(self.rows))
         if len(self.post) != self.p ** len(self.rows):
             raise ValueError("post table must have size p^k")
         for row in self.rows:
@@ -123,6 +148,15 @@ class ZpJunta:
     def group(self) -> GroupSpec:
         return GroupSpec.cyclic_power(self.p, self.n)
 
+    def check_input(self, x) -> Sequence[int]:
+        if hasattr(x, "coords"):
+            x = x.coords
+        elif isinstance(x, (int, np.integer)):
+            x = self.group.decode(int(x))
+        if len(x) != self.n or any(not 0 <= c < self.p for c in x):
+            raise ValueError("input coordinates do not match the sketch shape")
+        return x
+
     def sketch_value(self, coords: Sequence[int]) -> tuple[int, ...]:
         return tuple(
             sum(r * c for r, c in zip(row, coords)) % self.p for row in self.rows
@@ -137,6 +171,26 @@ class ZpJunta:
     def eval(self, coords: Sequence[int]):
         return self.post[self._post_index(self.sketch_value(coords))]
 
+    def buckets(self) -> np.ndarray:
+        group = self.group
+        _check_size(group.size, EXACT_EVAL_LIMIT, "input space")
+        rows = np.asarray(self.rows, dtype=np.int64).reshape(self.k, self.n)
+        values = group.coords_matrix() @ rows.T % self.p
+        return values @ self.p ** np.arange(self.k, dtype=np.int64)
+
+    def eval_all(self) -> np.ndarray:
+        return np.asarray(self.post)[self.buckets()]
+
+    def stepper(self):
+        cols = [[row[i] for row in self.rows] for i in range(self.n)]
+        vec, p = [0] * self.k, self.p
+
+        def step(i: int, c: int):
+            for j, a in enumerate(cols[i]):
+                vec[j] = (vec[j] + a * c) % p
+
+        return step, lambda: (tuple(vec), self._post_index(vec))
+
 
 @dataclass(frozen=True, eq=False)
 class HInvariantSketch:
@@ -150,7 +204,7 @@ class HInvariantSketch:
     post: tuple
 
     def __post_init__(self):
-        _check_post_size(self.subgroup.n_cosets)
+        _check_size(self.subgroup.n_cosets)
         if len(self.post) != self.subgroup.n_cosets:
             raise ValueError("post table must have one entry per coset")
 
@@ -162,53 +216,47 @@ class HInvariantSketch:
     def complexity(self) -> int:
         return self.subgroup.n_cosets
 
+    def check_input(self, x) -> int:
+        x = x.index if hasattr(x, "index") else int(x)
+        if not 0 <= x < self.group.size:
+            raise ValueError(f"input index {x} outside the group")
+        return x
+
     def eval(self, x: int):
         return self.post[self.subgroup.coset_ids()[x]]
 
+    def buckets(self) -> np.ndarray:
+        _check_size(self.group.size, EXACT_EVAL_LIMIT, "input space")
+        return self.subgroup.coset_ids()
+
     def eval_all(self) -> np.ndarray:
-        return np.asarray(self.post)[self.subgroup.coset_ids()]
+        return np.asarray(self.post)[self.buckets()]
+
+    def stepper(self):
+        # step the least member of the current coset along the coordinate;
+        # its coset is the coset of the accumulated input plus the update
+        ids = self.subgroup.coset_ids()
+        least = np.unique(ids, return_index=True)[1].tolist()  # per coset id
+        ids = ids.tolist()
+        moduli, strides = self.group.moduli, self.group.strides
+        q = 0
+
+        def step(i: int, c: int):
+            nonlocal q
+            m, stride = moduli[i], strides[i]
+            x = least[q]
+            digit = x // stride % m
+            q = ids[x + ((digit + c) % m - digit) * stride]
+
+        return step, lambda: (q, q)
 
 
 Sketch = LinearJuntaF2 | ZpJunta | HInvariantSketch
 
 
-def _input_index(sketch: Sketch, x) -> int | Sequence[int]:
-    """Normalize an input (index, BitVec/GroupVec, coords) per sketch kind."""
-    if isinstance(sketch, LinearJuntaF2):
-        if hasattr(x, "bits"):
-            return x.bits
-        return int(x)
-    if isinstance(sketch, ZpJunta):
-        if hasattr(x, "coords"):
-            return x.coords
-        if isinstance(x, (int, np.integer)):
-            return sketch.group.decode(int(x))
-        return x
-    if hasattr(x, "index"):
-        return x.index
-    return int(x)
-
-
 def eval_sketch(sketch: Sketch, x):
     """Evaluate a deterministic sketch on an input (dimension-checked)."""
-    arg = _input_index(sketch, x)
-    if isinstance(sketch, LinearJuntaF2):
-        if not 0 <= arg < 1 << sketch.n:
-            raise ValueError(f"input {arg} out of range for n={sketch.n}")
-    elif isinstance(sketch, ZpJunta):
-        if len(arg) != sketch.n or any(not 0 <= c < sketch.p for c in arg):
-            raise ValueError("input coordinates do not match the sketch shape")
-    elif not 0 <= arg < sketch.group.size:
-        raise ValueError(f"input index {arg} outside the group")
-    return sketch.eval(arg)
-
-
-def eval_sketch_all(sketch: Sketch) -> np.ndarray:
-    """Dense output vector over the whole input group."""
-    if isinstance(sketch, ZpJunta):
-        group = sketch.group
-        return np.array([sketch.eval(group.decode(x)) for x in range(group.size)])
-    return sketch.eval_all()
+    return sketch.eval(sketch.check_input(x))
 
 
 @dataclass
@@ -231,10 +279,6 @@ class RandomizedSketch:
         w = Fraction(1, len(sketches))
         return cls([(w, s) for s in sketches], seed=seed)
 
-    @classmethod
-    def deterministic(cls, sketch: Sketch, seed: int = 0) -> "RandomizedSketch":
-        return cls([(Fraction(1), sketch)], seed=seed)
-
     def sample(self, rng) -> Sketch:
         u = Fraction(rng.getrandbits(64), 1 << 64)
         acc = Fraction(0)
@@ -256,11 +300,7 @@ def bernoulli_round(sketch: Sketch, seed: int = 0) -> Sketch:
     post = tuple(
         1 if rng.random() < float(v) else 0 for v in sketch.post
     )
-    if isinstance(sketch, LinearJuntaF2):
-        return LinearJuntaF2(sketch.n, sketch.rows, post)
-    if isinstance(sketch, ZpJunta):
-        return ZpJunta(sketch.n, sketch.p, sketch.rows, post)
-    return HInvariantSketch(sketch.subgroup, post)
+    return replace(sketch, post=post)
 
 
 class SketchState:
@@ -269,63 +309,21 @@ class SketchState:
     def __init__(self, sketch: Sketch):
         self.sketch = sketch
         self.updates = 0
-        if isinstance(sketch, LinearJuntaF2):
-            self._z = 0
-            cols = []
-            for i in range(sketch.n):
-                mask = 0
-                for j, row in enumerate(sketch.rows):
-                    if (row >> i) & 1:
-                        mask |= 1 << j
-                cols.append(mask)
-            self._cols = cols
-        elif isinstance(sketch, ZpJunta):
-            self._vec = [0] * sketch.k
-        else:
-            self._q = 0  # coset id of the accumulated input
-            self._ids = sketch.subgroup.coset_ids()
-            self._least = np.unique(self._ids, return_index=True)[1]  # per coset id
-
-    @property
-    def n(self) -> int:
-        if isinstance(self.sketch, HInvariantSketch):
-            return self.sketch.group.n
-        return self.sketch.n
+        self.n = sketch.group.n
+        self._step, self._read = sketch.stepper()
 
     def apply(self, coordinate: int, increment: int):
         if not 0 <= coordinate < self.n:
             raise IndexError(f"coordinate {coordinate} out of range")
         self.updates += 1
-        sk = self.sketch
-        if isinstance(sk, LinearJuntaF2):
-            if increment & 1:
-                self._z ^= self._cols[coordinate]
-        elif isinstance(sk, ZpJunta):
-            for j, row in enumerate(sk.rows):
-                self._vec[j] = (self._vec[j] + row[coordinate] * increment) % sk.p
-        else:
-            # step the coset's least member along the coordinate; its coset
-            # is the coset of the accumulated input plus the update
-            m, stride = sk.group.moduli[coordinate], sk.group.strides[coordinate]
-            x = int(self._least[self._q])
-            digit = x // stride % m
-            self._q = int(self._ids[x + ((digit + increment) % m - digit) * stride])
+        self._step(coordinate, increment)
 
     def values(self):
         """The maintained linear image of the accumulated input."""
-        if isinstance(self.sketch, LinearJuntaF2):
-            return self._z
-        if isinstance(self.sketch, ZpJunta):
-            return tuple(self._vec)
-        return self._q
+        return self._read()[0]
 
     def output(self):
-        sk = self.sketch
-        if isinstance(sk, LinearJuntaF2):
-            return sk.post[self._z]
-        if isinstance(sk, ZpJunta):
-            return sk.post[sk._post_index(tuple(self._vec))]
-        return sk.post[self._q]
+        return self.sketch.post[self._read()[1]]
 
 
 def apply_stream(sketch: Sketch, updates: Iterable[tuple[int, int]]) -> SketchState:
@@ -370,16 +368,13 @@ class Distribution:
         return float(np.dot(self.probs, values))
 
 
-def _sketch_group(sketch: Sketch) -> GroupSpec:
-    if isinstance(sketch, LinearJuntaF2):
-        return GroupSpec.boolean(sketch.n)
-    return sketch.group
-
-
-def _support(rsk: RandomizedSketch | Sketch) -> list[tuple[Fraction, Sketch]]:
-    if isinstance(rsk, RandomizedSketch):
-        return rsk.entries
-    return [(Fraction(1), rsk)]
+def _support(rsk: RandomizedSketch | Sketch) -> tuple[list[tuple[Fraction, Sketch]], GroupSpec]:
+    """The weighted sketches and their input group, which must fit
+    EXACT_EVAL_LIMIT for a dense measurement."""
+    entries = rsk.entries if isinstance(rsk, RandomizedSketch) else [(Fraction(1), rsk)]
+    group = entries[0][1].group
+    _check_size(group.size, EXACT_EVAL_LIMIT, "input space")
+    return entries, group
 
 
 def success_probability(
@@ -397,8 +392,7 @@ def success_probability(
     montecarlo mode samples sketches and returns (estimates, standard
     errors) as arrays, or scalars under D.
     """
-    entries = _support(rsk)
-    group = _sketch_group(entries[0][1])
+    entries, group = _support(rsk)
     if f.group != group:
         raise ValueError("function group does not match the sketch")
     target = f.real_values()
@@ -410,9 +404,7 @@ def success_probability(
             raise ValueError("support x input space too large for exact mode")
         per_x = [Fraction(0)] * group.size
         for w, sk in entries:
-            out = eval_sketch_all(sk)
-            agree = out == target
-            for x in np.nonzero(agree)[0]:
+            for x in np.nonzero(sk.eval_all() == target)[0]:
                 per_x[int(x)] += w
         if D is None:
             return per_x
@@ -422,10 +414,10 @@ def success_probability(
         raise ValueError(f"unknown mode {mode!r}")
     rng = derived_rng(seed, "success-mc")
     counts = np.zeros(group.size, dtype=np.int64)
-    rsk_obj = rsk if isinstance(rsk, RandomizedSketch) else RandomizedSketch.deterministic(rsk)
+    mixture = RandomizedSketch(entries)
     for _ in range(samples):
-        sk = rsk_obj.sample(rng)
-        counts += eval_sketch_all(sk) == target
+        sk = mixture.sample(rng)
+        counts += sk.eval_all() == target
     est = counts / samples
     stderr = np.sqrt(np.maximum(est * (1 - est), 1e-300) / samples)
     if D is None:
@@ -445,8 +437,7 @@ def approx_error(
 
     Both the sketch outputs and f must take values in [0, 1].
     """
-    entries = _support(rsk)
-    group = _sketch_group(entries[0][1])
+    entries, group = _support(rsk)
     target = f.real_values()
     if np.any(target < -1e-12) or np.any(target > 1 + 1e-12):
         raise ValueError("f must take values in [0, 1]")
@@ -456,17 +447,17 @@ def approx_error(
             raise ValueError("support x input space too large for exact mode")
         per_x = np.zeros(group.size, dtype=np.float64)
         for w, sk in entries:
-            out = np.asarray(eval_sketch_all(sk), dtype=np.float64)
+            out = np.asarray(sk.eval_all(), dtype=np.float64)
             if np.any(out < -1e-12) or np.any(out > 1 + 1e-12):
                 raise ValueError("sketch outputs must lie in [0, 1]")
             per_x += float(w) * (out - target) ** 2
     elif mode == "montecarlo":
         rng = derived_rng(seed, "error-mc")
-        rsk_obj = rsk if isinstance(rsk, RandomizedSketch) else RandomizedSketch.deterministic(rsk)
+        mixture = RandomizedSketch(entries)
         per_x = np.zeros(group.size, dtype=np.float64)
         for _ in range(samples):
-            sk = rsk_obj.sample(rng)
-            out = np.asarray(eval_sketch_all(sk), dtype=np.float64)
+            sk = mixture.sample(rng)
+            out = np.asarray(sk.eval_all(), dtype=np.float64)
             per_x += (out - target) ** 2
         per_x /= samples
     else:

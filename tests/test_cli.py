@@ -142,6 +142,7 @@ def test_boost_experiment(tmp_path):
     config = ExperimentConfig.load(cfg_path, None, str(tmp_path / "boost"), 0.05)
     record, ok = run_experiment(config)
     assert ok and record["result"]["min_success"] == "1"
+    assert record["result"]["checks"]["hedge-regret"]["ok"]
     mixture = deserialize_sketch((tmp_path / "boost" / "mixture.json").read_text())
     assert len(mixture.entries) == 4
 
@@ -326,3 +327,64 @@ def test_boost_on_zp_and_variant_errors(tmp_path, capsys):
     )
     assert main(["reduce", "--config", reduce_cfg, "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err.startswith("config error: unknown variant 'exact'")
+
+
+def _one_line_failure(capsys, argv, code):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("seed", ["zz", "ff", "0x", "1.5"])
+def test_bad_seed_is_a_config_error(tmp_path, capsys, seed):
+    cfg = _write_config(tmp_path, {"experiment": "simulate",
+                                   "protocol": {"name": "parity-chain", "params": {"n": 4}}})
+    err = _one_line_failure(capsys, ["simulate", "--config", cfg, "--seed", seed], 2)
+    assert err.startswith(f"config error: bad seed {seed!r}")
+
+
+def test_seed_syntax():
+    from modsketch.seeding import parse_seed
+
+    assert parse_seed("10") == 10 and parse_seed("0x10") == 16 and parse_seed(" 0XfF ") == 255
+    with pytest.raises(ValueError):
+        parse_seed("ff")
+
+
+def test_malformed_sketch_file_is_a_config_error(tmp_path, capsys):
+    sketch = tmp_path / "sk.json"
+    sketch.write_text(json.dumps({"format": "modsketch.sketch", "version": 1, "kind": "zp-junta"}))
+    cfg = _write_config(tmp_path, {"experiment": "sketch-eval", "sketch-file": str(sketch),
+                                   "function": {"name": "parity", "params": {"n": 4}}})
+    err = _one_line_failure(capsys, ["sketch-eval", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err.startswith("config error: bad sketch file")
+
+
+def test_dissociation_limit_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "experiment": "reduce",
+        "function": {"name": "mod-p-sum-zero", "params": {"n": 4, "p": 3}},
+        "protocol": {"name": "running-sum-mod-p", "params": {"n": 4, "p": 3}},
+        "reduction": {"players": 20, "trials": 4, "dissociated_limit": 0},
+    })
+    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert "enumeration limit 0" in err
+
+
+@pytest.mark.parametrize("error, code", [("TransformLimitError", 2), ("ChangBoundError", 1)])
+def test_library_limit_and_bound_errors_exit_cleanly(tmp_path, capsys, monkeypatch, error, code):
+    from modsketch import cli, fourier
+
+    def failing_reduce(*args, **kwargs):
+        raise getattr(fourier, error)("raised by the library")
+
+    monkeypatch.setattr(cli, "compile_reduce", failing_reduce)
+    cfg = _write_config(tmp_path, {
+        "experiment": "reduce",
+        "function": {"name": "parity", "params": {"n": 4}},
+        "protocol": {"name": "parity-chain", "params": {"n": 4}},
+        "reduction": {"players": 8},
+    })
+    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], code)
+    assert err.endswith("raised by the library\n")

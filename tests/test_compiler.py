@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from modsketch.compiler import (
 )
 from modsketch.fourier import DenseFunction, normalized_indicator
 from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
-from modsketch.sketch import Distribution, eval_sketch_all
+from modsketch.sketch import Distribution
 from modsketch.zoo import zoo_function, zoo_protocol
 
 from oracles import transcript_frequencies
@@ -154,7 +155,7 @@ def test_heavy_set_parity_chain_spectrum():
 def test_build_invariant_structure_trivial_and_parity():
     spec = GroupSpec.boolean(5)
     st = build_invariant_structure(spec, [0], np.ones(32), "subspace")
-    assert st.cost == 0 and st.invariant.dim == 5 and st.n_buckets == 1
+    assert st.cost == 0 and st.invariant.dim == 5 and st.complexity == 1
 
     all_ones = 0b11111
     weights = np.zeros(32)
@@ -207,7 +208,7 @@ def test_reduce_parity_end_to_end():
     assert res.report.quality == 1.0
     assert all(c["ok"] for c in res.report.checks.values())
     # the produced junta really is parity
-    assert np.array_equal(eval_sketch_all(res.sketch), f.values.astype(int))
+    assert np.array_equal(res.sketch.eval_all(), f.values.astype(int))
 
 
 def test_reduce_dictator_masked_chain():
@@ -240,8 +241,8 @@ def test_group_variant_agrees_with_f2_on_boolean_groups():
     res_gr = reduce(family, f, None, cfg, "exact_group")
     assert res_gr.report.complexity == 2 ** res_f2.report.cost == 2
     assert np.array_equal(
-        np.asarray(eval_sketch_all(res_f2.sketch)),
-        np.asarray(eval_sketch_all(res_gr.sketch)),
+        np.asarray(res_f2.sketch.eval_all()),
+        np.asarray(res_gr.sketch.eval_all()),
     )
 
 
@@ -413,9 +414,29 @@ def test_minimax_boost_parity_and_weight_normalization():
     res = minimax_boost(f, family, cfg, rounds=10)
     assert res.min_success >= Fraction(99, 100)
     assert len(res.per_x_success) == 64
-    assert all(abs(s - 1.0) <= 1e-12 for s in res.weight_sums)
+    hedge = res.checks["hedge-regret"]
+    assert hedge["ok"] and hedge["lhs"] <= hedge["rhs"]
+    eta = min(0.5, math.sqrt(math.log(64) / 10))
+    assert hedge["lhs"] == pytest.approx((1 - math.exp(-eta)) * sum(r.quality for r in res.round_reports))
     # exact per-x success of the mixture agrees with the collected reports
     assert len(res.mixture.entries) == 10
+
+
+def test_minimax_boost_hedge_check_catches_false_quality(monkeypatch):
+    from modsketch import compiler
+    from modsketch.compiler import InvariantViolation, ReduceResult
+    from modsketch.sketch import LinearJuntaF2
+
+    f = zoo_function("parity", n=2)
+    wrong = LinearJuntaF2(2, (0b11,), (1, 0))  # the negated parity: wrong on every x
+
+    def lying_reduce(*args, **kwargs):
+        return ReduceResult(wrong, SimpleNamespace(quality=1.0))
+
+    monkeypatch.setattr(compiler, "reduce", lying_reduce)
+    cfg = ReductionConfig(players=4, transcript_trials=2)
+    with pytest.raises(InvariantViolation, match="hedge-regret"):
+        minimax_boost(f, zoo_protocol("parity-chain", n=2), cfg, rounds=20)
 
 
 def test_minimax_boost_input_validation():

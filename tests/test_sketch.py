@@ -4,8 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modsketch.algebra import GroupSpec, subgroup_generated
 from modsketch.fourier import DenseFunction
@@ -20,12 +24,11 @@ from modsketch.sketch import (
     approx_error,
     deserialize_sketch,
     eval_sketch,
-    eval_sketch_all,
     serialize_sketch,
     success_probability,
 )
 
-from oracles import accumulate_stream
+from oracles import accumulate_stream, group_add, group_encode
 
 
 def parity_junta(n: int) -> LinearJuntaF2:
@@ -366,3 +369,109 @@ def test_distribution_validation_and_sampling():
     rng = random.Random(11)
     draws = D.sample(rng, 1000)
     assert all(d < 4 for d in draws)
+
+
+def test_dense_evaluation_checks_size_before_allocating():
+    # 2^48 and 5^32 inputs: far past EXACT_EVAL_LIMIT and the address space
+    small = DenseFunction(GroupSpec.boolean(2), np.zeros(4))
+    for sk in (LinearJuntaF2(48, (1, 2), (0, 1, 1, 0)), ZpJunta(32, 5, ((1,) * 32,), (0, 1, 0, 1, 0))):
+        for dense in (sk.buckets, sk.eval_all):
+            with pytest.raises(ValueError, match="input space"):
+                dense()
+        for measure in (success_probability, approx_error):
+            for mode in ("exact", "montecarlo"):
+                with pytest.raises(ValueError, match="input space"):
+                    measure(sk, small, mode=mode, samples=1)
+
+
+# ---------------------------------------------------------------- properties
+# Small sketches of all three kinds, checked against tests/oracles.py: the
+# dense path against eval_sketch, stream states against the offline fold of
+# the stream, and the v1 text form.
+
+
+@st.composite
+def _sketches(draw):
+    """(sketch, moduli of its input group) for one of the three kinds."""
+    kind = draw(st.sampled_from(["f2", "zp", "h"]))
+    if kind == "f2":
+        n, k = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+        rows = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k)))
+        post = tuple(draw(st.lists(st.integers(0, 1), min_size=1 << k, max_size=1 << k)))
+        return LinearJuntaF2(n, rows, post), (2,) * n
+    if kind == "zp":
+        p, n, k = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        rows = tuple(tuple(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))) for _ in range(k))
+        post = tuple(draw(st.lists(st.integers(0, 3), min_size=p**k, max_size=p**k)))
+        return ZpJunta(n, p, rows, post), (p,) * n
+    moduli = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    spec = GroupSpec(moduli)
+    gens = draw(st.lists(st.integers(0, spec.size - 1), max_size=2))
+    sub = subgroup_generated(spec, gens)
+    post = tuple(draw(st.lists(st.integers(0, 3), min_size=sub.n_cosets, max_size=sub.n_cosets)))
+    return HInvariantSketch(sub, post), moduli
+
+
+def _oracle_read(sk, moduli, coords):
+    """(values(), output()) of a sketch at the input with these coordinates,
+    from the definitions: parities, linear forms mod p, or the rank of the
+    coset's least member among all cosets' least members."""
+    if isinstance(sk, LinearJuntaF2):
+        z = sum((sum(coords[i] for i in range(sk.n) if row >> i & 1) % 2) << j for j, row in enumerate(sk.rows))
+        return z, sk.post[z]
+    if isinstance(sk, ZpJunta):
+        v = tuple(sum(a * c for a, c in zip(row, coords)) % sk.p for row in sk.rows)
+        return v, sk.post[sum(c * sk.p**j for j, c in enumerate(v))]
+    size = math.prod(moduli)
+    least = {x: min(group_add(moduli, x, h) for h in sk.subgroup.elements) for x in range(size)}
+    q = sorted(set(least.values())).index(least[group_encode(moduli, coords)])
+    return q, sk.post[q]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sketches())
+def test_eval_all_matches_pointwise_eval(case):
+    sk, moduli = case
+    dense = sk.eval_all()
+    assert len(dense) == math.prod(moduli)
+    assert [int(v) for v in dense] == [eval_sketch(sk, x) for x in range(len(dense))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sketches(), st.data())
+def test_stream_state_matches_offline_fold(case, data):
+    sk, moduli = case
+    n = len(moduli)
+    updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-7, 7)), max_size=40))
+    coords = [c % m for c, m in zip(accumulate_stream(n, math.lcm(*moduli), updates), moduli)]
+    state = apply_stream(sk, updates)
+    assert (state.values(), state.output()) == _oracle_read(sk, moduli, coords)
+    assert state.updates == len(updates)
+    shuffled = data.draw(st.permutations(updates))
+    assert apply_stream(sk, shuffled).values() == state.values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sketches())
+def test_serialization_round_trip_property(case):
+    sk, _ = case
+    back = deserialize_sketch(serialize_sketch(sk))
+    assert type(back) is type(sk) and back.group == sk.group and back.post == sk.post
+    assert serialize_sketch(back) == serialize_sketch(sk)
+
+
+def test_serialization_format_v1_golden():
+    spec = GroupSpec((4, 2))
+    golden = [
+        (LinearJuntaF2(3, (5, 3), (0, 1, 1, 0)),
+         '{"format": "modsketch.sketch", "version": 1, "kind": "linear-junta-f2", "n": 3, '
+         '"rows": [5, 3], "post": [0, 1, 1, 0]}'),
+        (ZpJunta(2, 3, ((1, 2),), (0, 1, 1)),
+         '{"format": "modsketch.sketch", "version": 1, "kind": "zp-junta", "n": 2, "p": 3, '
+         '"rows": [[1, 2]], "post": [0, 1, 1]}'),
+        (HInvariantSketch(subgroup_generated(spec, [spec.encode((2, 0))]), (0, 1, 1, 0)),
+         '{"format": "modsketch.sketch", "version": 1, "kind": "h-invariant", "moduli": [4, 2], '
+         '"subgroup": [0, 2], "post": [0, 1, 1, 0]}'),
+    ]
+    for sk, text in golden:
+        assert serialize_sketch(sk) == json.dumps(json.loads(text), indent=2)
