@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .algebra import GroupSpec
 from .compiler import (
+    BOOST_SIZE_LIMIT,
     VARIANTS,
     CompilerError,
     ReductionConfig,
@@ -254,10 +255,22 @@ def _run_reduce(config: ExperimentConfig) -> tuple[dict, bool]:
 def _run_boost(config: ExperimentConfig) -> tuple[dict, bool]:
     f = _load_function(config.raw)
     family = _load_protocol(config.raw)
-    _load_distribution(config.raw, f.group)  # shape/zoo validation up front
+    if family.group != f.group:
+        raise ConfigError("function and protocol live on different groups")
+    if config.raw.get("distribution", "uniform") != "uniform":
+        raise ConfigError("boost chooses its own input distributions; distribution must be 'uniform'")
+    variant = _variant(config.raw, f.group)
+    if not variant.startswith("exact"):
+        raise ConfigError(f"boost needs an exact variant, got {variant!r}")
+    if not np.all(np.isin(f.real_values(), (0.0, 1.0))):
+        raise ConfigError("boost needs a binary target function")
+    if f.group.size > BOOST_SIZE_LIMIT:
+        raise ConfigError(f"boost needs |G| <= {BOOST_SIZE_LIMIT}, got {f.group.size}")
     cfg = _reduction_config(config.raw, config.seed)
     rounds = int(config.raw.get("rounds", 10))
-    res = minimax_boost(f, family, cfg, rounds, _variant(config.raw, f.group))
+    if rounds < 1:
+        raise ConfigError("rounds must be >= 1")
+    res = minimax_boost(f, family, cfg, rounds, variant)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     sketch_path = config.out_dir / "mixture.json"
     sketch_path.write_text(serialize_sketch(res.mixture) + "\n")

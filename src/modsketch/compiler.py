@@ -61,6 +61,7 @@ __all__ = [
 
 VARIANTS = ("exact_f2", "approx_f2", "exact_group", "approx_group")
 BOUNDARY_TOL = 1e-9
+BOOST_SIZE_LIMIT = 1 << 16
 
 
 class CompilerError(Exception):
@@ -169,6 +170,9 @@ class SelectedTranscript:
     trials_used: int
     candidates_evaluated: int
     rejected_condition_i: int
+    message_calls: int
+    player_sets_built: int
+    player_set_hits: int
 
 
 @dataclass
@@ -218,6 +222,9 @@ class ReductionReport:
     timings: dict = field(default_factory=dict)
     trials_used: int = 0
     candidates_evaluated: int = 0
+    message_calls: int = 0
+    player_sets_built: int = 0
+    player_set_hits: int = 0
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -292,9 +299,11 @@ def _protocol_quality_estimate(
     return good / samples
 
 
-def _select_r_star(protocol, f, D, cfg, mode) -> int:
+def _select_r_star(protocol, f, D, cfg, mode) -> tuple[int, int]:
+    """The tape with the best estimated quality, and the message-function
+    calls the estimates made."""
     if protocol.randomness_bits == 0:
-        return 0
+        return 0, 0
     rng = derived_rng(cfg.seed, "r-star")
     space = 1 << protocol.randomness_bits
     if space <= cfg.r_tape_exhaustive_limit:
@@ -308,13 +317,61 @@ def _select_r_star(protocol, f, D, cfg, mode) -> int:
         )
         if val > best_val:
             best_r, best_val = r, val
-    return best_r
+    return best_r, len(tapes) * cfg.r_eval_samples * protocol.n_players
+
+
+class _PlayerSetSource:
+    """Message tables and player sets A_i of one transcript search, with
+    the tape fixed.
+
+    A streaming protocol's message function reads only its input, prev[-1]
+    and r, so its table over all inputs is kept per (fn, prev[-1] or None)
+    and A_i per (fn, prev[-1] or None, m_i): every player and candidate
+    with the same key shares one table and one indicator (and so one
+    spectrum).  Other protocols get a fresh table per player.
+    """
+
+    def __init__(self, protocol: BroadcastProtocol, r_star: int):
+        self.protocol = protocol
+        self.r_star = r_star
+        self.memo = protocol.streaming
+        self.tables: dict = {}
+        self.sets: dict = {}
+        self.message_calls = 0
+        self.built = 0
+        self.hits = 0
+
+    def _key(self, i: int, messages: tuple):
+        return self.protocol.msg_fns[i], messages[i - 1] if i else None
+
+    def table(self, i: int, messages: tuple) -> np.ndarray:
+        """fn_i(x, messages[:i], r_star) for every input x."""
+        key = self._key(i, messages)
+        if self.memo and key in self.tables:
+            return self.tables[key]
+        fn, prev = key[0], tuple(messages[:i])
+        table = np.array([fn(x, prev, self.r_star) for x in range(self.protocol.group.size)])
+        self.message_calls += len(table)
+        if self.memo:
+            self.tables[key] = table
+        return table
+
+    def indicator(self, i: int, messages: tuple) -> NormalizedIndicator:
+        """The normalized indicator of A_i = {x : fn_i(x, messages[:i]) = m_i}."""
+        key = (*self._key(i, messages), messages[i])
+        if self.memo and key in self.sets:
+            self.hits += 1
+            return self.sets[key]
+        ind = NormalizedIndicator(self.protocol.group, self.table(i, messages) == messages[i])
+        self.built += 1
+        if self.memo:
+            self.sets[key] = ind
+        return ind
 
 
 def _evaluate_candidate(
-    protocol: BroadcastProtocol,
+    source: _PlayerSetSource,
     messages: tuple,
-    r_star: int,
     f: DenseFunction,
     D: Distribution,
     threshold: Fraction,
@@ -323,31 +380,20 @@ def _evaluate_candidate(
     """Exact per-transcript accounting: sets A_i, prod of densities against
     the probability threshold, the tail function, and the conditional
     quality via spectral products.  Returns None if condition (i) fails."""
-    group = protocol.group
-    n = protocol.n_players - 1
+    group = source.protocol.group
+    n = source.protocol.n_players - 1
     indicators = []
     densities = []
     prob = Fraction(1)
     for i in range(n):
-        fn = protocol.msg_fns[i]
-        prev = tuple(messages[:i])
-        members = np.fromiter(
-            (fn(x, prev, r_star) == messages[i] for x in range(group.size)),
-            dtype=bool,
-            count=group.size,
-        )
-        ind = NormalizedIndicator(group, members)
+        ind = source.indicator(i, messages)
         indicators.append(ind)
         densities.append(ind.density)
         prob *= ind.density
     if prob < threshold:
         return None
 
-    tail_fn = protocol.msg_fns[n]
-    h_vals = np.asarray(
-        [tail_fn(t, tuple(messages), r_star) for t in range(group.size)],
-        dtype=np.float64,
-    )
+    h_vals = source.table(n, messages).astype(np.float64)
     if mode == "exact":
         if not np.all(np.isin(h_vals, (0.0, 1.0))):
             raise CompilerError(
@@ -388,7 +434,9 @@ def sample_and_select_transcript(
     Exact mode maximizes the conditional success and requires it to reach
     target_q - delta; approx mode minimizes the conditional squared error
     and requires (target_eps + delta) / (1 - delta).  Raises
-    TranscriptSearchError (carrying the best candidate) otherwise.
+    TranscriptSearchError (carrying the best candidate) otherwise.  For a
+    streaming protocol, player sets are memoized across players and
+    candidates (see _PlayerSetSource).
     """
     if cfg.transcript_trials < 1:
         raise TranscriptSearchError("transcript_trials must be at least 1")
@@ -396,7 +444,8 @@ def sample_and_select_transcript(
     n = protocol.n_players - 1
     delta = cfg.resolved_delta()
     threshold = delta * Fraction(1, 2 ** (protocol.message_bits * n))
-    r_star = _select_r_star(protocol, f, D, cfg, mode)
+    r_star, r_calls = _select_r_star(protocol, f, D, cfg, mode)
+    source = _PlayerSetSource(protocol, r_star)
     rng = derived_rng(cfg.seed, "transcripts")
 
     seen: set[tuple] = set()
@@ -410,7 +459,7 @@ def sample_and_select_transcript(
         if key in seen:
             continue
         seen.add(key)
-        res = _evaluate_candidate(protocol, key, r_star, f, D, threshold, mode)
+        res = _evaluate_candidate(source, key, f, D, threshold, mode)
         if res is None:
             rejected += 1
             continue
@@ -445,7 +494,10 @@ def sample_and_select_transcript(
         key, prob, quality, "success" if mode == "exact" else "sq_error"
     )
     return SelectedTranscript(
-        transcript, ps, tail, r_star, trials, len(seen), rejected
+        transcript, ps, tail, r_star, trials, len(seen), rejected,
+        message_calls=r_calls + trials * protocol.n_players + source.message_calls,
+        player_sets_built=source.built,
+        player_set_hits=source.hits,
     )
 
 
@@ -796,6 +848,9 @@ def reduce(
         timings=timings,
         trials_used=sel.trials_used,
         candidates_evaluated=sel.candidates_evaluated,
+        message_calls=sel.message_calls,
+        player_sets_built=sel.player_sets_built,
+        player_set_hits=sel.player_set_hits,
     )
     return ReduceResult(junta.sketch, report)
 
@@ -821,11 +876,15 @@ def minimax_boost(
     the current hardest distribution, downweight inputs the new junta gets
     right, and return the uniform mixture of the collected juntas with its
     exact per-input success profile.  Checks the Hedge regret bound on the
-    reported qualities q_t: (1 - e^-eta) sum_t q_t <= eta min_x L(x) + ln|G|."""
+    reported qualities q_t: (1 - e^-eta) sum_t q_t <= eta min_x L(x) + ln|G|.
+    Only exact variants: an approx round reports a squared error, not a
+    success probability, so the bound would not constrain it."""
     if rounds < 1:
         raise ValueError("need at least one round")
+    if not variant.startswith("exact"):
+        raise ValueError(f"boosting needs an exact variant, got {variant!r}")
     group = f.group
-    if group.size > 1 << 16:
+    if group.size > BOOST_SIZE_LIMIT:
         raise ValueError("input space too large for exact boosting")
     fv = f.real_values()
     if not np.all(np.isin(fv, (0.0, 1.0))):

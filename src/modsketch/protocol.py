@@ -47,7 +47,15 @@ def streaming_table_fn(table) -> MessageFn:
 
 @dataclass(frozen=True)
 class BroadcastProtocol:
-    """N ordered players with c-bit messages; the last message is the output."""
+    """N ordered players with c-bit messages; the last message is the output.
+
+    streaming=True is a contract: every message function reads only its
+    input, prev[-1] (the incoming state; prev is empty for player one) and
+    r.  The compiler relies on it and memoizes each function's table of
+    messages per incoming state, so a streaming protocol whose functions
+    read other earlier messages gets wrong player sets; leave such a
+    protocol at streaming=False.
+    """
 
     group: GroupSpec
     n_players: int

@@ -204,7 +204,8 @@ class HInvariantSketch:
     post: tuple
 
     def __post_init__(self):
-        _check_size(self.subgroup.n_cosets)
+        # |G/H| by Lagrange, checked before n_cosets builds the O(|G|) coset table
+        _check_size(self.group.size // len(self.subgroup))
         if len(self.post) != self.subgroup.n_cosets:
             raise ValueError("post table must have one entry per coset")
 

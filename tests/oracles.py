@@ -281,3 +281,21 @@ def transcript_frequencies(protocol, n_tail_players: int) -> dict[tuple, Fractio
         key = tuple(messages[: protocol.n_players - 1])
         counts[key] = counts.get(key, 0) + 1
     return {k: Fraction(v, total) for k, v in counts.items()}
+
+
+def transcript_success(protocol, f_values) -> dict[tuple, Fraction]:
+    """Exact P[output = f(x_1 + ... + x_{N+1}) | transcript] for every
+    transcript of the first N players, over all uniform input tuples."""
+    import itertools
+
+    moduli = protocol.group.moduli
+    hits: dict[tuple, list[int]] = {}
+    for inputs in itertools.product(range(protocol.group.size), repeat=protocol.n_players):
+        messages, out = protocol.run(list(inputs), 0)
+        total = 0
+        for x in inputs:
+            total = group_add(moduli, total, x)
+        tally = hits.setdefault(tuple(messages[: protocol.n_players - 1]), [0, 0])
+        tally[0] += out == f_values[total]
+        tally[1] += 1
+    return {k: Fraction(good, count) for k, (good, count) in hits.items()}

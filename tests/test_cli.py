@@ -388,3 +388,49 @@ def test_library_limit_and_bound_errors_exit_cleanly(tmp_path, capsys, monkeypat
     })
     err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], code)
     assert err.endswith("raised by the library\n")
+
+
+def _boost_config(tmp_path, **extra):
+    return _write_config(tmp_path, {
+        "experiment": "boost",
+        "function": {"name": "parity", "params": {"n": 4}},
+        "protocol": {"name": "parity-chain", "params": {"n": 4}},
+        "reduction": {"players": 40, "trials": 4, "target_q": 1.0},
+        "rounds": 4,
+        **extra,
+    })
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"variant": "approx_f2"}, "boost needs an exact variant, got 'approx_f2'"),
+    ({"function": {"name": "two-parity-blend", "params": {"n": 4, "a": 3, "b": 12}}},
+     "boost needs a binary target function"),
+    ({"distribution": {"weights-file": "w.txt"}}, "boost chooses its own input distributions"),
+    ({"protocol": {"name": "parity-chain", "params": {"n": 5}}}, "function and protocol live on different groups"),
+    ({"rounds": 0}, "rounds must be >= 1"),
+    ({"function": {"name": "parity", "params": {"n": 17}},
+      "protocol": {"name": "parity-chain", "params": {"n": 17}}}, "boost needs |G| <= 65536"),
+])
+def test_boost_config_errors_exit_cleanly(tmp_path, capsys, extra, message):
+    cfg = _boost_config(tmp_path, **extra)
+    err = _one_line_failure(capsys, ["boost", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err.startswith(f"config error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_reduce_report_carries_transcript_counters(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "experiment": "reduce",
+        "function": {"name": "parity", "params": {"n": 4}},
+        "protocol": {"name": "parity-chain", "params": {"n": 4}},
+        "reduction": {"players": 40, "trials": 4, "target_q": 1.0},
+    })
+    assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())["result"]["report"]
+    keys = list(report)
+    at = keys.index("candidates_evaluated")
+    assert keys[at + 1:at + 4] == ["message_calls", "player_sets_built", "player_set_hits"]
+    # one candidate: sampling runs 41 players, then tables for no state, 0 and 1
+    assert report["message_calls"] == 41 + 3 * 16
+    assert report["player_sets_built"] + report["player_set_hits"] == 40
+    assert report["player_set_hits"] >= 35

@@ -2,11 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modsketch.algebra import GroupSpec, orthogonal_complement, rank_basis
 from modsketch.compiler import (
@@ -26,7 +29,7 @@ from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
 from modsketch.sketch import Distribution
 from modsketch.zoo import zoo_function, zoo_protocol
 
-from oracles import transcript_frequencies
+from oracles import transcript_frequencies, transcript_success
 
 
 def random_table_protocol(group, n_players, c, rng, binary_tail=True):
@@ -373,6 +376,105 @@ def test_transcript_probabilities_match_exhaustive_enumeration():
             assert prob == frequency
 
 
+@st.composite
+def _small_protocols(draw):
+    """(protocol, f) on F2^1, F2^2, Z_3 or Z_5 with N = 2 or 3 players and
+    1- or 2-bit messages.  A streaming protocol shares one random table
+    fn(x, prev[-1]) among its middle players (and, for 1-bit messages,
+    sometimes the tail), so its player sets repeat; the streaming=False one
+    reads prev[0] instead, which a set memoized under prev[-1] would get
+    wrong."""
+    group = draw(st.sampled_from([GroupSpec.boolean(1), GroupSpec.boolean(2),
+                                  GroupSpec.cyclic_power(3, 1), GroupSpec.cyclic_power(5, 1)]))
+    N, c = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    streaming = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    table = [[rng.getrandbits(c) for _ in range(1 << c)] for _ in range(group.size)]
+    tail = [[rng.getrandbits(1) for _ in range(1 << c)] for _ in range(group.size)]
+    read = (lambda prev: prev[-1]) if streaming else (lambda prev: prev[0])
+
+    def msg(x, prev, r):
+        return table[x][read(prev) if prev else 0]
+
+    def last(x, prev, r):
+        return tail[x][read(prev)]
+
+    shared_tail = streaming and c == 1 and draw(st.booleans())
+    protocol = BroadcastProtocol(
+        group=group, n_players=N + 1, message_bits=c,
+        msg_fns=(msg,) * N + ((msg,) if shared_tail else (last,)),
+        streaming=streaming,
+    )
+    f = DenseFunction(group, np.array([rng.getrandbits(1) for _ in range(group.size)], dtype=float))
+    return protocol, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_protocols(), st.integers(0, 2**16))
+def test_selected_transcript_matches_exhaustive_enumeration(case, seed):
+    protocol, f = case
+    group, N = protocol.group, protocol.n_players - 1
+    cfg = ReductionConfig(players=N, transcript_trials=12, seed=seed)
+    sel = sample_and_select_transcript(protocol, f, Distribution.uniform(group), cfg, "exact")
+    messages = sel.transcript.messages
+    assert sel.transcript.a == transcript_frequencies(protocol, N + 1)[messages]
+    assert sel.transcript.b == pytest.approx(float(transcript_success(protocol, f.values)[messages]), abs=1e-9)
+    for i, ind in enumerate(sel.player_sets.indicators):
+        members = [x for x in range(group.size) if protocol.msg_fns[i](x, messages[:i], 0) == messages[i]]
+        assert np.flatnonzero(ind.members).tolist() == members
+        assert sel.player_sets.densities[i] == Fraction(len(members), group.size)
+    tail = [protocol.msg_fns[N](x, messages, 0) for x in range(group.size)]
+    assert sel.tail.h.values.tolist() == tail
+    assert sel.player_sets_built + sel.player_set_hits == N * sel.candidates_evaluated
+    if not protocol.streaming:
+        assert sel.player_set_hits == 0
+        assert sel.message_calls == (N + 1) * (sel.trials_used + group.size * sel.candidates_evaluated)
+
+
+def _counted(protocol):
+    """The protocol with every message function wrapped by one call counter
+    (a function shared by several players stays shared)."""
+    calls = [0]
+
+    def count(fn):
+        def wrapper(x, prev, r):
+            calls[0] += 1
+            return fn(x, prev, r)
+
+        return wrapper
+
+    wrapped = {fn: count(fn) for fn in protocol.msg_fns}
+    return replace(protocol, msg_fns=tuple(wrapped[fn] for fn in protocol.msg_fns)), calls
+
+
+def test_streaming_reduce_tabulates_each_message_function_once_per_state():
+    # parity chain, n=6, N=60: one table per incoming state (none, 0, 1)
+    # serves all 60 player sets and the tail; sampling adds 61 calls a trial
+    n, N = 6, 60
+    protocol, calls = _counted(zoo_protocol("parity-chain", n=n)(N + 1))
+    cfg = ReductionConfig(players=N, transcript_trials=8, target_q=1.0, seed=4)
+    res = reduce(protocol, zoo_function("parity", n=n), None, cfg, "exact_f2")
+    assert res.report.quality == 1.0
+    assert calls[0] <= 4 * 2**n
+    assert res.report.message_calls == calls[0]
+    assert res.report.player_sets_built <= 1 + 2 * 2
+    assert res.report.player_sets_built + res.report.player_set_hits == N * res.report.candidates_evaluated
+    back = res.report.to_dict()
+    assert back["message_calls"] == calls[0] and back["player_set_hits"] == res.report.player_set_hits
+
+    # the tape search's calls are counted too: 4 tapes x 256 samples x 9 players
+    def middle(x, prev, r):
+        return (prev[-1] if prev else 0) ^ ((x & (3 if r == 1 else 1)).bit_count() & 1)
+
+    gated, calls = _counted(BroadcastProtocol(
+        group=GroupSpec.boolean(2), n_players=9, message_bits=1, msg_fns=(middle,) * 9,
+        randomness_bits=2, streaming=True,
+    ))
+    res = reduce(gated, zoo_function("parity", n=2), None, ReductionConfig(players=8, seed=1), "exact_f2")
+    assert res.report.r_star == 1
+    assert res.report.message_calls == calls[0] > 4 * 256 * 9
+
+
 def test_approx_encode_and_conversion_bounds():
     enc = approx_encode(np.array([0.0, 0.5, 1.0]))
     assert np.allclose(np.abs(enc), 1.0)
@@ -448,6 +550,10 @@ def test_minimax_boost_input_validation():
         minimax_boost(f, family, cfg, rounds=2)  # non-binary target
     with pytest.raises(ValueError):
         minimax_boost(zoo_function("parity", n=3), family, cfg, rounds=0)
+    # an approx round reports a squared error, which the Hedge check would sum as a success
+    for variant in ("approx_f2", "approx_group"):
+        with pytest.raises(ValueError, match="exact variant"):
+            minimax_boost(zoo_function("parity", n=3), family, cfg, rounds=2, variant=variant)
 
 
 def test_report_serializes_to_plain_json():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modsketch.algebra import GroupSpec, subgroup_generated
+from modsketch.algebra import GroupSpec, SubgroupEnum, subgroup_generated
 from modsketch.fourier import DenseFunction
 from modsketch.sketch import (
     Distribution,
@@ -382,6 +382,17 @@ def test_dense_evaluation_checks_size_before_allocating():
             for mode in ("exact", "montecarlo"):
                 with pytest.raises(ValueError, match="input space"):
                     measure(sk, small, mode=mode, samples=1)
+
+
+def test_h_invariant_sketch_checks_coset_count_before_building_cosets(monkeypatch):
+    # the trivial subgroup of Z_3^14 has 3^14 cosets, past POST_TABLE_LIMIT;
+    # the coset table alone would take a Python loop over all 4.8M inputs
+    def no_coset_table(self):
+        raise AssertionError("coset table built before the size check")
+
+    monkeypatch.setattr(SubgroupEnum, "coset_ids", no_coset_table)
+    with pytest.raises(ValueError, match="post-processing table of size 4782969"):
+        HInvariantSketch(SubgroupEnum(GroupSpec.cyclic_power(3, 14), [0]), (0,))
 
 
 # ---------------------------------------------------------------- properties
