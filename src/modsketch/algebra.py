@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -524,8 +523,3 @@ def subgroup_generated(spec: GroupSpec, generators: Iterable[int]) -> SubgroupEn
                 closure.add(v)
                 v = spec.add(v, g)
     return SubgroupEnum(spec, closure)
-
-
-def density(count: int, size: int) -> Fraction:
-    """Exact density |A|/|G| as a rational."""
-    return Fraction(count, size)

@@ -143,21 +143,40 @@ def _load_protocol(cfg: dict):
         raise ConfigError(f"bad protocol spec: {e}") from e
 
 
+def _int_field(section: dict, key: str, default: int, minimum: int) -> int:
+    """section[key] (default if absent) as an int >= minimum; an integral
+    float is accepted, a string, a bool or a fraction is not."""
+    value = section.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum} (an integer), got {value!r}")
+    return value
+
+
+def _float_field(section: dict, key: str, minimum: float) -> float | None:
+    """section[key] as a float >= minimum, or None if absent or null."""
+    value = section.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= minimum:
+        raise ConfigError(f"{key} must be >= {minimum} (a number), got {value!r}")
+    return float(value)
+
+
 def _load_distribution(cfg: dict, group: GroupSpec) -> Distribution:
     spec = cfg.get("distribution", "uniform")
     if spec == "uniform":
         return Distribution.uniform(group)
     if isinstance(spec, dict) and "weights-file" in spec:
-        weights = [
-            float(ln)
-            for ln in Path(spec["weights-file"]).read_text().split()
-            if ln.strip()
-        ]
-        if len(weights) != group.size:
-            raise ConfigError(
-                f"weights file has {len(weights)} entries; group has {group.size}"
-            )
-        return Distribution.from_weights(group, weights)
+        path = spec["weights-file"]
+        try:
+            weights = [float(tok) for tok in Path(path).read_text().split()]
+            if len(weights) != group.size:
+                raise ValueError(f"{len(weights)} entries for a group of {group.size}")
+            return Distribution.from_weights(group, weights)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"bad weights file {path}: {e}") from e
     raise ConfigError(f"unknown distribution spec {spec!r}")
 
 
@@ -165,16 +184,13 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
     red = cfg.get("reduction")
     if not isinstance(red, dict) or "players" not in red:
         raise ConfigError("config needs reduction: {players, ...}")
-    players = int(red["players"])
-    if players < 1:
-        raise ConfigError("players must be >= 1")
     return ReductionConfig(
-        players=players,
-        transcript_trials=int(red.get("trials", 64)),
-        target_q=red.get("target_q"),
-        target_eps=red.get("target_eps"),
+        players=_int_field(red, "players", 0, 1),
+        transcript_trials=_int_field(red, "trials", 64, 1),
+        target_q=_float_field(red, "target_q", 0.0),
+        target_eps=_float_field(red, "target_eps", 0.0),
         seed=seed,
-        dissociated_limit=int(red.get("dissociated_limit", 16)),
+        dissociated_limit=_int_field(red, "dissociated_limit", 16, 0),
     )
 
 
@@ -267,9 +283,7 @@ def _run_boost(config: ExperimentConfig) -> tuple[dict, bool]:
     if f.group.size > BOOST_SIZE_LIMIT:
         raise ConfigError(f"boost needs |G| <= {BOOST_SIZE_LIMIT}, got {f.group.size}")
     cfg = _reduction_config(config.raw, config.seed)
-    rounds = int(config.raw.get("rounds", 10))
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
+    rounds = _int_field(config.raw, "rounds", 10, 1)
     res = minimax_boost(f, family, cfg, rounds, variant)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     sketch_path = config.out_dir / "mixture.json"
@@ -281,8 +295,7 @@ def _run_boost(config: ExperimentConfig) -> tuple[dict, bool]:
         "per_x_success": [str(p) for p in res.per_x_success],
         "checks": res.checks,
     }
-    target = config.raw.get("reduction", {}).get("target_q")
-    ok = True if target is None else float(res.min_success) >= target - config.tolerance
+    ok = cfg.target_q is None or float(res.min_success) >= cfg.target_q - config.tolerance
     return result, ok
 
 
@@ -317,9 +330,9 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
         )
         result["per_x_table"] = str(table)
         result["min_success"] = min(per_x)
-        target = config.raw.get("target_q")
+        target = _float_field(config.raw, "target_q", 0.0)
         if target is not None:
-            ok = result["min_success"] >= float(target) - config.tolerance
+            ok = result["min_success"] >= target - config.tolerance
     else:
         entries = sketch.entries if hasattr(sketch, "entries") else [(1, sketch)]
         per_x = np.zeros(f.group.size)
@@ -331,15 +344,15 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
         )
         result["per_x_table"] = str(table)
         result["max_sq_error"] = float(per_x.max())
-        target = config.raw.get("target_eps")
+        target = _float_field(config.raw, "target_eps", 0.0)
         if target is not None:
-            ok = result["max_sq_error"] <= float(target) + config.tolerance
+            ok = result["max_sq_error"] <= target + config.tolerance
     return result, ok
 
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     family = _load_protocol(config.raw)
-    n_players = int(config.raw.get("players", 3))
+    n_players = _int_field(config.raw, "players", 3, 1)
     protocol = family(n_players)
     rng = derived_rng(config.seed, "simulate")
     runs = []
@@ -348,14 +361,17 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     if "function" in config.raw:
         check_fn = additive_lift(_load_function(config.raw), n_players)
     explicit = config.raw.get("inputs")
-    n_runs = int(config.raw.get("runs", 10))
+    n_runs = _int_field(config.raw, "runs", 10, 0)
+    size = protocol.group.size
+    if explicit and not (
+        isinstance(explicit, list) and len(explicit) == n_players
+        and all(type(v) is int and 0 <= v < size for v in explicit)
+    ):
+        raise ConfigError(f"inputs must be {n_players} integers in [0, {size})")
     input_sets = (
-        [list(map(int, explicit))]
+        [explicit]
         if explicit
-        else [
-            [rng.randrange(protocol.group.size) for _ in range(n_players)]
-            for _ in range(n_runs)
-        ]
+        else [[rng.randrange(size) for _ in range(n_players)] for _ in range(n_runs)]
     )
     for inputs in input_sets:
         messages, output = protocol.run(inputs, 0)
@@ -371,25 +387,26 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
 
 def _run_prg_check(config: ExperimentConfig) -> tuple[dict, bool]:
     prg_cfg = config.raw.get("prg", {})
-    b = int(prg_cfg.get("block_bits", 8))
-    k = int(prg_cfg.get("block_count", 16))
-    states = int(prg_cfg.get("states", 8))
-    samples = int(prg_cfg.get("samples", 100_000))
-    fsm = block_parity_counter(states, b)
-    dist = fsm_distance(fsm, b, k, samples=samples, seed=config.seed)
-
-    n = int(prg_cfg.get("n", 64))
-    s = int(prg_cfg.get("s", 8))
-    p = int(prg_cfg.get("p", 2))
-    seed_bits = RowTemplate.required_seed_bits(n, s, p, b)
-    template = RowTemplate(
-        n=n, s=s, p=p, block_bits=b,
-        seed=derived_rng(config.seed, "template").getrandbits(seed_bits),
-    )
+    b = _int_field(prg_cfg, "block_bits", 8, 1)
+    k = _int_field(prg_cfg, "block_count", 16, 1)
+    states = _int_field(prg_cfg, "states", 8, 1)
+    samples = _int_field(prg_cfg, "samples", 100_000, 1)
+    n = _int_field(prg_cfg, "n", 64, 1)
+    s = _int_field(prg_cfg, "s", 8, 1)
+    p = _int_field(prg_cfg, "p", 2, 2)
+    shuffles = _int_field(prg_cfg, "shuffles", 20, 0)
+    try:  # an unsupported field size, a block count not a power of two, an oversized FSM
+        dist = fsm_distance(block_parity_counter(states, b), b, k, samples=samples, seed=config.seed)
+        seed_bits = RowTemplate.required_seed_bits(n, s, p, b)
+        template = RowTemplate(
+            n=n, s=s, p=p, block_bits=b,
+            seed=derived_rng(config.seed, "template").getrandbits(seed_bits),
+        )
+    except ValueError as e:
+        raise ConfigError(f"bad prg settings: {e}") from e
     rng = derived_rng(config.seed, "prg-stream")
     updates = [(rng.randrange(n), rng.randrange(1, p + 1)) for _ in range(10 * n)]
     base = derandomized_apply(template, updates)
-    shuffles = int(prg_cfg.get("shuffles", 20))
     invariant = True
     for _ in range(shuffles):
         perm = updates[:]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -26,12 +27,15 @@ import numpy as np
 
 from .algebra import GroupSpec, SubgroupEnum, SubspaceF2, max_independent_subset, rank_basis, orthogonal_complement
 from .fourier import (
+    ChangBoundError,
     DenseFunction,
     NormalizedIndicator,
+    Spectrum,
     annihilator,
     averaged_shift,
     chang_sum,
     extract_dissociated,
+    joint_spectrum,
     mixing_gap,
 )
 from .protocol import BroadcastProtocol, StreamFSM, Transcript, fsm_to_players
@@ -130,18 +134,29 @@ class ReductionConfig:
 
 @dataclass
 class PlayerSets:
-    """Per-player consistent input sets for a fixed transcript."""
+    """Per-player consistent input sets for a fixed transcript.
+
+    Players holding the same indicator object (see _PlayerSetSource) share
+    one distinct set: `distinct` maps each to its player count, in
+    first-seen order, and `joint()` is their spectral product, formed on
+    first use and kept.
+    """
 
     indicators: list[NormalizedIndicator]
-    densities: list[Fraction]
-    heavy: list[int] | None = None  # filled by heavy_set
+
+    def __post_init__(self):
+        self.distinct = Counter(self.indicators)
+        self._joint = None
 
     @property
-    def joint_probability(self) -> Fraction:
-        p = Fraction(1)
-        for d in self.densities:
-            p *= d
-        return p
+    def densities(self) -> list[Fraction]:
+        return [ind.density for ind in self.indicators]
+
+    def joint(self) -> Spectrum:
+        """prod_j phihat_j^(count_j) over the distinct sets."""
+        if self._joint is None:
+            self._joint = joint_spectrum(self.indicators[0].group, self.distinct)
+        return self._joint
 
 
 @dataclass
@@ -382,14 +397,8 @@ def _evaluate_candidate(
     quality via spectral products.  Returns None if condition (i) fails."""
     group = source.protocol.group
     n = source.protocol.n_players - 1
-    indicators = []
-    densities = []
-    prob = Fraction(1)
-    for i in range(n):
-        ind = source.indicator(i, messages)
-        indicators.append(ind)
-        densities.append(ind.density)
-        prob *= ind.density
+    indicators = [source.indicator(i, messages) for i in range(n)]
+    prob = math.prod(ind.density for ind in indicators)
     if prob < threshold:
         return None
 
@@ -407,16 +416,16 @@ def _evaluate_candidate(
         h_vals = np.clip(h_vals, 0.0, 1.0)
     h = DenseFunction(group, h_vals)
     fv = f.real_values()
+    ps = PlayerSets(indicators)
 
-    shifted = averaged_shift(indicators, h).real_values(tol=1e-7)
+    shifted = averaged_shift(ps.joint(), h).real_values(tol=1e-7)
     if mode == "exact":
         per_x = fv * shifted + (1.0 - fv) * (1.0 - shifted)
         quality = float(np.dot(D.probs, per_x))
     else:
-        shifted_sq = averaged_shift(indicators, DenseFunction(group, h_vals**2)).real_values(tol=1e-7)
+        shifted_sq = averaged_shift(ps.joint(), DenseFunction(group, h_vals**2)).real_values(tol=1e-7)
         per_x = shifted_sq - 2.0 * fv * shifted + fv**2
         quality = float(np.dot(D.probs, per_x))
-    ps = PlayerSets(indicators, densities)
     return prob, quality, ps, TailFunction(h)
 
 
@@ -508,18 +517,18 @@ def heavy_set(
 
     B keeps players of density >= 2^(-2(c+1)) (inclusive, exact rational
     comparison); S keeps dual indices whose spectral energy summed over B
-    reaches |B|/2 (inclusive with float tolerance).  Returns
+    reaches |B|/2 (inclusive with float tolerance), the sum taken as
+    count * energy over the distinct sets.  Returns
     (B, S indices, per-gamma energy weights).
     """
-    thresh = Fraction(1, 2 ** (2 * (message_bits + 1)))
-    B = [i for i, d in enumerate(player_sets.densities) if d >= thresh]
-    player_sets.heavy = B
-    group = player_sets.indicators[0].group if player_sets.indicators else None
-    if group is None:
+    if not player_sets.indicators:
         raise ValueError("empty player sets")
-    weights = np.zeros(group.size, dtype=np.float64)
-    for i in B:
-        weights += np.abs(player_sets.indicators[i].spectrum().coeffs) ** 2
+    thresh = Fraction(1, 2 ** (2 * (message_bits + 1)))
+    B = [i for i, ind in enumerate(player_sets.indicators) if ind.density >= thresh]
+    weights = np.zeros(player_sets.indicators[0].group.size, dtype=np.float64)
+    for ind, count in player_sets.distinct.items():
+        if ind.density >= thresh:
+            weights += count * np.abs(ind.spectrum().coeffs) ** 2
     S = np.nonzero(weights >= len(B) / 2 - tol)[0]
     return B, S, weights
 
@@ -574,14 +583,15 @@ def _bucket_reduce(ids: np.ndarray, n_buckets: int, values: np.ndarray):
 
 def build_junta(
     tail: TailFunction,
-    player_sets: PlayerSets,
+    joint: Spectrum,
     structure: InvariantStructure,
     D: Distribution,
     f: DenseFunction,
     mode: str = "exact",
 ) -> JuntaResult:
-    """Average the tail over the player sets and the invariant shift, check
-    bucket-constancy, and emit the deterministic sketch.
+    """Average the tail over the player sets (given by their joint
+    spectrum) and the invariant shift, check bucket-constancy, and emit
+    the deterministic sketch.
 
     w(x) = E[h(x - y_1 - ... - y_N + v)] is constant on sketch buckets by
     construction; exact mode derandomizes by picking per bucket the output
@@ -590,7 +600,7 @@ def build_junta(
     keeps the [0,1]-valued bucket averages as the post table.
     """
     ids, n_buckets = structure.sketch.buckets(), structure.complexity
-    w_fn = averaged_shift(player_sets.indicators, tail.h, structure.invariant)
+    w_fn = averaged_shift(joint, tail.h, structure.invariant)
     w = w_fn.real_values(tol=1e-7)
     _, mins, maxs = _bucket_reduce(ids, n_buckets, w)
     deviation = float(np.max(maxs - mins)) if n_buckets else 0.0
@@ -642,7 +652,11 @@ def conversion_bounds(z: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _record(checks: dict, name: str, lhs, rhs, ok: bool, stage: str):
+def _record(checks: dict, name: str, lhs, rhs, stage: str, ok: bool | None = None):
+    """Record a check, lhs <= rhs + BOUNDARY_TOL unless ok is given, and
+    raise InvariantViolation if it fails."""
+    if ok is None:
+        ok = lhs <= rhs + BOUNDARY_TOL
     checks[name] = {"lhs": lhs, "rhs": rhs, "ok": bool(ok)}
     if not ok:
         raise InvariantViolation(stage, f"{name}: {lhs} vs {rhs}")
@@ -685,71 +699,45 @@ def reduce(
     sel = sample_and_select_transcript(protocol, f, D, cfg, mode)
     timings["transcript"] = time.perf_counter() - t0
     checks: dict = {}
-    _record(
-        checks,
-        "transcript-probability",
-        str(sel.transcript.a),
-        f"{delta}*2^-{c * n}",
-        sel.transcript.a >= delta * Fraction(1, 2 ** (c * n)),
-        "transcript-search",
-    )
+    ok = sel.transcript.a >= delta * Fraction(1, 2 ** (c * n))
+    _record(checks, "transcript-probability", str(sel.transcript.a), f"{delta}*2^-{c * n}",
+            "transcript-search", ok)
 
     t1 = time.perf_counter()
     B, S, weights = heavy_set(sel.player_sets, c)
-    _record(checks, "heavy-majority", len(B), f">= {n}/2", 2 * len(B) >= n, "heavy-set")
+    _record(checks, "heavy-majority", len(B), f">= {n}/2", "heavy-set", 2 * len(B) >= n)
     structure = build_invariant_structure(
         group, S, weights, kind, cfg.dissociated_limit
     )
     timings["structure"] = time.perf_counter() - t1
     if kind == "subspace":
-        _record(
-            checks,
-            "cost-bound",
-            structure.cost,
-            32 * (c + 1),
-            structure.cost <= 32 * (c + 1),
-            "structure",
-        )
+        _record(checks, "cost-bound", structure.cost, 32 * (c + 1), "structure")
     else:
-        _record(
-            checks,
-            "complexity-bound",
-            structure.complexity,
-            group.exponent ** structure.cost,
-            structure.complexity <= group.exponent**structure.cost,
-            "structure",
+        _record(checks, "complexity-bound", structure.complexity, group.exponent**structure.cost, "structure")
+    # Chang's bound once per distinct heavy set; the record keeps the least slack
+    players = sel.player_sets.indicators
+    lhs, rhs, tightest = min(
+        ((chang_sum(ind, structure.generators), cfg.chang_constant * math.log2(1 / ind.density), ind)
+         for ind in dict.fromkeys(players[i] for i in B)),
+        key=lambda s: s[1] - s[0],
+    )
+    player = players.index(tightest)
+    checks["chang-per-player"] = {"lhs": lhs, "rhs": rhs, "player": player, "ok": lhs <= rhs + BOUNDARY_TOL}
+    if not checks["chang-per-player"]["ok"]:
+        raise ChangBoundError(
+            f"player {player}: spectral sum {lhs:.6g} exceeds {cfg.chang_constant} * log2(1/alpha) = {rhs:.6g}"
         )
-    for i in B:
-        chang_sum(
-            sel.player_sets.indicators[i],
-            structure.generators,
-            check=True,
-            constant=cfg.chang_constant,
-        )
-    checks["chang-per-player"] = {
-        "lhs": f"max spectral sum over {len(B)} heavy players",
-        "rhs": f"{cfg.chang_constant}*log2(1/alpha_i)",
-        "ok": True,
-    }
 
     t2 = time.perf_counter()
+    joint = sel.player_sets.joint()
     tail_view = sel.tail.signed() if mode == "exact" else sel.tail.exponential()
-    gap = mixing_gap(sel.player_sets.indicators, structure.invariant, tail_view)
-    heavy_bound = group.size * 2.0 ** (-len(B) / 4)
-    _record(checks, "mixing-heavy-bound", gap, heavy_bound, gap <= heavy_bound + BOUNDARY_TOL, "mixing")
-    player_bound = group.size * 2.0 ** (-n / 8)
-    _record(
-        checks,
-        "mixing-player-bound",
-        gap,
-        player_bound,
-        gap <= player_bound + BOUNDARY_TOL,
-        "mixing",
-    )
+    gap = mixing_gap(joint, structure.invariant, tail_view)
+    _record(checks, "mixing-heavy-bound", gap, group.size * 2.0 ** (-len(B) / 4), "mixing")
+    _record(checks, "mixing-player-bound", gap, group.size * 2.0 ** (-n / 8), "mixing")
     timings["mixing"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    junta = build_junta(sel.tail, sel.player_sets, structure, D, f, mode)
+    junta = build_junta(sel.tail, joint, structure, D, f, mode)
     timings["junta"] = time.perf_counter() - t3
     checks["coset-constancy"] = {
         "lhs": junta.coset_deviation,
@@ -759,54 +747,19 @@ def reduce(
 
     tol = max(group.size * 2.0 ** (-n / 8), 10 * float(delta))
     b = sel.transcript.b
+    q = junta.quality
     if mode == "exact":
-        _record(
-            checks,
-            "quality-transfer",
-            junta.quality,
-            b - gap,
-            junta.quality >= b - gap - BOUNDARY_TOL,
-            "quality",
-        )
+        _record(checks, "quality-transfer", q, b - gap, "quality", q >= b - gap - BOUNDARY_TOL)
         if cfg.target_q is not None:
-            _record(
-                checks,
-                "success-budget",
-                junta.quality,
-                cfg.target_q - tol,
-                junta.quality >= cfg.target_q - tol - BOUNDARY_TOL,
-                "quality",
-            )
+            budget = cfg.target_q - tol
+            _record(checks, "success-budget", q, budget, "quality", q >= budget - BOUNDARY_TOL)
     else:
-        fv = f.real_values()
         out = np.asarray(junta.sketch.eval_all(), dtype=np.float64)
-        chain = 3.0 * (1.0 - float(np.dot(D.probs, np.cos(fv - out))))
-        _record(
-            checks,
-            "error-conversion-chain",
-            junta.quality,
-            chain,
-            junta.quality <= chain + BOUNDARY_TOL,
-            "quality",
-        )
-        transfer = 1.5 * b + 3.0 * gap
-        _record(
-            checks,
-            "error-transfer",
-            junta.quality,
-            transfer,
-            junta.quality <= transfer + BOUNDARY_TOL,
-            "quality",
-        )
+        chain = 3.0 * (1.0 - float(np.dot(D.probs, np.cos(f.real_values() - out))))
+        _record(checks, "error-conversion-chain", q, chain, "quality")
+        _record(checks, "error-transfer", q, 1.5 * b + 3.0 * gap, "quality")
         if cfg.target_eps is not None:
-            _record(
-                checks,
-                "error-budget",
-                junta.quality,
-                2 * cfg.target_eps + tol,
-                junta.quality <= 2 * cfg.target_eps + tol + BOUNDARY_TOL,
-                "quality",
-            )
+            _record(checks, "error-budget", q, 2 * cfg.target_eps + tol, "quality")
 
     report = ReductionReport(
         variant=variant,
@@ -911,7 +864,7 @@ def minimax_boost(
     checks: dict = {}
     lhs = (1 - math.exp(-eta)) * sum(r.quality for r in reports)
     rhs = eta * int(corrects.min()) + math.log(group.size)
-    _record(checks, "hedge-regret", lhs, rhs, lhs <= rhs + BOUNDARY_TOL, "boost")
+    _record(checks, "hedge-regret", lhs, rhs, "boost")
     per_x = [Fraction(int(cx), rounds) for cx in corrects]
     mixture = RandomizedSketch.uniform_mixture(sketches, seed=cfg.seed)
     return BoostResult(mixture, min(per_x), per_x, reports, checks)

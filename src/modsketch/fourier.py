@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "inverse_transform",
     "normalized_indicator",
     "convolve",
+    "joint_spectrum",
     "averaged_shift",
     "mixing_gap",
     "chang_sum",
@@ -68,10 +69,6 @@ class DenseFunction:
         self.values = np.asarray(self.values)
         if self.values.shape != (self.group.size,):
             raise ValueError("value array must have length |G|")
-
-    @classmethod
-    def from_callable(cls, group: GroupSpec, fn, dtype=np.float64) -> "DenseFunction":
-        return cls(group, np.array([fn(x) for x in range(group.size)], dtype=dtype))
 
     @classmethod
     def constant(cls, group: GroupSpec, value: float = 1.0) -> "DenseFunction":
@@ -250,51 +247,67 @@ def _pairing_mask(spec: GroupSpec, gammas: Iterable[int]) -> np.ndarray:
     return mask
 
 
+def joint_spectrum(group: GroupSpec, sets: Mapping[NormalizedIndicator, int]) -> Spectrum:
+    """prod_j phihat_j^(k_j): the spectrum of the normalized density of a
+    sum of independent uniform draws, k_j of them from the j-th set.
+
+    Powers go by repeated squaring, so spectra of 0 and +-1 stay exact
+    (complex pow switches to exp/log from exponent 100 on).
+    """
+    prod = np.ones(group.size, dtype=np.complex128)
+    for ind, k in sets.items():
+        if ind.group != group:
+            raise ValueError("indicator group mismatch")
+        base = ind.spectrum().coeffs
+        while k:
+            if k & 1:
+                prod *= base
+            k >>= 1
+            if k:
+                base = base * base
+    return Spectrum(group, prod)
+
+
 def averaged_shift(
-    indicators: Sequence[NormalizedIndicator],
+    joint: Spectrum,
     f: DenseFunction,
     invariant: SubspaceF2 | SubgroupEnum | None = None,
 ) -> DenseFunction:
     """E[f(x - y_1 - ... - y_N + v)] as a function of x.
 
-    y_i is uniform on the i-th set and v uniform on the invariant subgroup
-    (omitted if None).  Computed as the convolution of f with the normalized
-    indicators via one spectral product.
+    joint is the joint spectrum of the sets the y_i are uniform on (see
+    joint_spectrum) and v is uniform on the invariant subgroup (omitted if
+    None): one spectral product with f and one inverse transform.
     """
-    group = f.group
-    prod = transform(f).coeffs.copy()
-    for ind in indicators:
-        if ind.group != group:
-            raise ValueError("indicator group mismatch")
-        prod *= ind.spectrum().coeffs
+    if joint.group != f.group:
+        raise ValueError("spectrum group mismatch")
+    prod = transform(f).coeffs * joint.coeffs
     if invariant is not None:
-        prod *= dual_annihilator_mask(group, invariant)
-    return inverse_transform(Spectrum(group, prod))
+        prod *= dual_annihilator_mask(f.group, invariant)
+    return inverse_transform(Spectrum(f.group, prod))
 
 
 def mixing_gap(
-    indicators: Sequence[NormalizedIndicator],
+    joint: Spectrum,
     invariant: SubspaceF2 | SubgroupEnum,
     hp: DenseFunction,
 ) -> float:
     """Largest deviation the invariant shift can cause to a shift average.
 
     Returns max over x of |E[hp(x - sum y_i)] - E[hp(x - sum y_i + v)]|
-    with y_i uniform on the given sets and v uniform on the invariant
-    subgroup.  (Over F2 the signs are immaterial; over general groups this
-    subtracted-shift orientation is the one the sketch compiler consumes.)
-    The compiler compares the result against |G| * 2^(-N/8) itself.
+    with the y_i uniform on the sets whose joint spectrum is given and v
+    uniform on the invariant subgroup: the inverse transform of
+    hphat * joint off the annihilator of the invariant.  (Over F2 the
+    signs are immaterial; over general groups this subtracted-shift
+    orientation is the one the sketch compiler consumes.)  The compiler
+    compares the result against |G| * 2^(-N/8) itself.
     """
-    group = hp.group
+    if joint.group != hp.group:
+        raise ValueError("spectrum group mismatch")
     if np.max(np.abs(np.abs(hp.values) - 1.0)) > 1e-6:
         raise ValueError("hp must take unit-modulus values")
-    prod = transform(hp).coeffs.copy()
-    for ind in indicators:
-        if ind.group != group:
-            raise ValueError("indicator group mismatch")
-        prod *= ind.spectrum().coeffs
-    keep = ~dual_annihilator_mask(group, invariant)
-    diff = inverse_transform(Spectrum(group, prod * keep))
+    keep = ~dual_annihilator_mask(hp.group, invariant)
+    diff = inverse_transform(Spectrum(hp.group, transform(hp).coeffs * joint.coeffs * keep))
     return float(np.max(np.abs(diff.values)))
 
 

@@ -360,6 +360,8 @@ class Distribution:
     @classmethod
     def from_weights(cls, group: GroupSpec, weights) -> "Distribution":
         w = np.asarray(weights, dtype=np.float64)
+        if not 0 < w.sum() < np.inf:
+            raise ValueError(f"weights sum to {w.sum()}, want a positive finite sum")
         return cls(group, w / w.sum(), name="weighted")
 
     def sample(self, rng, count: int = 1) -> list[int]:

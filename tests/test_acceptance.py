@@ -191,15 +191,15 @@ def test_criterion_04_mixing_claim_with_enumeration_oracle():
             indicators.append(normalized_indicator(spec, members))
         hp_vals = np.array([1.0 if rng.getrandbits(1) else -1.0 for _ in range(16)])
         hp = DenseFunction(spec, hp_vals)
-        ps = PlayerSets(indicators, [ind.density for ind in indicators])
+        ps = PlayerSets(indicators)
         B, S, weights = heavy_set(ps, c)
         structure = build_invariant_structure(spec, S, weights, "subspace")
-        gap = mixing_gap(indicators, structure.invariant, hp)
+        gap = mixing_gap(ps.joint(), structure.invariant, hp)
         # independent oracle: both expectations by stepwise naive convolution
         from modsketch.fourier import averaged_shift
 
-        plain_lib = averaged_shift(indicators, hp).values
-        shifted_lib = averaged_shift(indicators, hp, structure.invariant).values
+        plain_lib = averaged_shift(ps.joint(), hp).values
+        shifted_lib = averaged_shift(ps.joint(), hp, structure.invariant).values
         plain = shift_average_oracle(spec.moduli, member_lists, hp_vals)
         shifted = shift_average_oracle(
             spec.moduli, member_lists, hp_vals, structure.invariant.elements()

@@ -434,3 +434,64 @@ def test_reduce_report_carries_transcript_counters(tmp_path):
     assert report["message_calls"] == 41 + 3 * 16
     assert report["player_sets_built"] + report["player_set_hits"] == 40
     assert report["player_set_hits"] >= 35
+
+
+_BASES = {
+    "reduce": {"function": {"name": "parity", "params": {"n": 4}},
+               "protocol": {"name": "parity-chain", "params": {"n": 4}},
+               "reduction": {"players": 8}},
+    "boost": {"function": {"name": "parity", "params": {"n": 4}},
+              "protocol": {"name": "parity-chain", "params": {"n": 4}},
+              "reduction": {"players": 8}},
+    "simulate": {"protocol": {"name": "parity-chain", "params": {"n": 4}}},
+    "prg-check": {"prg": {"block_bits": 2, "block_count": 4, "states": 2, "samples": 10,
+                          "n": 4, "s": 2, "shuffles": 1}},
+}
+
+
+@pytest.mark.parametrize("kind, section, key, value, message", [
+    ("reduce", "reduction", "players", "forty", "players must be >= 1 (an integer), got 'forty'"),
+    ("reduce", "reduction", "players", True, "players must be >= 1 (an integer), got True"),
+    ("reduce", "reduction", "trials", 2.5, "trials must be >= 1 (an integer), got 2.5"),
+    ("reduce", "reduction", "dissociated_limit", "16", "dissociated_limit must be >= 0"),
+    ("reduce", "reduction", "target_q", "0.9", "target_q must be >= 0.0 (a number), got '0.9'"),
+    ("reduce", "reduction", "target_eps", -0.1, "target_eps must be >= 0.0 (a number), got -0.1"),
+    ("boost", None, "rounds", "3", "rounds must be >= 1 (an integer), got '3'"),
+    ("simulate", None, "players", "3", "players must be >= 1 (an integer), got '3'"),
+    ("simulate", None, "runs", -1, "runs must be >= 0 (an integer), got -1"),
+    ("simulate", None, "inputs", [0, 1, "2"], "inputs must be 3 integers in [0, 16)"),
+    ("prg-check", "prg", "block_bits", 0, "block_bits must be >= 1 (an integer), got 0"),
+    ("prg-check", "prg", "block_bits", 17, "bad prg settings: unsupported field size 2^17"),
+    ("prg-check", "prg", "block_count", 3, "bad prg settings: block count must be a power of two"),
+    ("prg-check", "prg", "samples", 1.5, "samples must be >= 1 (an integer), got 1.5"),
+    ("prg-check", "prg", "p", "2", "p must be >= 2 (an integer), got '2'"),
+])
+def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, kind, section, key, value, message):
+    raw = json.loads(json.dumps(_BASES[kind]))
+    (raw[section] if section else raw)[key] = value
+    cfg = _write_config(tmp_path, {"experiment": kind, **raw})
+    err = _one_line_failure(capsys, [kind, "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err.startswith(f"config error: {message}")
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    raw = json.loads(json.dumps(_BASES["simulate"]))
+    cfg = _write_config(tmp_path, {"experiment": "simulate", **raw, "players": 3.0, "runs": 2.0})
+    record, ok = run_experiment(ExperimentConfig.load(cfg, None, str(tmp_path / "o"), 0.05))
+    assert record["result"]["players"] == 3 and len(record["result"]["runs"]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("1 2 x " + "1 " * 13, "could not convert string to float"),
+    ("0 " * 16, "weights sum to 0.0"),
+    ("1 " * 15, "15 entries for a group of 16"),
+])
+def test_bad_weights_file_is_a_config_error(tmp_path, capsys, content, message):
+    weights = tmp_path / "w.txt"
+    if content is not None:
+        weights.write_text(content)
+    cfg = _write_config(tmp_path, {"experiment": "reduce", **_BASES["reduce"],
+                                   "distribution": {"weights-file": str(weights)}})
+    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err.startswith(f"config error: bad weights file {weights}") and message in err

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from modsketch.algebra import GroupSpec, orthogonal_complement, rank_basis
 from modsketch.compiler import (
+    PlayerSets,
     ReductionConfig,
     TranscriptSearchError,
     approx_encode,
@@ -24,7 +25,7 @@ from modsketch.compiler import (
     reduce,
     sample_and_select_transcript,
 )
-from modsketch.fourier import DenseFunction, normalized_indicator
+from modsketch.fourier import ChangBoundError, DenseFunction, normalized_indicator
 from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
 from modsketch.sketch import Distribution
 from modsketch.zoo import zoo_function, zoo_protocol
@@ -125,11 +126,9 @@ def test_quality_gate_reports_best_candidate():
 
 
 def test_heavy_set_full_space_and_boundary():
-    from modsketch.compiler import PlayerSets
-
     spec = GroupSpec.boolean(4)
     full = [normalized_indicator(spec, range(16)) for _ in range(6)]
-    ps = PlayerSets(full, [ind.density for ind in full])
+    ps = PlayerSets(full)
     B, S, _ = heavy_set(ps, message_bits=1)
     assert B == list(range(6))
     assert list(S) == [0]
@@ -137,7 +136,7 @@ def test_heavy_set_full_space_and_boundary():
     # one set of density exactly 2^(-2(c+1)) is kept (inclusive threshold)
     c = 1
     small = normalized_indicator(spec, [0])  # density 1/16 = 2^-4
-    ps2 = PlayerSets([small] + full[:5], [small.density] + [f.density for f in full[:5]])
+    ps2 = PlayerSets([small] + full[:5])
     B2, _, _ = heavy_set(ps2, message_bits=c)
     assert 0 in B2
 
@@ -153,6 +152,57 @@ def test_heavy_set_parity_chain_spectrum():
     B, S, _ = heavy_set(sel.player_sets, 1)
     assert len(B) == N
     assert sorted(S) == [0, (1 << n) - 1]
+
+
+def test_heavy_set_weights_equal_the_per_player_sum():
+    # parity chain: 40 players share at most 5 indicator objects, one per
+    # (incoming bit or none, message); a lone low-density player is left out of B
+    n, N = 5, 40
+    f = zoo_function("parity", n=n)
+    cfg = ReductionConfig(players=N, transcript_trials=8, seed=6)
+    sel = sample_and_select_transcript(
+        zoo_protocol("parity-chain", n=n)(N + 1), f, Distribution.uniform(f.group), cfg, "exact"
+    )
+    ps = PlayerSets([normalized_indicator(f.group, [3])] + sel.player_sets.indicators)
+    assert len(ps.distinct) <= 1 + 5 and sum(ps.distinct.values()) == N + 1
+    B, _, weights = heavy_set(ps, 1)
+    assert B == list(range(1, N + 1))
+    want = sum(np.abs(ps.indicators[i].spectrum().coeffs) ** 2 for i in B)
+    assert np.allclose(weights, want, rtol=1e-12, atol=1e-12)
+
+
+def test_joint_spectrum_formed_once_per_candidate_passing_the_threshold(monkeypatch):
+    # delta = 1/2 on random 2-bit tables rejects some candidates by
+    # condition (i); each other candidate forms its joint spectrum once,
+    # and mixing and the junta reuse the selected one
+    from modsketch import compiler
+
+    formed = []
+    selected = []
+    joint_spectrum = compiler.joint_spectrum
+    select = compiler.sample_and_select_transcript
+    monkeypatch.setattr(compiler, "joint_spectrum", lambda *a: formed.append(1) or joint_spectrum(*a))
+    monkeypatch.setattr(compiler, "sample_and_select_transcript", lambda *a: selected.append(select(*a)) or selected[-1])
+    rng = random.Random(0)
+    group, N = GroupSpec.boolean(4), 12
+    protocol = random_table_protocol(group, N + 1, 2, rng)
+    f = DenseFunction(group, np.array([rng.getrandbits(1) for _ in range(16)], dtype=float))
+    cfg = ReductionConfig(players=N, transcript_trials=16, delta=Fraction(1, 2), seed=0)
+    reduce(protocol, f, None, cfg, "exact_f2")
+    sel = selected[0]
+    assert sel.rejected_condition_i > 0
+    assert len(formed) == sel.candidates_evaluated - sel.rejected_condition_i > 1
+
+
+def test_chang_check_records_the_tightest_set_and_can_fail():
+    f = zoo_function("parity", n=4)
+    family = zoo_protocol("parity-chain", n=4)
+    cfg = ReductionConfig(players=40, transcript_trials=8, target_q=1.0, seed=1)
+    rec = reduce(family, f, None, cfg, "exact_f2").report.checks["chang-per-player"]
+    # every heavy set is a half-space with |phihat(1111)|^2 = 1 and alpha = 1/2
+    assert rec == {"lhs": pytest.approx(1.0, abs=1e-12), "rhs": 8.0, "player": 0, "ok": True}
+    with pytest.raises(ChangBoundError, match="player 0"):
+        reduce(family, f, None, replace(cfg, chang_constant=0.5), "exact_f2")
 
 
 def test_build_invariant_structure_trivial_and_parity():
@@ -193,7 +243,7 @@ def test_junta_w_values_coset_constant_exhaustive():
     sel = sample_and_select_transcript(protocol, f, D, cfg, "exact")
     B, S, weights = heavy_set(sel.player_sets, 1)
     st = build_invariant_structure(spec, S, weights, "subspace")
-    res = build_junta(sel.tail, sel.player_sets, st, D, f, "exact")
+    res = build_junta(sel.tail, sel.player_sets.joint(), st, D, f, "exact")
     assert res.coset_deviation <= 1e-9
     assert np.all(res.w >= 0) and np.all(res.w <= 1)
     for x in range(spec.size):

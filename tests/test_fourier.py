@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from modsketch.fourier import (
     extract_dissociated,
     inverse_transform,
     is_dissociated,
+    joint_spectrum,
     mixing_gap,
     normalized_indicator,
     transform,
@@ -261,6 +263,14 @@ def test_extract_dissociated_matches_bruteforce_greedy(inputs):
     assert is_dissociated(spec, gammas) == is_dissociated_bruteforce(moduli, gammas)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_dissociation_inputs())
+def test_annihilator_matches_exhaustive_oracle(inputs):
+    moduli, gammas, _, _ = inputs
+    sub = annihilator(GroupSpec(moduli), gammas)
+    assert list(sub.elements) == exhaustive_annihilator(moduli, gammas)
+
+
 def test_extract_dissociated_limit_error():
     spec = GroupSpec.boolean(8)
     gammas = [1 << i for i in range(8)]
@@ -317,13 +327,18 @@ def test_averaged_shift_matches_stepwise_oracle():
             member_lists.append(members)
             indicators.append(normalized_indicator(spec, members))
         h = DenseFunction(spec, np.array([rng.random() for _ in range(spec.size)]))
-        got = averaged_shift(indicators, h).values
-        want = shift_average_oracle(moduli, member_lists, h.values)
-        assert np.max(np.abs(got - want)) < 1e-9
-        sub = subgroup_generated(spec, [spec.encode(tuple(1 for _ in moduli))])
-        got_v = averaged_shift(indicators, h, sub).values
-        want_v = shift_average_oracle(moduli, member_lists, h.values, sub.elements)
-        assert np.max(np.abs(got_v - want_v)) < 1e-9
+        # distinct objects, then repeated ones: one draw per occurrence
+        for picks in (range(4), (0, 2, 0, 0, 3, 2, 0)):
+            inds = [indicators[i] for i in picks]
+            lists = [member_lists[i] for i in picks]
+            joint = joint_spectrum(spec, Counter(inds))
+            got = averaged_shift(joint, h).values
+            want = shift_average_oracle(moduli, lists, h.values)
+            assert np.max(np.abs(got - want)) < 1e-9
+            sub = subgroup_generated(spec, [spec.encode(tuple(1 for _ in moduli))])
+            got_v = averaged_shift(joint, h, sub).values
+            want_v = shift_average_oracle(moduli, lists, h.values, sub.elements)
+            assert np.max(np.abs(got_v - want_v)) < 1e-9
 
 
 def test_mixing_gap_trivial_cases():
@@ -331,10 +346,10 @@ def test_mixing_gap_trivial_cases():
     whole = [normalized_indicator(spec, range(16)) for _ in range(5)]
     V = rank_basis([0b0011], 4)
     hp = DenseFunction(spec, np.where(np.arange(16) % 2 == 0, 1.0, -1.0))
-    assert mixing_gap(whole, V, hp) < 1e-12
+    assert mixing_gap(joint_spectrum(spec, Counter(whole)), V, hp) < 1e-12
     const = DenseFunction(spec, np.ones(16))
     some = [normalized_indicator(spec, [0, 1, 5]) for _ in range(5)]
-    assert mixing_gap(some, V, const) < 1e-12
+    assert mixing_gap(joint_spectrum(spec, Counter(some)), V, const) < 1e-12
 
 
 def test_mixing_gap_rejects_non_unit_values():
@@ -342,4 +357,4 @@ def test_mixing_gap_rejects_non_unit_values():
     inds = [normalized_indicator(spec, [0, 1])]
     V = rank_basis([], 3)
     with pytest.raises(ValueError):
-        mixing_gap(inds, V, DenseFunction(spec, np.full(8, 0.5)))
+        mixing_gap(joint_spectrum(spec, Counter(inds)), V, DenseFunction(spec, np.full(8, 0.5)))
