@@ -63,17 +63,6 @@ class BitVec:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "BitVec":
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(bits, len(coords))
-
 
 class GroupSpec:
     """Descriptor of Z_{m1} x ... x Z_{mn}; doubles as its own dual group.
@@ -229,10 +218,6 @@ class GroupVec:
     def index(self) -> int:
         return self.spec.encode(self.coords)
 
-    @classmethod
-    def from_index(cls, index: int, spec: GroupSpec) -> "GroupVec":
-        return cls(spec.decode(index), spec)
-
     def __add__(self, other: "GroupVec") -> "GroupVec":
         if self.spec != other.spec:
             raise ValueError("group mismatch")
@@ -288,9 +273,6 @@ class SubspaceF2:
             if x & (row & -row):
                 x ^= row
         return x
-
-    def contains(self, x: int) -> bool:
-        return self.reduce(x) == 0
 
     def elements(self) -> list[int]:
         """All 2^dim members (for desk-scale dims only)."""

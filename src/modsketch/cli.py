@@ -29,7 +29,7 @@ from .compiler import (
     reduce as compile_reduce,
 )
 from .fourier import ChangBoundError, DenseFunction, DissociationLimitError, TransformLimitError
-from .prg import RowTemplate, block_parity_counter, derandomized_apply, fsm_distance
+from .prg import RowTemplate, block_parity_counter, check_fsm_size, derandomized_apply, fsm_distance
 from .protocol import additive_lift
 from .seeding import derived_rng, parse_seed
 from .sketch import (
@@ -60,7 +60,7 @@ class ConfigError(ValueError):
 def parse_stream_file(path: str | Path) -> tuple[int, int, list[tuple[int, int]]]:
     """Read an update stream: header "n=<int> p=<int>", then one
     "<coordinate> <increment>" pair per line.  Increments may be any
-    integers; they are reduced mod p on application, not here."""
+    int64 integers; they are reduced mod p on application, not here."""
     lines = Path(path).read_text().splitlines()
     body = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not body:
@@ -315,7 +315,10 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
         if hasattr(sketch, "entries"):
             raise ConfigError("stream replay needs a deterministic sketch")
         _, _, updates = parse_stream_file(stream)
-        state = apply_stream(sketch, updates)
+        try:  # a coordinate past the sketch's dimension, an increment past int64
+            state = apply_stream(sketch, updates)
+        except (IndexError, ValueError) as e:
+            raise ConfigError(f"stream {stream} does not fit the sketch: {e}") from e
         values = state.values()
         result["stream"] = {
             "updates": len(updates),
@@ -396,6 +399,7 @@ def _run_prg_check(config: ExperimentConfig) -> tuple[dict, bool]:
     p = _int_field(prg_cfg, "p", 2, 2)
     shuffles = _int_field(prg_cfg, "shuffles", 20, 0)
     try:  # an unsupported field size, a block count not a power of two, an oversized FSM
+        check_fsm_size(states, b, k)
         dist = fsm_distance(block_parity_counter(states, b), b, k, samples=samples, seed=config.seed)
         seed_bits = RowTemplate.required_seed_bits(n, s, p, b)
         template = RowTemplate(

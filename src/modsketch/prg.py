@@ -5,10 +5,17 @@ bits through a binary tree of pairwise-independent affine hashes over
 GF(2^b); any single block is recomputable with d hash applications, which
 is what lets a streaming sketch regenerate matrix rows on demand instead
 of storing them.
+
+A stream of (coordinate, increment) updates acts on a linear sketch only
+through its per-coordinate totals mod p, so the stream path reads updates
+in chunks of at most STREAM_CHUNK, sums each chunk by coordinate, and
+regenerates the rows of the distinct coordinates at once: its working
+memory is O(STREAM_CHUNK * s) whatever n and the stream length are.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -23,6 +30,7 @@ __all__ = [
     "FSMSpec",
     "FsmDistanceResult",
     "fsm_distance",
+    "check_fsm_size",
     "block_parity_counter",
     "RowTemplate",
     "derandomized_apply",
@@ -55,16 +63,23 @@ _GF2_MODULI = {
 }
 
 _LOG_TABLE_MAX_BITS = 16
+_FSM_TABLE_LIMIT = 1 << 20  # entries of an FSM transition table
+STREAM_CHUNK = 1 << 16  # updates read at once by the stream path
+_INT64_MAX = (1 << 63) - 1
+
+
+def _check_field_bits(bits: int):
+    if bits not in _GF2_MODULI:
+        raise ValueError(
+            f"unsupported field size 2^{bits}; supported: {sorted(_GF2_MODULI)}"
+        )
 
 
 class Gf2Field:
     """Arithmetic in GF(2^b); log/exp tables for small b, shift-mul beyond."""
 
     def __init__(self, bits: int):
-        if bits not in _GF2_MODULI:
-            raise ValueError(
-                f"unsupported field size 2^{bits}; supported: {sorted(_GF2_MODULI)}"
-            )
+        _check_field_bits(bits)
         self.bits = bits
         self.modulus = _GF2_MODULI[bits]
         self.order = (1 << bits) - 1
@@ -106,7 +121,8 @@ class Gf2Field:
 
     def mul(self, x, y):
         """x * y in the field: ints give an int, int64 arrays multiply
-        elementwise."""
+        elementwise (a 64-bit element is held as its two's-complement bit
+        pattern)."""
         if self.bits == 1:
             return x & y
         if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
@@ -116,8 +132,21 @@ class Gf2Field:
                 return 0
             return int(self._exp[self._log[x] + self._log[y]])
         if self._log is None:
-            return np.vectorize(self._mul_slow, otypes=[np.int64])(x, y)
+            return self._mul_array(x, y)
         return np.where((x == 0) | (y == 0), 0, self._exp[self._log[x] + self._log[y]])
+
+    def _mul_array(self, x, y) -> np.ndarray:
+        """Shift-and-add on uint64 bit patterns, exact up to 64 bits."""
+        x = np.asarray(x, dtype=np.int64).view(np.uint64)
+        y = np.asarray(y, dtype=np.int64).view(np.uint64)
+        one, zero = np.uint64(1), np.uint64(0)
+        top = np.uint64(self.bits - 1)
+        reduce_by = np.uint64(self.modulus & 0xFFFF_FFFF_FFFF_FFFF)  # x^b wraps away at b=64
+        out = np.zeros(np.broadcast(x, y).shape, dtype=np.uint64)
+        for i in range(self.bits):
+            out ^= np.where((y >> np.uint64(i)) & one, x, zero)
+            x = (x << one) ^ np.where((x >> top) & one, reduce_by, zero)
+        return out.view(np.int64)
 
 
 def _seed_words(seed, bits: int, count: int) -> list:
@@ -127,13 +156,19 @@ def _seed_words(seed, bits: int, count: int) -> list:
     return [(seed >> (bits * w)) & mask for w in range(count)]
 
 
-def _tree_block(field: Gf2Field, words: Sequence, index: int):
+def _tree_block(field: Gf2Field, words: Sequence, index):
     """Block `index` from seed words (base, a_1, c_1, ..., a_d, c_d): apply
     h_j(x) = a_j*x + c_j for every set bit j-1 of index, highest level
-    first.  Words are ints, or int64 arrays holding one seed per entry."""
-    x = words[0]
+    first.  For an int index the words are ints, or int64 arrays holding
+    one seed per entry; an int64 array of indices takes one seed's words
+    as int64 scalars and gives every block at once."""
+    many = isinstance(index, np.ndarray)
+    x = np.full(index.shape, words[0], dtype=np.int64) if many else words[0]
     for j in range((len(words) - 1) // 2, 0, -1):
-        if (index >> (j - 1)) & 1:
+        bit = (index >> (j - 1)) & 1
+        if many:
+            x = np.where(bit, field.mul(words[2 * j - 1], x) ^ words[2 * j], x)
+        elif bit:
             x = field.mul(words[2 * j - 1], x) ^ words[2 * j]
     return x
 
@@ -201,16 +236,25 @@ class FSMSpec:
         return np.asarray(self.table, dtype=np.int64)
 
 
+def check_fsm_size(n_states: int, block_bits: int, block_count: int):
+    """ValueError unless an FSM instance fits fsm_distance: a supported
+    field, at most 2^10 states, at most 2^14 random bits and a transition
+    table of at most _FSM_TABLE_LIMIT entries.  Allocates nothing, so
+    callers run it before building the table."""
+    _check_field_bits(block_bits)
+    if n_states > 1 << 10 or block_bits * block_count > 1 << 14:
+        raise ValueError("instance too large for exact truth computation")
+    if n_states << block_bits > _FSM_TABLE_LIMIT:
+        raise ValueError(
+            f"transition table of {n_states} x 2^{block_bits} entries exceeds the cap"
+        )
+
+
 def block_parity_counter(n_states: int, block_bits: int) -> FSMSpec:
     """Counter mod n_states of the parities of the incoming blocks."""
-    rows = []
-    for s in range(n_states):
-        row = [
-            (s + (bin(blk).count("1") & 1)) % n_states
-            for blk in range(1 << block_bits)
-        ]
-        rows.append(tuple(row))
-    return FSMSpec(n_states, block_bits, 0, tuple(rows))
+    parity = np.bitwise_count(np.arange(1 << block_bits, dtype=np.uint64)) & 1
+    table = (np.arange(n_states)[:, None] + parity) % n_states
+    return FSMSpec(n_states, block_bits, 0, tuple(map(tuple, table.tolist())))
 
 
 @dataclass
@@ -237,8 +281,7 @@ def fsm_distance(
     """
     if fsm.block_bits != block_bits:
         raise ValueError("FSM block width does not match the generator")
-    if fsm.n_states > 1 << 10 or block_bits * block_count > 1 << 14:
-        raise ValueError("instance too large for exact truth computation")
+    check_fsm_size(fsm.n_states, block_bits, block_count)
 
     n_blocks = 1 << block_bits
     table = fsm.table_array()
@@ -259,34 +302,58 @@ def fsm_distance(
     true_dist = np.asarray([float(p) for p in dist])
 
     gen = NisanGenerator(block_bits, block_count, 0)
-    exact = 1 << gen.seed_bits <= exact_seed_limit
-    if exact:
-        seeds = np.arange(1 << gen.seed_bits, dtype=np.int64)
-    else:  # seeds wider than 64 bits: Python ints in an object array
-        rng = derived_rng(seed, "fsm-distance")
-        seeds = [rng.getrandbits(gen.seed_bits) for _ in range(samples)]
-        seeds = np.asarray(seeds, dtype=object)
+    seed_bits, n_words = gen.seed_bits, 2 * gen.depth + 1
+    exact = 1 << seed_bits <= exact_seed_limit
     # every seed at once: word w of all seeds is one int64 array
-    words = _seed_words(seeds, block_bits, 2 * gen.depth + 1)
-    words = [np.asarray(w, dtype=np.int64) for w in words]
-    states = np.full(len(seeds), fsm.initial, dtype=np.int64)
+    if exact:
+        words = _seed_words(np.arange(1 << seed_bits, dtype=np.int64), block_bits, n_words)
+    else:  # seeds wider than 64 bits: one little-endian byte row per seed
+        rng = derived_rng(seed, "fsm-distance")
+        nbytes = -(-seed_bits // 8)
+        raw = bytearray(samples * nbytes)  # filled in place: no per-seed objects kept
+        for at in range(0, len(raw), nbytes):
+            raw[at:at + nbytes] = rng.getrandbits(seed_bits).to_bytes(nbytes, "little")
+        seed_bytes = np.frombuffer(raw, dtype=np.uint8).reshape(samples, nbytes)
+        words = [_byte_word(seed_bytes, block_bits * w, block_bits) for w in range(n_words)]
+    n_seeds = len(words[0])
+    states = np.full(n_seeds, fsm.initial, dtype=np.int64)
     for idx in range(block_count):
         states = table[states, _tree_block(gen.field, words, idx)]
-    prg_dist = np.bincount(states, minlength=fsm.n_states) / len(seeds)
+    prg_dist = np.bincount(states, minlength=fsm.n_states) / n_seeds
     stderr = 0.0 if exact else float(
-        np.sum(np.sqrt(np.maximum(prg_dist * (1 - prg_dist), 0) / len(seeds)))
+        np.sum(np.sqrt(np.maximum(prg_dist * (1 - prg_dist), 0) / n_seeds))
     )
     l1 = float(np.sum(np.abs(true_dist - prg_dist)))
-    return FsmDistanceResult(l1, exact, len(seeds), true_dist, prg_dist, stderr)
+    return FsmDistanceResult(l1, exact, n_seeds, true_dist, prg_dist, stderr)
+
+
+def _byte_word(seed_bytes: np.ndarray, lo: int, bits: int) -> np.ndarray:
+    """Bits [lo, lo + bits) of every row of a little-endian byte matrix, as
+    int64 (bits <= 56)."""
+    acc = np.zeros(len(seed_bytes), dtype=np.int64)
+    for k in range((lo + bits - 1) // 8, lo // 8 - 1, -1):
+        acc = (acc << 8) | seed_bytes[:, k]
+    return (acc >> (lo % 8)) & ((1 << bits) - 1)
 
 
 @dataclass(frozen=True, eq=False)
 class RowTemplate:
     """A sketch matrix whose rows are defined by generator blocks.
 
-    Row i (the s coefficients applied to coordinate i, each ceil(log2 p)
-    bits wide) occupies blocks_per_row consecutive blocks starting at
-    i * blocks_per_row, so any row is recomputable on demand from the seed.
+    Row i (the s coefficients applied to coordinate i) occupies
+    blocks_per_row consecutive blocks starting at i * blocks_per_row, so
+    any row is recomputable on demand from the seed.  Read those blocks as
+    one little-endian bit string; coefficient j is its w-bit field
+    [j*w, (j+1)*w) reduced mod p, with w = field_bits = ceil(log2 p).
+
+    The coefficients are not uniform mod p unless p is a power of two.
+    Over a uniform seed every block is uniform and any two consecutive
+    blocks are jointly uniform, so a field lying within two consecutive
+    blocks (always, when w <= block_bits + 1) is uniform on [0, 2^w), and
+    a coefficient equals c with probability #{v < 2^w : v mod p = c} / 2^w.
+    For p = 3 that is 1/2 for 0 and 1/4 each for 1 and 2.  A wider field
+    spans three or more blocks, which the tree does not make jointly
+    uniform, and its law is only close to this one.
     """
 
     n: int
@@ -338,15 +405,93 @@ class RowTemplate:
         return np.asarray([self.row(i) for i in range(self.n)], dtype=np.int64)
 
 
+def _template_rows(template: RowTemplate, coords: np.ndarray) -> np.ndarray:
+    """Rows of the distinct coordinates `coords` as a (len, s) int64 array:
+    the generator's tree runs once per block offset over every coordinate,
+    then each coefficient is cut from the blocks it spans."""
+    gen, b, w = template.generator, template.block_bits, template.field_bits
+    words = np.asarray(gen._words, dtype=np.uint64).view(np.int64)
+    start = coords * template.blocks_per_row
+    blocks = [
+        _tree_block(gen.field, words, start + off).view(np.uint64)
+        for off in range(template.blocks_per_row)
+    ]
+    rows = np.empty((len(coords), template.s), dtype=np.int64)
+    for j in range(template.s):
+        field = np.zeros(len(coords), dtype=np.uint64)
+        lo = pos = j * w
+        while pos < lo + w:  # one piece per block the field touches
+            off, shift = divmod(pos, b)
+            take = min(b - shift, lo + w - pos)
+            piece = (blocks[off] >> np.uint64(shift)) & np.uint64((1 << take) - 1)
+            field |= piece << np.uint64(pos - lo)
+            pos += take
+        rows[:, j] = field % np.uint64(template.p)
+    return rows
+
+
+def _mod_matmul(totals: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """totals @ rows mod p, exact: rows are summed in groups small enough
+    that no int64 sum overflows, or as Python ints when one product might."""
+    per_group = (_INT64_MAX - p) // (p - 1) ** 2
+    if per_group == 0:
+        return (totals.astype(object) @ rows.astype(object) % p).astype(np.int64)
+    out = np.zeros(rows.shape[1], dtype=np.int64)
+    for lo in range(0, len(totals), per_group):
+        out = (out + totals[lo:lo + per_group] @ rows[lo:lo + per_group]) % p
+    return out
+
+
+def _coordinate_totals(updates: Iterable[tuple[int, int]], n: int, moduli):
+    """By linearity, what a stream does to a sketch: for each run of at most
+    STREAM_CHUNK updates, yield (coords, totals, length) with coords the
+    distinct coordinates whose increments do not cancel, in increasing
+    order, and totals their summed increments reduced mod the coordinate's
+    modulus (an int, or an int64 array with one modulus per coordinate).
+
+    A coordinate outside [0, n) raises IndexError; an increment outside
+    int64 raises ValueError naming it rather than wrapping.
+    """
+    updates = iter(updates)
+    while chunk := list(itertools.islice(updates, STREAM_CHUNK)):
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(chunk), np.int64)
+        except OverflowError:
+            for coord, inc in chunk:
+                if not 0 <= coord < n:
+                    raise IndexError(f"coordinate {coord} out of range") from None
+                if not -_INT64_MAX - 1 <= inc <= _INT64_MAX:
+                    raise ValueError(f"increment {inc} does not fit int64") from None
+            raise
+        if len(flat) != 2 * len(chunk):
+            raise ValueError("every update must be a (coordinate, increment) pair")
+        coords, incs = flat[0::2], flat[1::2]
+        bad = (coords < 0) | (coords >= n)
+        if bad.any():
+            raise IndexError(f"coordinate {coords[bad.argmax()]} out of range")
+        coords, inverse = np.unique(coords, return_inverse=True)
+        mod = moduli[coords] if np.ndim(moduli) else np.full(len(coords), moduli)
+        if mod.max() > _INT64_MAX // STREAM_CHUNK:  # sums may overflow int64
+            incs, mod = incs.astype(object), mod.astype(object)
+        totals = np.zeros(len(coords), dtype=mod.dtype)
+        np.add.at(totals, inverse, incs % mod[inverse])
+        totals = (totals % mod).astype(np.int64)
+        keep = totals != 0
+        yield coords[keep], totals[keep], len(chunk)
+
+
 def derandomized_apply(
     template: RowTemplate, updates: Iterable[tuple[int, int]]
 ) -> np.ndarray:
-    """Run a stream through the template sketch, regenerating each row on
-    demand; the result is order-invariant because coordinate contributions
-    commute."""
+    """Run a stream through the template sketch, regenerating rows on
+    demand: per chunk of updates, the rows of the distinct coordinates are
+    regenerated at once and applied to their increment totals mod p.  The
+    result is order-invariant because coordinate contributions commute.
+    Increments must fit int64 (ValueError otherwise); working memory is
+    O(STREAM_CHUNK * s), independent of n and of the stream length.
+    """
+    p = template.p
     state = np.zeros(template.s, dtype=np.int64)
-    for coord, inc in updates:
-        row = template.row(coord)
-        for j in range(template.s):
-            state[j] = (state[j] + row[j] * inc) % template.p
+    for coords, totals, _ in _coordinate_totals(updates, template.n, p):
+        state = (state + _mod_matmul(totals, _template_rows(template, coords), p)) % p
     return state

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import GroupSpec, SubgroupEnum, dot_f2
 from .fourier import DenseFunction
+from .prg import _coordinate_totals
 from .seeding import derived_rng
 
 __all__ = [
@@ -328,10 +329,20 @@ class SketchState:
 
 
 def apply_stream(sketch: Sketch, updates: Iterable[tuple[int, int]]) -> SketchState:
-    """Run a sequence of (coordinate, increment) updates through a sketch."""
+    """Run a sequence of (coordinate, increment) updates through a sketch.
+
+    The state depends only on each coordinate's increment total mod its
+    modulus (F2 and Z_p images are linear; an H-invariant coset step only
+    sees x mod H), so the stream is read in bounded chunks and each chunk
+    steps once per distinct coordinate; `updates` counts every update.
+    Increments must fit int64 (ValueError otherwise).
+    """
     state = SketchState(sketch)
-    for coord, inc in updates:
-        state.apply(coord, inc)
+    moduli = np.asarray(sketch.group.moduli, dtype=np.int64)
+    for coords, totals, length in _coordinate_totals(updates, state.n, moduli):
+        for coord, total in zip(coords.tolist(), totals.tolist()):
+            state._step(coord, total)
+        state.updates += length
     return state
 
 
@@ -347,6 +358,8 @@ class Distribution:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.shape != (self.group.size,):
             raise ValueError("probability vector must have length |G|")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.probs < -1e-15):
             raise ValueError("negative probability")
         s = float(self.probs.sum())

@@ -256,6 +256,16 @@ def prg_expand_tree(base: int, hashes, mul) -> list[int]:
     return expand(base, len(hashes))
 
 
+def derandomized_apply_per_update(template, updates) -> list[int]:
+    """The per-update stream path: regenerate the row of every update and
+    add it times the increment, in Python ints (exact at any p)."""
+    state = [0] * template.s
+    for coord, inc in updates:
+        row = template.row(coord)
+        state = [(v + r * inc) % template.p for v, r in zip(state, row)]
+    return state
+
+
 def accumulate_stream(n: int, p: int, updates) -> list[int]:
     """Offline fold of an update stream into the input vector."""
     x = [0] * n

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from modsketch import cli
 from modsketch.cli import (
     ConfigError,
     ExperimentConfig,
@@ -13,7 +14,7 @@ from modsketch.cli import (
     run_experiment,
     write_stream_file,
 )
-from modsketch.sketch import apply_stream, deserialize_sketch
+from modsketch.sketch import LinearJuntaF2, apply_stream, deserialize_sketch, serialize_sketch
 from modsketch.zoo import UnknownZooEntry, zoo_fsm, zoo_function, zoo_protocol
 
 
@@ -178,6 +179,22 @@ def test_sketch_eval_experiment(tmp_path):
     assert (tmp_path / "out2" / "success_per_x.csv").exists()
     # stream accumulates to e_3, whose parity is 1
     assert record["result"]["stream"] == {"updates": 3, "state": 1, "output": 1}
+
+
+@pytest.mark.parametrize("header, update, message", [
+    ("n=5 p=2", "1 18446744073709551616", "increment 18446744073709551616 does not fit int64"),
+    ("n=6 p=2", "5 1", "coordinate 5 out of range"),
+])
+def test_sketch_eval_stream_that_does_not_fit_is_a_config_error(tmp_path, capsys, header, update, message):
+    sketch_file = tmp_path / "sketch.json"
+    sketch_file.write_text(serialize_sketch(LinearJuntaF2(5, (31,), (0, 1))))
+    stream = tmp_path / "stream.txt"
+    stream.write_text(f"{header}\n0 1\n{update}\n")
+    cfg = _write_config(tmp_path, {"experiment": "sketch-eval", "sketch-file": str(sketch_file),
+                                   "function": {"name": "parity", "params": {"n": 5}},
+                                   "stream-file": str(stream)})
+    err = _one_line_failure(capsys, ["sketch-eval", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: stream {stream} does not fit the sketch: {message}\n"
 
 
 def test_sketch_eval_real_valued_function(tmp_path):
@@ -486,6 +503,7 @@ def test_integral_floats_are_accepted(tmp_path):
     ("1 2 x " + "1 " * 13, "could not convert string to float"),
     ("0 " * 16, "weights sum to 0.0"),
     ("1 " * 15, "15 entries for a group of 16"),
+    ("nan " + "1 " * 15, "weights sum to nan"),
 ])
 def test_bad_weights_file_is_a_config_error(tmp_path, capsys, content, message):
     weights = tmp_path / "w.txt"
@@ -495,3 +513,19 @@ def test_bad_weights_file_is_a_config_error(tmp_path, capsys, content, message):
                                    "distribution": {"weights-file": str(weights)}})
     err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
     assert err.startswith(f"config error: bad weights file {weights}") and message in err
+
+
+@pytest.mark.parametrize("states, block_bits, message", [
+    (1100, 12, "instance too large for exact truth computation"),
+    (1024, 16, "transition table of 1024 x 2^16 entries exceeds the cap"),
+])
+def test_prg_check_sizes_the_fsm_before_building_it(tmp_path, capsys, monkeypatch, states, block_bits, message):
+    def no_table(*args):
+        raise AssertionError("FSM table built before the size check")
+
+    monkeypatch.setattr(cli, "block_parity_counter", no_table)
+    raw = json.loads(json.dumps(_BASES["prg-check"]))
+    raw["prg"].update(states=states, block_bits=block_bits)
+    cfg = _write_config(tmp_path, {"experiment": "prg-check", **raw})
+    err = _one_line_failure(capsys, ["prg-check", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: bad prg settings: {message}\n"

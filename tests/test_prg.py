@@ -1,22 +1,28 @@
 """Nisan generator, FSM fooling, and derandomized sketch execution."""
 
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modsketch import prg
 from modsketch.prg import (
     FSMSpec,
     Gf2Field,
     NisanGenerator,
     RowTemplate,
     block_parity_counter,
+    check_fsm_size,
     derandomized_apply,
     fsm_distance,
 )
 from modsketch.seeding import derived_rng
 
-from oracles import accumulate_stream, prg_expand_tree
+from oracles import accumulate_stream, derandomized_apply_per_update, prg_expand_tree
 
 
 def test_gf2_field_properties():
@@ -185,3 +191,163 @@ def test_derandomized_apply_coordinate_out_of_range():
     t = RowTemplate(n=4, s=2, p=2, block_bits=8, seed=0x1)
     with pytest.raises(IndexError):
         derandomized_apply(t, [(4, 1)])
+
+
+# ------------------------------------------------------ batched stream path
+# derandomized_apply sums each chunk of updates by coordinate and regenerates
+# the distinct rows at once; it must agree with the per-update oracle at every
+# field width, modulus and chunk size.
+
+_WIDTHS = (1, 4, 8, 16, 32, 64)
+_MODULI = (2, 3, 5, 7, 2**31 - 1)
+
+
+def test_gf2_array_mul_is_exact_at_wide_fields():
+    # 32, 48 and 64 bits: arrays hold two's-complement bit patterns
+    rng = random.Random(9)
+    for bits in (32, 48, 64):
+        field = Gf2Field(bits)
+        xs = [rng.getrandbits(bits) for _ in range(100)] + [0, 1, (1 << bits) - 1]
+        ys = [rng.getrandbits(bits) for _ in range(100)] + [(1 << bits) - 1, 0, 1]
+        arr = field.mul(np.asarray(xs, dtype=np.uint64).view(np.int64),
+                        np.asarray(ys, dtype=np.uint64).view(np.int64))
+        assert arr.dtype == np.int64
+        assert arr.view(np.uint64).tolist() == [field.mul(x, y) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("block_bits", _WIDTHS)
+@pytest.mark.parametrize("p", _MODULI)
+def test_batched_rows_equal_scalar_rows(p, block_bits):
+    n, s = 9, 3
+    rng = random.Random(p * 131 + block_bits)
+    t = RowTemplate(n, s, p, block_bits, rng.getrandbits(RowTemplate.required_seed_bits(n, s, p, block_bits)))
+    coords = np.arange(n, dtype=np.int64)
+    assert prg._template_rows(t, coords).tolist() == [list(t.row(i)) for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_derandomized_apply_matches_per_update_oracle(data):
+    p = data.draw(st.sampled_from(_MODULI))
+    b = data.draw(st.sampled_from(_WIDTHS))
+    n, s = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+    t = RowTemplate(n, s, p, b, data.draw(st.integers(0, (1 << RowTemplate.required_seed_bits(n, s, p, b)) - 1)))
+    incs = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-(2**63), 2**63 - 1))
+    updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1), incs), max_size=40))
+    chunk = data.draw(st.integers(1, 8))  # several chunks flush per stream
+    with mock.patch.object(prg, "STREAM_CHUNK", chunk):
+        state = derandomized_apply(t, updates)
+    assert state.dtype == np.int64
+    assert state.tolist() == derandomized_apply_per_update(t, updates)
+
+
+def test_derandomized_apply_stream_longer_than_a_chunk():
+    rng = np.random.default_rng(4)
+    t = RowTemplate(64, 8, 5, 8, int(rng.integers(0, 2**62)))
+    length = prg.STREAM_CHUNK + 4321
+    updates = list(zip(rng.integers(0, 64, length).tolist(), rng.integers(-20, 21, length).tolist()))
+    x = np.asarray(accumulate_stream(64, 5, updates))
+    assert np.array_equal(derandomized_apply(t, updates), t.materialize().T @ x % 5)
+
+
+def test_stream_path_never_regenerates_rows_one_by_one(monkeypatch):
+    rng = random.Random(8)
+    t = RowTemplate(40, 6, 7, 8, rng.getrandbits(RowTemplate.required_seed_bits(40, 6, 7, 8)))
+    updates = [(rng.randrange(40), rng.randrange(-50, 50)) for _ in range(500)]
+    want = derandomized_apply_per_update(t, updates)
+
+    def forbidden(*args):
+        raise AssertionError("the stream path called a scalar row generator")
+
+    for owner, attr in ((RowTemplate, "materialize"), (RowTemplate, "row"), (NisanGenerator, "block")):
+        monkeypatch.setattr(owner, attr, forbidden)
+    assert derandomized_apply(t, updates).tolist() == want
+
+
+def test_derandomized_apply_rejects_increments_outside_int64():
+    t = RowTemplate(n=4, s=2, p=3, block_bits=8, seed=0xA5F3C1)  # rows (1,0) (0,2) (0,0) (1,1)
+    for inc in (2**63, -(2**63) - 1, 10**30):
+        with pytest.raises(ValueError, match=f"increment {inc} does not fit int64"):
+            derandomized_apply(t, [(0, 1), (1, inc)])
+    with pytest.raises(IndexError):
+        derandomized_apply(t, [(2**64, 1)])
+    for updates in ([(1, 2**63 - 1), (1, -(2**63))], [(1, 2**63 - 1)] * 3, [(3, -(2**63))] * 5):
+        assert derandomized_apply(t, updates).tolist() == derandomized_apply_per_update(t, updates)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_derandomized_apply_is_exact_at_large_moduli(p):
+    # products of totals and coefficients near p^2, summed over 48
+    # coordinates, and (at 2^61 - 1) per-coordinate sums past int64
+    rng = random.Random(p)
+    t = RowTemplate(48, 4, p, 16, rng.getrandbits(RowTemplate.required_seed_bits(48, 4, p, 16)))
+    updates = [(i, p - 1 - k) for i in range(48) for k in range(6)] + [(0, p - 1)] * 64
+    assert derandomized_apply(t, updates).tolist() == derandomized_apply_per_update(t, updates)
+
+
+# ------------------------------------------------- coefficient distribution
+
+def _expand_seed(seed: int, bits: int, depth: int, mul) -> list[int]:
+    """Every block of a seed, by the oracle's full tree expansion."""
+    mask = (1 << bits) - 1
+    words = [(seed >> (bits * k)) & mask for k in range(2 * depth + 1)]
+    return prg_expand_tree(words[0], list(zip(words[1::2], words[2::2])), mul)
+
+
+@pytest.mark.parametrize("n, s, p, block_bits", [(2, 2, 5, 2), (2, 3, 3, 2), (2, 2, 7, 2), (3, 1, 3, 1)])
+def test_row_coefficients_follow_the_documented_law(n, s, p, block_bits):
+    # every seed: coefficient j of row i is bits [j*w, (j+1)*w) of the row's
+    # blocks in the full tree expansion, mod p; over all seeds each occurs
+    # with probability #{v < 2^w : v mod p = c} / 2^w
+    seed_bits = RowTemplate.required_seed_bits(n, s, p, block_bits)
+    mul = Gf2Field(block_bits).mul
+    w = max((p - 1).bit_length(), 1)
+    counts = np.zeros((n, s, p), dtype=np.int64)
+    for seed in range(1 << seed_bits):
+        t = RowTemplate(n, s, p, block_bits, seed)
+        blocks = _expand_seed(seed, block_bits, t.generator.depth, mul)
+        for i in range(n):
+            bpr = t.blocks_per_row
+            acc = sum(blk << (off * block_bits) for off, blk in enumerate(blocks[i * bpr:(i + 1) * bpr]))
+            row = t.row(i)
+            assert row == tuple(((acc >> (j * w)) & ((1 << w) - 1)) % p for j in range(s))
+            counts[i, np.arange(s), row] += 1
+    law = np.bincount(np.arange(1 << w) % p, minlength=p)  # out of 2^w
+    assert np.array_equal(counts, np.broadcast_to(law << (seed_bits - w), counts.shape))
+
+
+# ------------------------------------------------------------ size checks
+
+def test_check_fsm_size_bounds_before_any_table():
+    check_fsm_size(8, 8, 16)
+    check_fsm_size(1024, 10, 16)  # 2^20 entries: at the cap
+    for args, message in (((1100, 12, 16), "instance too large"), ((8, 8, 1 << 12), "instance too large"),
+                          ((1024, 16, 16), "transition table of 1024 x 2^16"), ((2, 17, 4), "field size 2^17")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_fsm_size(*args)
+    with pytest.raises(ValueError, match="transition table"):
+        fsm_distance(FSMSpec(1024, 16, 0, ()), 16, 16)
+
+
+def test_block_parity_counter_table():
+    for n_states, bits in ((1, 1), (3, 4), (8, 8)):
+        fsm = block_parity_counter(n_states, bits)
+        assert fsm.table == tuple(
+            tuple((s + bin(blk).count("1") % 2) % n_states for blk in range(1 << bits))
+            for s in range(n_states)
+        )
+        assert all(type(v) is int for v in fsm.table[-1])
+
+
+def test_fsm_distance_sampled_seed_words_straddle_bytes():
+    # 3-, 5- and 12-bit words cut from little-endian seed bytes must be the
+    # seed's words: compare with the full tree expansion seed by seed
+    for bits, count in ((3, 8), (5, 4), (12, 2)):
+        fsm = block_parity_counter(3, bits)
+        res = fsm_distance(fsm, bits, count, samples=400, seed=7, exact_seed_limit=1)
+        depth, mul = count.bit_length() - 1, Gf2Field(bits).mul
+        draw = derived_rng(7, "fsm-distance")
+        finals = [fsm.run(_expand_seed(draw.getrandbits(bits * (2 * depth + 1)), bits, depth, mul))
+                  for _ in range(400)]
+        assert not res.exact and res.samples == 400
+        assert np.array_equal(res.prg_dist, np.bincount(finals, minlength=3) / 400)

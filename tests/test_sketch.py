@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import json
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modsketch import prg
 from modsketch.algebra import GroupSpec, SubgroupEnum, subgroup_generated
 from modsketch.fourier import DenseFunction
 from modsketch.sketch import (
@@ -191,6 +193,31 @@ def test_apply_stream_coordinate_range_error():
         apply_stream(sk, [(4, 1)])
 
 
+def test_apply_stream_rejects_malformed_updates():
+    for sk in (parity_junta(4), ZpJunta(2, 3, ((1, 2),), (0, 1, 1))):
+        for inc in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError, match=f"increment {inc} does not fit int64"):
+                apply_stream(sk, [(0, 1), (1, inc)])
+        with pytest.raises(IndexError):
+            apply_stream(sk, [(-(2**70), 1)])
+        with pytest.raises(ValueError, match="pair"):
+            apply_stream(sk, [(0, 1, 1), (1, 1)])
+
+
+def test_apply_stream_longer_than_a_chunk_matches_per_update_apply():
+    rng = np.random.default_rng(12)
+    n, p = 16, 5
+    sk = ZpJunta(n, p, tuple(tuple(r) for r in rng.integers(0, p, (3, n)).tolist()),
+                 tuple(rng.integers(0, 2, p**3).tolist()))
+    length = prg.STREAM_CHUNK + 999
+    updates = list(zip(rng.integers(0, n, length).tolist(), rng.integers(-9, 10, length).tolist()))
+    state, stepped = apply_stream(sk, updates), SketchState(sk)
+    for coord, inc in updates:
+        stepped.apply(coord, inc)
+    assert (state.values(), state.output(), state.updates) == \
+        (stepped.values(), stepped.output(), stepped.updates) and state.updates == length
+
+
 def test_success_probability_perfect_parity():
     n = 5
     sk = parity_junta(n)
@@ -364,6 +391,9 @@ def test_distribution_validation_and_sampling():
     spec = GroupSpec.boolean(3)
     with pytest.raises(ValueError):
         Distribution(spec, np.full(8, 0.5))
+    for probs in (np.full(8, np.nan), np.asarray([np.inf] + [0.0] * 7)):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(spec, probs)
     D = Distribution.from_weights(spec, [1, 2, 3, 4, 0, 0, 0, 0])
     assert abs(D.probs.sum() - 1) < 1e-12
     rng = random.Random(11)
@@ -460,6 +490,24 @@ def test_stream_state_matches_offline_fold(case, data):
     assert state.updates == len(updates)
     shuffled = data.draw(st.permutations(updates))
     assert apply_stream(sk, shuffled).values() == state.values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sketches(), st.data())
+def test_apply_stream_matches_per_update_apply_across_chunks(case, data):
+    # apply_stream steps once per distinct coordinate of each chunk; a small
+    # chunk makes every stream cross several chunk boundaries
+    sk, moduli = case
+    n = len(moduli)
+    incs = st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1))
+    updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1), incs), max_size=40))
+    stepped = SketchState(sk)
+    for coord, inc in updates:
+        stepped.apply(coord, inc)
+    with mock.patch.object(prg, "STREAM_CHUNK", data.draw(st.integers(1, 6))):
+        state = apply_stream(sk, updates)
+    assert (state.values(), state.output(), state.updates) == \
+        (stepped.values(), stepped.output(), len(updates))
 
 
 @settings(max_examples=60, deadline=None)
