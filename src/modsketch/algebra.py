@@ -389,7 +389,7 @@ def max_independent_subset(
 class SubgroupEnum:
     """A subgroup of a finite abelian group as an explicit element list."""
 
-    __slots__ = ("spec", "elements", "_member_set", "_coset_ids", "_n_cosets")
+    __slots__ = ("spec", "elements", "_member_set", "_coset_ids", "_n_cosets", "_generators")
 
     def __init__(self, spec: GroupSpec, elements: Iterable[int]):
         self.spec = spec
@@ -399,6 +399,7 @@ class SubgroupEnum:
         self._member_set = frozenset(self.elements)
         self._coset_ids = None
         self._n_cosets = None
+        self._generators = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -431,20 +432,17 @@ class SubgroupEnum:
         )
 
     def generators(self) -> list[int]:
-        """A small generating set, found by greedy closure growth."""
-        gens: list[int] = []
-        closure = {0}
-        for e in self.elements:
-            if e in closure:
-                continue
-            gens.append(e)
-            frontier = list(closure)
-            for c in frontier:
-                v = self.spec.add(c, e)
-                while v not in closure:
-                    closure.add(v)
-                    v = self.spec.add(v, e)
-        return gens
+        """A small generating set, found by greedy closure growth: each
+        element not yet in the closure, in ascending order, is a generator."""
+        if self._generators is None:
+            closure, members = _trivial_closure(self.spec)
+            elements = np.asarray(self.elements, dtype=np.int64)
+            gens = []
+            while (rest := elements[~closure[elements]]).size:
+                gens.append(int(rest[0]))
+                members = _grow_closure(self.spec, closure, members, gens[-1])
+            self._generators = tuple(gens)
+        return list(self._generators)
 
     @property
     def n_cosets(self) -> int:
@@ -496,12 +494,28 @@ def subgroup_from_elements(spec: GroupSpec, elements: Iterable[int]) -> Subgroup
 
 def subgroup_generated(spec: GroupSpec, generators: Iterable[int]) -> SubgroupEnum:
     """Closure of a generator list (desk scale: closure fits in memory)."""
-    closure = {0}
+    closure, members = _trivial_closure(spec)
     for g in generators:
-        frontier = list(closure)
-        for c in frontier:
-            v = spec.add(c, g)
-            while v not in closure:
-                closure.add(v)
-                v = spec.add(v, g)
-    return SubgroupEnum(spec, closure)
+        members = _grow_closure(spec, closure, members, g)
+    return SubgroupEnum(spec, members.tolist())
+
+
+def _trivial_closure(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The subgroup {0} as a membership bitmap over G and a member array."""
+    closure = np.zeros(spec.size, dtype=bool)
+    closure[0] = True
+    return closure, np.zeros(1, dtype=np.int64)
+
+
+def _grow_closure(spec: GroupSpec, closure: np.ndarray, members: np.ndarray, e: int) -> np.ndarray:
+    """Members of H + <e>, given the members of a subgroup H (members[0] = 0)
+    and its bitmap, which is updated in place.  H + k*e is H again or
+    disjoint from it, and it is H exactly when k*e (its entry 0) is in H."""
+    coords = spec.coords_matrix()
+    grown, shifted = [members], members
+    while True:
+        shifted = spec.encode_matrix(coords[shifted] + coords[e])
+        if closure[shifted[0]]:
+            return np.concatenate(grown)
+        closure[shifted] = True
+        grown.append(shifted)

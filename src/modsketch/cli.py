@@ -418,8 +418,9 @@ def _run_prg_check(config: ExperimentConfig) -> tuple[dict, bool]:
         if not np.array_equal(base, derandomized_apply(template, perm)):
             invariant = False
             break
-    matrix = template.materialize()
-    x = np.zeros(n, dtype=np.int64)
+    # the reference product in Python ints: int64 would overflow for large p
+    matrix = template.materialize().astype(object)
+    x = np.zeros(n, dtype=object)
     for coord, inc in updates:
         x[coord] = (x[coord] + inc) % p
     explicit = (matrix.T @ x) % p

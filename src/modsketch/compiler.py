@@ -188,6 +188,7 @@ class SelectedTranscript:
     message_calls: int
     player_sets_built: int
     player_set_hits: int
+    message_batches: int
 
 
 @dataclass
@@ -240,6 +241,7 @@ class ReductionReport:
     message_calls: int = 0
     player_sets_built: int = 0
     player_set_hits: int = 0
+    message_batches: int = 0
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -343,7 +345,10 @@ class _PlayerSetSource:
     and r, so its table over all inputs is kept per (fn, prev[-1] or None)
     and A_i per (fn, prev[-1] or None, m_i): every player and candidate
     with the same key shares one table and one indicator (and so one
-    spectrum).  Other protocols get a fresh table per player.
+    spectrum).  Other protocols get a fresh table per player.  A streaming
+    protocol's table comes from one call of the function's array form when
+    it has one (see BroadcastProtocol); message_calls counts the messages
+    computed either way, and batches the tables built by array forms.
     """
 
     def __init__(self, protocol: BroadcastProtocol, r_star: int):
@@ -353,6 +358,7 @@ class _PlayerSetSource:
         self.tables: dict = {}
         self.sets: dict = {}
         self.message_calls = 0
+        self.batches = 0
         self.built = 0
         self.hits = 0
 
@@ -364,8 +370,19 @@ class _PlayerSetSource:
         key = self._key(i, messages)
         if self.memo and key in self.tables:
             return self.tables[key]
-        fn, prev = key[0], tuple(messages[:i])
-        table = np.array([fn(x, prev, self.r_star) for x in range(self.protocol.group.size)])
+        fn, size = key[0], self.protocol.group.size
+        batch = getattr(fn, "batch", None) if self.memo else None
+        if batch is None:
+            prev = tuple(messages[:i])
+            table = np.array([fn(x, prev, self.r_star) for x in range(size)])
+        else:
+            table = np.asarray(batch(np.arange(size, dtype=np.int64), key[1], self.r_star))
+            if table.shape != (size,):
+                raise CompilerError(
+                    "transcript-search",
+                    f"player {i}'s batch form returned shape {table.shape}, not ({size},)",
+                )
+            self.batches += 1
         self.message_calls += len(table)
         if self.memo:
             self.tables[key] = table
@@ -507,6 +524,7 @@ def sample_and_select_transcript(
         message_calls=r_calls + trials * protocol.n_players + source.message_calls,
         player_sets_built=source.built,
         player_set_hits=source.hits,
+        message_batches=source.batches,
     )
 
 
@@ -804,6 +822,7 @@ def reduce(
         message_calls=sel.message_calls,
         player_sets_built=sel.player_sets_built,
         player_set_hits=sel.player_set_hits,
+        message_batches=sel.message_batches,
     )
     return ReduceResult(junta.sketch, report)
 

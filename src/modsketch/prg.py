@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -276,30 +275,30 @@ def fsm_distance(
     exact_seed_limit: int = 1 << 24,
 ) -> FsmDistanceResult:
     """L1 distance between the FSM's final-state distribution under true
-    randomness (exact rational DP over blocks) and under the generator
+    randomness (exact integer-count DP over blocks) and under the generator
     (exact when the seed space is small, sampled otherwise).
     """
     if fsm.block_bits != block_bits:
         raise ValueError("FSM block width does not match the generator")
     check_fsm_size(fsm.n_states, block_bits, block_count)
 
-    n_blocks = 1 << block_bits
     table = fsm.table_array()
-    # exact one-block transition probabilities (counts / 2^b)
-    counts = np.zeros((fsm.n_states, fsm.n_states), dtype=np.int64)
-    for s in range(fsm.n_states):
-        np.add.at(counts[s], table[s], 1)
-    dist = [Fraction(0)] * fsm.n_states
-    dist[fsm.initial] = Fraction(1)
+    # exact truth as integer counts: count[s] of the 2^(b*t) block sequences
+    # of length t end in state s.  Counts stay below 2^(b*k), so int64 holds
+    # them while b*k <= 62; past that they are Python ints.
+    src = np.repeat(np.arange(fsm.n_states), 1 << block_bits)
+    edges, mult = np.unique(src * fsm.n_states + table.reshape(-1), return_counts=True)
+    src, dst = np.divmod(edges, fsm.n_states)
+    dtype = np.int64 if block_bits * block_count <= 62 else object
+    count = np.zeros(fsm.n_states, dtype=dtype)
+    count[fsm.initial] = 1
+    mult = mult.astype(dtype)
     for _ in range(block_count):
-        nxt = [Fraction(0)] * fsm.n_states
-        for s, p in enumerate(dist):
-            if p:
-                for s2 in range(fsm.n_states):
-                    if counts[s, s2]:
-                        nxt[s2] += p * Fraction(int(counts[s, s2]), n_blocks)
-        dist = nxt
-    true_dist = np.asarray([float(p) for p in dist])
+        nxt = np.zeros(fsm.n_states, dtype=dtype)
+        np.add.at(nxt, dst, count[src] * mult)
+        count = nxt
+    total = 1 << (block_bits * block_count)
+    true_dist = np.asarray([int(c) / total for c in count])  # int / int is correctly rounded
 
     gen = NisanGenerator(block_bits, block_count, 0)
     seed_bits, n_words = gen.seed_bits, 2 * gen.depth + 1

@@ -9,12 +9,15 @@ becomes such a protocol by passing its state along the chain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .algebra import GroupSpec
-from .fourier import DenseFunction
+from .fourier import TRANSFORM_SIZE_LIMIT, DenseFunction
 
 __all__ = [
     "BroadcastProtocol",
@@ -55,6 +58,14 @@ class BroadcastProtocol:
     messages per incoming state, so a streaming protocol whose functions
     read other earlier messages gets wrong player sets; leave such a
     protocol at streaming=False.
+
+    A message function may carry an array form as its attribute
+    `batch(xs, last, r)`: xs is an int64 array of input indices, last is
+    prev[-1] (None for player one), and the result is an array equal, entry
+    by entry, to [fn(x, prev, r) for x in xs].  The compiler builds a
+    streaming protocol's message tables from it when it is there (it sees
+    only prev[-1], so it is never used when streaming is False).  A wrapper
+    that does not copy the attribute just falls back to per-x calls.
     """
 
     group: GroupSpec
@@ -119,6 +130,10 @@ class StreamFSM:
     step(state, coordinate, increment) -> state consumes single-coordinate
     updates; emit(state) is the output map.  The space budget is
     ceil(log2(n_states)) bits.
+
+    n_states is a contract: the initial state and every state step returns
+    lie in [0, n_states), and step and emit are deterministic functions of
+    their arguments (fsm_to_players tabulates both over all states).
     """
 
     group: GroupSpec
@@ -152,6 +167,12 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
     Player i decodes the previous message as the machine state, replays the
     updates encoding its own input, and forwards the new state; the last
     player applies the output map instead.
+
+    Both message functions carry an array form (see BroadcastProtocol)
+    over a transition table T[state, coordinate, digit], built on its first
+    use with one step call per state, coordinate and nonzero digit (digit 0
+    keeps the state), and an emit table over the states.  A machine whose
+    table would exceed TRANSFORM_SIZE_LIMIT entries gets no array form.
     """
     c = fsm.state_bits
     if max_state_bits is not None and c > max_state_bits:
@@ -167,6 +188,27 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
         state = prev[-1] if prev else fsm.initial
         return fsm.emit(fsm.run_input(state, x))
 
+    group = fsm.group
+    if fsm.n_states * group.n * max(group.moduli) <= TRANSFORM_SIZE_LIMIT:
+        tables = functools.cache(lambda: _fsm_tables(fsm))  # built on the first batch call
+
+        def run_all(xs: np.ndarray, state, r: int) -> np.ndarray:
+            transitions = tables()[0]
+            state = fsm.initial if state is None else state
+            if not 0 <= state < fsm.n_states:
+                raise ValueError(f"state {state} outside [0, {fsm.n_states})")
+            st = np.full(len(xs), state, dtype=np.int64)
+            for j, (m, s) in enumerate(zip(group.moduli, group.strides)):
+                st = transitions[st, j, xs // s % m]
+            return st
+
+        def emit_all(xs: np.ndarray, state, r: int) -> np.ndarray:
+            states = run_all(xs, state, r)
+            return tables()[1][states]
+
+        middle.batch = run_all
+        last.batch = emit_all
+
     fns = tuple([middle] * (n_players - 1) + [last])
     return BroadcastProtocol(
         group=fsm.group,
@@ -177,6 +219,26 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
         streaming=True,
         name=f"state-passing({fsm.name or 'fsm'})",
     )
+
+
+def _fsm_tables(fsm: StreamFSM) -> tuple[np.ndarray, np.ndarray]:
+    """T[state, coordinate, digit] (digit 0 keeps the state) and the emit
+    table over the states, from one step call per state, coordinate and
+    nonzero digit."""
+    moduli = fsm.group.moduli
+    table = np.empty((fsm.n_states, len(moduli), max(moduli)), dtype=np.int64)
+    table[...] = np.arange(fsm.n_states)[:, None, None]
+    for state in range(fsm.n_states):
+        for j, m in enumerate(moduli):
+            for digit in range(1, m):
+                nxt = fsm.step(state, j, digit)
+                if not 0 <= nxt < fsm.n_states:
+                    raise ValueError(
+                        f"step(state={state}, coordinate={j}, digit={digit}) = {nxt} "
+                        f"is outside [0, {fsm.n_states})"
+                    )
+                table[state, j, digit] = nxt
+    return table, np.array([fsm.emit(state) for state in range(fsm.n_states)])
 
 
 @dataclass(frozen=True, eq=False)

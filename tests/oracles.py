@@ -309,3 +309,41 @@ def transcript_success(protocol, f_values) -> dict[tuple, Fraction]:
         tally[0] += out == f_values[total]
         tally[1] += 1
     return {k: Fraction(good, count) for k, (good, count) in hits.items()}
+
+
+def greedy_generators(moduli, elements) -> list[int]:
+    """Greedy generating set of a subgroup given by its elements: each
+    element not yet in the closure, in ascending order, is a generator; the
+    closure is grown one multiple at a time as a set."""
+    gens: list[int] = []
+    closure = {0}
+    for e in sorted(elements):
+        if e in closure:
+            continue
+        gens.append(e)
+        for c in list(closure):
+            v = group_add(moduli, c, e)
+            while v not in closure:
+                closure.add(v)
+                v = group_add(moduli, v, e)
+    return gens
+
+
+def fsm_true_distribution(table, initial: int, block_bits: int, block_count: int) -> list[float]:
+    """Exact final-state law of a block FSM (table[state][block] -> state)
+    under uniformly random blocks, as Fractions propagated one block at a
+    time, rounded to floats at the end."""
+    from collections import Counter
+
+    n_states = len(table)
+    moves = [Counter(row) for row in table]
+    dist = [Fraction(0)] * n_states
+    dist[initial] = Fraction(1)
+    for _ in range(block_count):
+        nxt = [Fraction(0)] * n_states
+        for s, p in enumerate(dist):
+            if p:
+                for s2, c in moves[s].items():
+                    nxt[s2] += p * Fraction(c, 1 << block_bits)
+        dist = nxt
+    return [float(p) for p in dist]

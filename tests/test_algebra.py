@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modsketch.algebra import (
     BitVec,
@@ -17,7 +19,7 @@ from modsketch.algebra import (
     subgroup_generated,
 )
 
-from oracles import coset_partition, char_value, naive_rank_masks
+from oracles import coset_partition, char_value, greedy_generators, naive_rank_masks
 
 
 def test_bitvec_self_inverse():
@@ -204,6 +206,20 @@ def test_subgroup_from_elements_rejects_non_closed():
         subgroup_from_elements(g, [0, 1])
     sub = subgroup_from_elements(g, [0, 2])
     assert sub.elements == (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subgroup_generators_match_greedy_closure_oracle(data):
+    moduli = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    g = GroupSpec(moduli)
+    seeds = data.draw(st.lists(st.integers(0, g.size - 1), max_size=4))
+    sub = subgroup_generated(g, seeds)
+    gens = sub.generators()
+    assert gens == greedy_generators(moduli, sub.elements)
+    assert subgroup_generated(g, gens) == sub
+    gens.append(-1)  # the cached list is not handed out
+    assert sub.generators() == gens[:-1]
 
 
 def test_quotient_add_table_is_group():

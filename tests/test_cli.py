@@ -260,6 +260,18 @@ def test_prg_check_experiment(tmp_path):
     assert record["result"]["fsm_l1_distance"] <= 0.05
 
 
+def test_prg_check_reference_product_is_exact_at_large_p(tmp_path):
+    # at p = 2^31 - 1 the int64 product matrix.T @ x overflows
+    cfg = _write_config(tmp_path, {
+        "experiment": "prg-check",
+        "prg": {"block_bits": 4, "block_count": 2, "states": 2, "n": 16, "s": 2,
+                "p": 2147483647, "shuffles": 1},
+    })
+    assert main(["prg-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    result = json.loads((tmp_path / "o" / "report.json").read_text())["result"]
+    assert result["matches_explicit_matrix"] is True
+
+
 def test_main_exit_codes(tmp_path, capsys):
     # malformed config: nonzero exit (2)
     bad = _write_config(tmp_path, {"experiment": "reduce", "reduction": {"players": 0}})
@@ -446,9 +458,11 @@ def test_reduce_report_carries_transcript_counters(tmp_path):
     report = json.loads((tmp_path / "o" / "report.json").read_text())["result"]["report"]
     keys = list(report)
     at = keys.index("candidates_evaluated")
-    assert keys[at + 1:at + 4] == ["message_calls", "player_sets_built", "player_set_hits"]
-    # one candidate: sampling runs 41 players, then tables for no state, 0 and 1
+    assert keys[at + 1:at + 5] == ["message_calls", "player_sets_built", "player_set_hits", "message_batches"]
+    # one candidate: sampling runs 41 players, then tables for no state, 0 and
+    # 1, each from one call of the parity chain's array form
     assert report["message_calls"] == 41 + 3 * 16
+    assert report["message_batches"] == 3
     assert report["player_sets_built"] + report["player_set_hits"] == 40
     assert report["player_set_hits"] >= 35
 

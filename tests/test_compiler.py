@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modsketch import protocol as protocol_module
 from modsketch.algebra import GroupSpec, orthogonal_complement, rank_basis
 from modsketch.compiler import (
+    CompilerError,
     PlayerSets,
     ReductionConfig,
     TranscriptSearchError,
@@ -28,9 +30,10 @@ from modsketch.compiler import (
 from modsketch.fourier import ChangBoundError, DenseFunction, normalized_indicator
 from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
 from modsketch.sketch import Distribution
-from modsketch.zoo import zoo_function, zoo_protocol
+from modsketch.zoo import zoo_fsm, zoo_function, zoo_protocol
 
 from oracles import transcript_frequencies, transcript_success
+from test_protocol import random_fsms
 
 
 def random_table_protocol(group, n_players, c, rng, binary_tail=True):
@@ -523,6 +526,81 @@ def test_streaming_reduce_tabulates_each_message_function_once_per_state():
     res = reduce(gated, zoo_function("parity", n=2), None, ReductionConfig(players=8, seed=1), "exact_f2")
     assert res.report.r_star == 1
     assert res.report.message_calls == calls[0] > 4 * 256 * 9
+
+
+def _assert_same_selection(got, want):
+    assert got.transcript == want.transcript
+    assert got.player_sets.densities == want.player_sets.densities
+    for a, b in zip(got.player_sets.indicators, want.player_sets.indicators, strict=True):
+        assert np.array_equal(a.members, b.members)
+    assert np.array_equal(got.tail.h.values, want.tail.h.values)
+    assert got.message_calls == want.message_calls
+
+
+@st.composite
+def _batched_searches(draw):
+    """(protocol, f, mode, N) for a protocol whose message functions carry
+    array forms: a zoo chain or a lifted random FSM."""
+    kind = draw(st.sampled_from(["parity", "blend", "constant", "running-sum", "fsm"]))
+    N = draw(st.integers(2, 8))
+    if kind == "fsm":
+        fsm = draw(random_fsms(binary_emit=True))
+        protocol, group = fsm_to_players(fsm, N + 1), fsm.group
+    elif kind == "running-sum":
+        group = GroupSpec.cyclic_power(3, draw(st.integers(1, 3)))
+        protocol = zoo_protocol("running-sum-mod-p", n=group.n, p=3)(N + 1)
+    else:
+        n = draw(st.integers(1, 5))
+        group, masks = GroupSpec.boolean(n), st.integers(0, (1 << n) - 1)
+        params = {"parity": {"mask": draw(masks)}, "blend": {"a": draw(masks), "b": draw(masks)},
+                  "constant": {"value": draw(st.integers(0, 1))}}[kind]
+        name = {"parity": "parity-chain", "blend": "two-parity-blend-chain", "constant": "constant"}[kind]
+        protocol = zoo_protocol(name, n=n, **params)(N + 1)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    f = DenseFunction(group, np.array([rng.getrandbits(1) for _ in range(group.size)], dtype=float))
+    return protocol, f, "approx" if kind == "blend" else "exact", N
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batched_searches(), st.integers(0, 2**16))
+def test_array_forms_give_the_per_input_selection(case, seed):
+    protocol, f, mode, N = case
+    assert all(hasattr(fn, "batch") for fn in protocol.msg_fns)
+    cfg = ReductionConfig(players=N, transcript_trials=6, seed=seed)
+    D = Distribution.uniform(protocol.group)
+    batched = sample_and_select_transcript(protocol, f, D, cfg, mode)
+    per_x = sample_and_select_transcript(_counted(protocol)[0], f, D, cfg, mode)  # wrappers drop batch
+    _assert_same_selection(batched, per_x)
+    assert per_x.message_batches == 0 < batched.message_batches
+    if protocol.group.size ** (N + 1) <= 4096:
+        messages = batched.transcript.messages
+        assert batched.transcript.a == transcript_frequencies(protocol, N + 1)[messages]
+
+
+def test_array_form_of_the_wrong_shape_is_rejected():
+    def msg(x, prev, r):
+        return 0
+
+    msg.batch = lambda xs, last, r: np.zeros(1, dtype=np.int64)
+    protocol = BroadcastProtocol(group=GroupSpec.boolean(2), n_players=3, message_bits=1,
+                                 msg_fns=(msg,) * 3, streaming=True)
+    with pytest.raises(CompilerError, match=r"player 0's batch form returned shape \(1,\), not \(4,\)"):
+        sample_and_select_transcript(protocol, zoo_function("parity", n=2), Distribution.uniform(protocol.group),
+                                     ReductionConfig(players=2, seed=0))
+
+
+def test_fsm_over_the_table_cap_takes_the_per_input_path(monkeypatch):
+    fsm = zoo_fsm("running-sum", n=3, p=3)
+    f = zoo_function("mod-p-sum-zero", n=3, p=3)
+    cfg = ReductionConfig(players=6, transcript_trials=6, seed=2)
+    D = Distribution.uniform(fsm.group)
+    batched = sample_and_select_transcript(fsm_to_players(fsm, 7), f, D, cfg)
+    monkeypatch.setattr(protocol_module, "TRANSFORM_SIZE_LIMIT", 3 * 3 * 3 - 1)
+    capped = fsm_to_players(fsm, 7)
+    assert not any(hasattr(fn, "batch") for fn in capped.msg_fns)
+    per_x = sample_and_select_transcript(capped, f, D, cfg)
+    _assert_same_selection(per_x, batched)
+    assert per_x.message_batches == 0 < batched.message_batches
 
 
 def test_approx_encode_and_conversion_bounds():

@@ -22,7 +22,7 @@ from modsketch.prg import (
 )
 from modsketch.seeding import derived_rng
 
-from oracles import accumulate_stream, derandomized_apply_per_update, prg_expand_tree
+from oracles import accumulate_stream, derandomized_apply_per_update, fsm_true_distribution, prg_expand_tree
 
 
 def test_gf2_field_properties():
@@ -140,6 +140,19 @@ def test_fsm_distance_matches_scalar_generator():
         assert res.samples == len(finals)
         want = np.bincount(finals, minlength=n_states) / len(finals)
         assert np.array_equal(res.prg_dist, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([(1, 4), (2, 8), (4, 16), (8, 4), (8, 8), (8, 16), (16, 4)]),
+       st.integers(0, 2**32 - 1))
+def test_fsm_distance_truth_matches_fraction_oracle(n_states, shape, seed):
+    # b*k from 4 to 128: the int64 counts and the Python-int counts past 62 bits
+    bits, count = shape
+    rng = random.Random(seed)
+    table = tuple(tuple(rng.randrange(n_states) for _ in range(1 << bits)) for _ in range(n_states))
+    initial = rng.randrange(n_states)
+    res = fsm_distance(FSMSpec(n_states, bits, initial, table), bits, count, samples=50, seed=1)
+    assert res.true_dist.tolist() == fsm_true_distribution(table, initial, bits, count)
 
 
 def test_row_template_layout_and_regeneration():

@@ -3,8 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modsketch import protocol as protocol_module
 from modsketch.algebra import GroupSpec
 from modsketch.protocol import (
     BroadcastProtocol,
@@ -270,3 +274,86 @@ def test_streaming_protocol_is_broadcast_special_case():
         for i, fn in enumerate(protocol.msg_fns):
             state = fn(inputs[i], (state,) if i else (), 0)
         assert state == out
+
+
+@st.composite
+def random_fsms(draw, binary_emit=False):
+    """A StreamFSM with random transition and output tables on mixed
+    moduli, Z_3^k or F2^k; its outputs are floats or ints unless
+    binary_emit."""
+    moduli = draw(st.one_of(
+        st.lists(st.integers(2, 5), min_size=1, max_size=3),
+        st.integers(1, 4).map(lambda k: [3] * k),
+        st.integers(1, 5).map(lambda k: [2] * k),
+    ))
+    group = GroupSpec(moduli)
+    n_states = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    moves = {(s, j, d): rng.randrange(n_states)
+             for s in range(n_states) for j, m in enumerate(moduli) for d in range(1, m)}
+    if binary_emit or draw(st.booleans()):
+        outputs = [rng.getrandbits(1) for _ in range(n_states)]
+    else:
+        outputs = [rng.random() for _ in range(n_states)]
+    return StreamFSM(group=group, n_states=n_states, initial=rng.randrange(n_states),
+                     step=lambda s, j, d: moves[s, j, d], emit=lambda s: outputs[s], name="random")
+
+
+def _assert_batch_matches_calls(fn, xs, states, r=0):
+    for state in states:
+        prev = () if state is None else (state,)
+        got = fn.batch(np.asarray(xs, dtype=np.int64), state, r)
+        assert got.shape == (len(xs),)
+        assert got.tolist() == [fn(x, prev, r) for x in xs]
+
+
+def _inputs(data, group):
+    return data.draw(st.lists(st.integers(0, group.size - 1), max_size=24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_zoo_chain_array_forms_match_per_input_calls(data):
+    n = data.draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    parity = zoo_protocol("parity-chain", n=n, mask=data.draw(masks))(3)
+    w1 = data.draw(st.floats(0, 0.5))
+    blend = zoo_protocol("two-parity-blend-chain", n=n, a=data.draw(masks), b=data.draw(masks),
+                         w1=w1, w2=data.draw(st.floats(0, 0.5 - w1)), levels=data.draw(st.integers(2, 9)))(3)
+    constant = zoo_protocol("constant", n=n, value=data.draw(st.integers(0, 1)),
+                            p=data.draw(st.sampled_from([2, 3])))(3)
+    for proto, states in ((parity, [None, 0, 1]), (blend, [None, 0, 1, 2, 3]), (constant, [None, 0])):
+        xs = _inputs(data, proto.group)
+        for fn in set(proto.msg_fns):
+            _assert_batch_matches_calls(fn, xs, states, r=data.draw(st.integers(0, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_fsms(), st.data())
+def test_fsm_array_forms_match_per_input_calls(fsm, data):
+    middle, last = fsm_to_players(fsm, 3).msg_fns[1:]
+    xs = _inputs(data, fsm.group)
+    states = [None, *range(fsm.n_states)]
+    _assert_batch_matches_calls(middle, xs, states)
+    _assert_batch_matches_calls(last, xs, states)
+
+
+def test_fsm_states_outside_n_states_raise_in_the_array_form():
+    fsm = StreamFSM(group=GroupSpec((2, 3)), n_states=2, initial=0,
+                    step=lambda s, j, d: s + d if j == 1 else s, emit=lambda s: s)
+    middle = fsm_to_players(fsm, 3).msg_fns[0]
+    with pytest.raises(ValueError, match=r"step\(state=0, coordinate=1, digit=2\) = 2 is outside \[0, 2\)"):
+        middle.batch(np.arange(6, dtype=np.int64), None, 0)
+    outside = StreamFSM(group=GroupSpec((2,)), n_states=2, initial=2, step=lambda s, j, d: s, emit=lambda s: s)
+    with pytest.raises(ValueError, match=r"state 2 outside \[0, 2\)"):
+        fsm_to_players(outside, 3).msg_fns[0].batch(np.arange(2, dtype=np.int64), None, 0)
+
+
+def test_fsm_over_the_table_cap_gets_no_array_form():
+    # 2^19 states x 1 coordinate x modulus 3 > TRANSFORM_SIZE_LIMIT = 2^20
+    fsm = StreamFSM(group=GroupSpec((3,)), n_states=1 << 19, initial=0,
+                    step=lambda s, j, d: (s + d) % 3, emit=lambda s: int(s == 0))
+    assert fsm.n_states * 3 > protocol_module.TRANSFORM_SIZE_LIMIT
+    protocol = fsm_to_players(fsm, 4)
+    assert not any(hasattr(fn, "batch") for fn in protocol.msg_fns)
+    assert protocol.run([1, 2, 0, 0]) == ((1, 0, 0, 1), 1)
