@@ -415,7 +415,7 @@ def _evaluate_candidate(
     group = source.protocol.group
     n = source.protocol.n_players - 1
     indicators = [source.indicator(i, messages) for i in range(n)]
-    prob = math.prod(ind.density for ind in indicators)
+    prob = Fraction(math.prod(ind.count for ind in indicators), group.size**n)
     if prob < threshold:
         return None
 

@@ -5,12 +5,17 @@ fhat(gamma) = E_x f(x) * conj(gamma(x)), so the point mass |G|*1_{0} has
 all-ones spectrum and f(x) = sum_gamma fhat(gamma) * gamma(x).
 Convolution is (f*g)(x) = E_y f(y) g(x-y), hence hat(f*g) = fhat * ghat.
 
-The fast path is a hand-rolled Walsh-Hadamard butterfly for all-2 moduli
-and per-coordinate FFTs (numpy) for general mixed-radix groups.
+Over F2^n every character is +-1, so real functions have real spectra:
+their transforms stay float64 end to end, through a Walsh-Hadamard
+transform factored as a Kronecker product of small Hadamard blocks, each
+applied as one matrix product.  Complex functions on F2^n go through the
+same real pass on their float64 view, and general mixed-radix groups use
+per-coordinate FFTs (numpy) in complex128.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +23,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import GroupSpec, SubgroupEnum, SubspaceF2, max_independent_subset
+from .algebra import (
+    GroupSpec,
+    SubgroupEnum,
+    SubspaceF2,
+    max_independent_subset,
+    orthogonal_complement,
+)
 
 __all__ = [
     "DenseFunction",
@@ -42,6 +53,10 @@ __all__ = [
 ]
 
 TRANSFORM_SIZE_LIMIT = 1 << 20
+# Largest Hadamard block of the factored WHT, in bits.  Timed on one BLAS
+# thread at sizes 2^13 to 2^20, 2^5 was as fast as 2^6 or faster, and
+# faster than 2^7 and 2^8; smaller blocks were not faster overall.
+WHT_BLOCK_BITS = 5
 DISSOCIATED_DEFAULT_LIMIT = 16
 CHANG_DEFAULT_CONSTANT = 8.0
 
@@ -91,13 +106,23 @@ class DenseFunction:
 
 @dataclass(eq=False)
 class Spectrum:
-    """Fourier coefficients indexed by the (mixed-radix) dual group."""
+    """Fourier coefficients indexed by the (mixed-radix) dual group.
+
+    coeffs are float64 when given real values and complex128 otherwise.
+    transform() gives float64 exactly for a real function on an all-2
+    group (every character is +-1), and complex128 for complex input and
+    on every other group; inverse_transform() maps a float64 spectrum back
+    to real values.
+    """
 
     group: GroupSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        coeffs = np.asarray(self.coeffs)
+        self.coeffs = coeffs.astype(
+            np.complex128 if np.iscomplexobj(coeffs) else np.float64, copy=False
+        )
         if self.coeffs.shape != (self.group.size,):
             raise ValueError("coefficient array must have length |G|")
 
@@ -106,19 +131,46 @@ class Spectrum:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
+@functools.cache
+def _hadamard(bits: int) -> np.ndarray:
+    """The unnormalized Sylvester-Hadamard matrix of order 2^bits (read-only)."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _block_bits(n: int) -> list[int]:
+    """n split into the fewest parts of at most WHT_BLOCK_BITS, as even as possible."""
+    parts = -(-n // WHT_BLOCK_BITS)
+    q, r = divmod(n, parts)
+    return [q + 1] * r + [q] * (parts - r)
+
+
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place-style fast Walsh-Hadamard transform (unnormalized)."""
-    a = np.array(values, copy=True)
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(size)
-        h *= 2
-    return a
+    """Unnormalized Walsh-Hadamard transform of 2^n values: float64 for
+    real input, complex128 for complex input, which takes the same real
+    pass over its float64 view (a trailing axis of 2 that rides along).
+
+    H_{2^n} is the Kronecker product of blocks H_{2^k} with k <= WHT_BLOCK_BITS.
+    Each pass views the array as (2^k, rest), applies its block to the
+    leading axis with one matrix product, rest^T @ H, and so leaves that
+    axis last: after every block the axes are back in order, with the
+    trailing axis moved to the front.
+    """
+    is_complex = np.iscomplexobj(values)
+    if is_complex:
+        x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    else:
+        x = np.asarray(values, dtype=np.float64)
+    size = len(values)
+    for bits in _block_bits(size.bit_length() - 1):
+        x = x.reshape(1 << bits, -1).T @ _hadamard(bits)
+    x = x.reshape(-1, size).T
+    if is_complex:
+        return np.ascontiguousarray(x).view(np.complex128).reshape(size)
+    return x.reshape(size)
 
 
 def _check_size(group: GroupSpec):
@@ -129,11 +181,12 @@ def _check_size(group: GroupSpec):
 
 
 def transform(f: DenseFunction) -> Spectrum:
-    """Fourier transform; butterfly over F2^n, mixed-radix FFT otherwise."""
+    """Fourier transform: the factored WHT over F2^n (float64 for real
+    values), a complex mixed-radix FFT otherwise."""
     _check_size(f.group)
     group = f.group
     if group.is_boolean:
-        coeffs = _fwht(f.values.astype(np.complex128)) / group.size
+        coeffs = _fwht(f.values) / group.size
     else:
         shape = group.moduli[::-1]  # coordinate 0 is the fastest-varying axis
         grid = f.values.astype(np.complex128).reshape(shape)
@@ -142,11 +195,12 @@ def transform(f: DenseFunction) -> Spectrum:
 
 
 def inverse_transform(spectrum: Spectrum) -> DenseFunction:
-    """Inverse of transform(); returns a complex-valued DenseFunction."""
+    """Inverse of transform(): real values from a float64 spectrum on an
+    all-2 group, complex values otherwise."""
     _check_size(spectrum.group)
     group = spectrum.group
     if group.is_boolean:
-        values = _fwht(spectrum.coeffs.astype(np.complex128))
+        values = _fwht(spectrum.coeffs)
     else:
         shape = group.moduli[::-1]
         grid = spectrum.coeffs.reshape(shape)
@@ -168,6 +222,7 @@ class NormalizedIndicator:
         self._count = int(np.count_nonzero(self.members))
         if self._count == 0:
             raise ValueError("indicator of the empty set is undefined")
+        self._density = Fraction(self._count, self.group.size)
         self._spectrum = None
 
     @property
@@ -176,7 +231,7 @@ class NormalizedIndicator:
 
     @property
     def density(self) -> Fraction:
-        return Fraction(self._count, self.group.size)
+        return self._density
 
     def phi(self) -> DenseFunction:
         values = np.where(self.members, self.group.size / self._count, 0.0)
@@ -216,16 +271,18 @@ def dual_annihilator_mask(
     """Boolean mask over dual indices gamma with gamma(h) = 1 for all h in H.
 
     This is exactly the support of the spectrum of phi_H.  Computed by exact
-    integer arithmetic, not by transform.
+    integer arithmetic, not by transform: over F2 the annihilator is the
+    orthogonal complement of H, whose members are spanned by doubling over
+    its basis in O(|H^perp|).
     """
     if isinstance(invariant, SubspaceF2):
         if not group.is_boolean or group.n != invariant.n:
             raise ValueError("subspace dimension does not match the group")
-        gammas = np.arange(group.size, dtype=np.uint64)
-        mask = np.ones(group.size, dtype=bool)
-        for row in invariant.basis:
-            parity = np.bitwise_count(gammas & np.uint64(row)) & 1
-            mask &= parity == 0
+        members = np.zeros(1, dtype=np.int64)
+        for row in orthogonal_complement(invariant).basis:
+            members = np.concatenate((members, members ^ row))
+        mask = np.zeros(group.size, dtype=bool)
+        mask[members] = True
         return mask
     if invariant.spec != group:
         raise ValueError("subgroup does not live in the given group")
@@ -251,14 +308,16 @@ def joint_spectrum(group: GroupSpec, sets: Mapping[NormalizedIndicator, int]) ->
     """prod_j phihat_j^(k_j): the spectrum of the normalized density of a
     sum of independent uniform draws, k_j of them from the j-th set.
 
+    The product is taken in the dtype of the spectra (float64 on F2^n).
     Powers go by repeated squaring, so spectra of 0 and +-1 stay exact
     (complex pow switches to exp/log from exponent 100 on).
     """
-    prod = np.ones(group.size, dtype=np.complex128)
+    if any(ind.group != group for ind in sets):
+        raise ValueError("indicator group mismatch")
+    bases = {ind: ind.spectrum().coeffs for ind in sets}
+    prod = np.ones(group.size, dtype=np.result_type(np.float64, *bases.values()))
     for ind, k in sets.items():
-        if ind.group != group:
-            raise ValueError("indicator group mismatch")
-        base = ind.spectrum().coeffs
+        base = bases[ind]
         while k:
             if k & 1:
                 prod *= base

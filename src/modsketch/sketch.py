@@ -365,6 +365,7 @@ class Distribution:
         s = float(self.probs.sum())
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {s}, not 1")
+        self._cum = None  # cumulative weights, on the first sample()
 
     @classmethod
     def uniform(cls, group: GroupSpec) -> "Distribution":
@@ -378,7 +379,14 @@ class Distribution:
         return cls(group, w / w.sum(), name="weighted")
 
     def sample(self, rng, count: int = 1) -> list[int]:
-        return rng.choices(range(self.group.size), weights=self.probs, k=count)
+        """count draws by bisecting the cumulative weights (built once):
+        the draws rng.choices(range(|G|), weights=probs, k=count) makes
+        from the same rng state."""
+        if self._cum is None:
+            self._cum = np.cumsum(self.probs)
+        points = np.array([rng.random() for _ in range(count)]) * float(self._cum[-1])
+        idx = np.searchsorted(self._cum, points, side="right")
+        return np.minimum(idx, self.group.size - 1).tolist()
 
     def mean(self, values: np.ndarray) -> float:
         return float(np.dot(self.probs, values))

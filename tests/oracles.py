@@ -113,13 +113,21 @@ def naive_dft(moduli, values) -> np.ndarray:
 
 
 def naive_inverse_dft(moduli, coeffs) -> np.ndarray:
+    """The defining sum f(x) = sum_g fhat(g) g(x), from explicit character
+    rows (blocked like naive_dft)."""
     size = len(coeffs)
     cf = np.asarray(coeffs, dtype=np.complex128)
+    coords = np.stack(
+        [np.asarray(group_decode(moduli, x), dtype=np.float64) for x in range(size)]
+    )
     out = np.empty(size, dtype=np.complex128)
-    for x in range(size):
-        out[x] = sum(
-            cf[g] * char_value(moduli, g, x) for g in range(size)
-        )
+    block = 256
+    mod = np.asarray(moduli, dtype=np.float64)
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        x = coords[start:stop]  # (b, n)
+        phases = (x / mod) @ coords.T  # (b, size) of sum_j x_j g_j / m_j
+        out[start:stop] = np.exp(2j * np.pi * phases) @ cf
     return out
 
 
@@ -135,6 +143,34 @@ def naive_wht(values) -> np.ndarray:
             acc += vals[x] * sign
         out[g] = acc / size
     return out
+
+
+def fwht_butterfly(values) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform by the radix-2 butterfly, one
+    level per bit (the library's transform before the Kronecker-factored
+    one)."""
+    a = np.array(values, copy=True)
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2, h)
+        top = a[:, 0, :].copy()
+        a[:, 0, :] = top + a[:, 1, :]
+        a[:, 1, :] = top - a[:, 1, :]
+        a = a.reshape(size)
+        h *= 2
+    return a
+
+
+def annihilator_mask_rows(n: int, basis) -> np.ndarray:
+    """Boolean mask over F2^n of the gamma orthogonal to every basis row,
+    one parity pass over all of F2^n per row."""
+    gammas = np.arange(1 << n, dtype=np.uint64)
+    mask = np.ones(1 << n, dtype=bool)
+    for row in basis:
+        parity = np.bitwise_count(gammas & np.uint64(row)) & 1
+        mask &= parity == 0
+    return mask
 
 
 def naive_convolve(moduli, f, g) -> np.ndarray:

@@ -108,6 +108,22 @@ def test_parity_chain_transcript_densities_and_quality():
     assert sel.transcript.b == 1.0
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_parity_chain_joint_spectrum_is_exactly_signed(n):
+    # each player set is a half-space: its spectrum is 1 at 0, +-1 at the
+    # mask and 0 elsewhere, and so is every product of them, exactly
+    N = 10 * n
+    f = zoo_function("parity", n=n)
+    cfg = ReductionConfig(players=N, transcript_trials=8, target_q=1.0, seed=3)
+    sel = sample_and_select_transcript(
+        zoo_protocol("parity-chain", n=n)(N + 1), f, Distribution.uniform(f.group), cfg, "exact"
+    )
+    joint = sel.player_sets.joint().coeffs
+    assert joint.dtype == np.float64
+    assert np.all(np.isin(joint, (-1.0, 0.0, 1.0)))
+    assert joint[0] == 1.0 and np.count_nonzero(joint) > 1
+
+
 def test_zero_trial_budget_errors():
     f = zoo_function("parity", n=4)
     family = zoo_protocol("constant", n=4)
@@ -471,6 +487,7 @@ def test_selected_transcript_matches_exhaustive_enumeration(case, seed):
     sel = sample_and_select_transcript(protocol, f, Distribution.uniform(group), cfg, "exact")
     messages = sel.transcript.messages
     assert sel.transcript.a == transcript_frequencies(protocol, N + 1)[messages]
+    assert sel.transcript.a == math.prod(sel.player_sets.densities)
     assert sel.transcript.b == pytest.approx(float(transcript_success(protocol, f.values)[messages]), abs=1e-9)
     for i, ind in enumerate(sel.player_sets.indicators):
         members = [x for x in range(group.size) if protocol.msg_fns[i](x, messages[:i], 0) == messages[i]]

@@ -19,6 +19,7 @@ from modsketch.fourier import (
     ChangBoundError,
     DenseFunction,
     DissociationLimitError,
+    Spectrum,
     TransformLimitError,
     annihilator,
     averaged_shift,
@@ -35,11 +36,14 @@ from modsketch.fourier import (
 )
 
 from oracles import (
+    annihilator_mask_rows,
     exhaustive_annihilator,
+    fwht_butterfly,
     group_decode,
     is_dissociated_bruteforce,
     naive_convolve,
     naive_dft,
+    naive_inverse_dft,
     naive_wht,
     shift_average_oracle,
 )
@@ -358,3 +362,92 @@ def test_mixing_gap_rejects_non_unit_values():
     V = rank_basis([], 3)
     with pytest.raises(ValueError):
         mixing_gap(joint_spectrum(spec, Counter(inds)), V, DenseFunction(spec, np.full(8, 0.5)))
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+
+@st.composite
+def _f2_values(draw):
+    """A function on F2^n, n = 1..10, with real or complex values."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=1 << n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=1 << n)
+    return GroupSpec.boolean(n), values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_f2_values())
+def test_wht_matches_defining_sums(case):
+    spec, values = case
+    sp = transform(DenseFunction(spec, values))
+    assert _rel_err(sp.coeffs, naive_dft(spec.moduli, values)) <= 1e-12
+    back = inverse_transform(sp)
+    assert _rel_err(back.values, naive_inverse_dft(spec.moduli, sp.coeffs)) <= 1e-12
+    # round trip: the inverse gives f back, in f's own kind of values
+    assert np.iscomplexobj(back.values) == np.iscomplexobj(values)
+    assert _rel_err(back.values, values) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_factored_wht_equals_butterfly_on_indicators(n):
+    # 0/1 inputs keep every partial sum an integer, so the two agree exactly
+    rng = np.random.default_rng(n)
+    spec = GroupSpec.boolean(n)
+    bits = (rng.random(spec.size) < 0.3).astype(np.float64)
+    want = fwht_butterfly(bits.astype(np.complex128))
+    assert not np.any(want.imag)
+    got = transform(DenseFunction(spec, bits)).coeffs
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want.real / spec.size)
+    back = inverse_transform(Spectrum(spec, bits)).values
+    assert np.array_equal(back, want.real)
+
+
+def test_transform_dtype_contract():
+    rng = np.random.default_rng(5)
+    f2 = GroupSpec.boolean(6)
+    real = DenseFunction(f2, rng.normal(size=64))
+    assert transform(real).coeffs.dtype == np.float64
+    assert inverse_transform(transform(real)).values.dtype == np.float64
+    assert transform(DenseFunction(f2, np.arange(64) % 3)).coeffs.dtype == np.float64
+    cplx = DenseFunction(f2, np.exp(1j * rng.normal(size=64)))
+    assert transform(cplx).coeffs.dtype == np.complex128
+    assert inverse_transform(transform(cplx)).values.dtype == np.complex128
+    z3 = GroupSpec.cyclic_power(3, 3)
+    real3 = DenseFunction(z3, rng.normal(size=27))
+    assert transform(real3).coeffs.dtype == np.complex128
+    assert inverse_transform(transform(real3)).values.dtype == np.complex128
+    # the joint spectrum multiplies in the dtype of its bases
+    inds = Counter([normalized_indicator(f2, [0, 3, 9]), normalized_indicator(f2, range(32))])
+    assert joint_spectrum(f2, inds).coeffs.dtype == np.float64
+    inds3 = Counter([normalized_indicator(z3, [0, 4])])
+    assert joint_spectrum(z3, inds3).coeffs.dtype == np.complex128
+
+
+def test_heavy_weights_read_alike_for_both_dtypes():
+    spec = GroupSpec.boolean(7)
+    ind = normalized_indicator(spec, [1, 5, 6, 40, 77, 100])
+    real = ind.spectrum()
+    as_complex = Spectrum(spec, real.coeffs.astype(np.complex128))
+    assert np.array_equal(np.abs(real.coeffs) ** 2, np.abs(as_complex.coeffs) ** 2)
+    assert real.energy() == as_complex.energy()
+
+
+@st.composite
+def _f2_subspaces(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    return n, rank_basis(rows, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_f2_subspaces())
+def test_dual_annihilator_mask_matches_row_oracle(case):
+    n, V = case
+    got = dual_annihilator_mask(GroupSpec.boolean(n), V)
+    assert np.array_equal(got, annihilator_mask_rows(n, V.basis))
+    assert int(got.sum()) == 1 << (n - V.dim)

@@ -534,3 +534,27 @@ def test_serialization_format_v1_golden():
     ]
     for sk, text in golden:
         assert serialize_sketch(sk) == json.dumps(json.loads(text), indent=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(3,), (2, 2, 2), (5, 4), (2,) * 10]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.9),
+    st.integers(2, 40),
+)
+def test_distribution_sample_draws_what_choices_draws(moduli, seed, zero_share, count):
+    # bisecting the kept cumulative weights reproduces rng.choices draw for
+    # draw from the same state, zero weights included
+    group = GroupSpec(moduli)
+    gen = np.random.default_rng(seed)
+    weights = gen.random(group.size) * (gen.random(group.size) >= zero_share)
+    weights[gen.integers(group.size)] += 0.5  # keep the sum positive
+    D = Distribution.from_weights(group, weights)
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(3):  # the second and third calls reuse the kept weights
+        draws = D.sample(got, count)
+        assert draws == want.choices(range(group.size), weights=D.probs, k=count)
+        assert all(type(x) is int and weights[x] > 0 for x in draws)
+    assert got.random() == want.random()
+
