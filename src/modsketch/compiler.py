@@ -16,7 +16,9 @@ per-distribution juntas into one distribution-free randomized sketch.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -286,10 +288,12 @@ def _sample_inputs(group: GroupSpec, D: Distribution, n_uniform: int, rng):
     """Draw x ~ D and uniform x_1..x_N; the extra player gets x - sum(x_i)."""
     x = D.sample(rng, 1)[0]
     xs = [rng.randrange(group.size) for _ in range(n_uniform)]
-    acc = 0
-    for xi in xs:
-        acc = group.add(acc, xi)
-    xs.append(group.sub(x, acc))
+    if group.is_boolean:  # the group sum over F2^n is an xor
+        xs.append(functools.reduce(operator.xor, xs, x))
+        return x, xs
+    moduli = np.asarray(group.moduli, dtype=np.int64)
+    coords = np.asarray(xs, dtype=np.int64)[:, None] // group.strides % moduli
+    xs.append(group.sub(x, int(coords.sum(axis=0) % moduli @ group.strides)))
     return x, xs
 
 
@@ -588,15 +592,18 @@ class JuntaResult:
     coset_deviation: float
 
 
-def _bucket_reduce(ids: np.ndarray, n_buckets: int, values: np.ndarray):
-    """(sum, min, max) of values per bucket."""
-    sums = np.zeros(n_buckets, dtype=np.float64)
-    np.add.at(sums, ids, values)
-    mins = np.full(n_buckets, np.inf)
-    maxs = np.full(n_buckets, -np.inf)
-    np.minimum.at(mins, ids, values)
-    np.maximum.at(maxs, ids, values)
-    return sums, mins, maxs
+def _bucket_extremes(values: np.ndarray, order: np.ndarray, starts: np.ndarray):
+    """(min, max) of values per bucket, from the stable sort `order` of the
+    bucket ids and each bucket's first position `starts` in it (the position
+    of the next bucket when empty); an empty bucket reads +inf and -inf."""
+    mins = np.full(len(starts), np.inf)
+    maxs = np.full(len(starts), -np.inf)
+    filled = np.flatnonzero(np.diff(starts, append=len(order)))
+    if len(filled):
+        by_bucket = values[order]
+        mins[filled] = np.minimum.reduceat(by_bucket, starts[filled])
+        maxs[filled] = np.maximum.reduceat(by_bucket, starts[filled])
+    return mins, maxs
 
 
 def build_junta(
@@ -620,7 +627,9 @@ def build_junta(
     ids, n_buckets = structure.sketch.buckets(), structure.complexity
     w_fn = averaged_shift(joint, tail.h, structure.invariant)
     w = w_fn.real_values(tol=1e-7)
-    _, mins, maxs = _bucket_reduce(ids, n_buckets, w)
+    order = np.argsort(ids, kind="stable")
+    starts = np.searchsorted(ids[order], np.arange(n_buckets))
+    mins, maxs = _bucket_extremes(w, order, starts)
     deviation = float(np.max(maxs - mins)) if n_buckets else 0.0
     if deviation > 1e-9:
         raise InvariantViolation(
@@ -629,14 +638,12 @@ def build_junta(
     if np.min(w) < -1e-9 or np.max(w) > 1 + 1e-9:
         raise InvariantViolation("build-junta", "averaged tail escapes [0,1]")
     w = np.clip(w, 0.0, 1.0)
-    order = np.argsort(ids, kind="stable")
-    first = order[np.searchsorted(ids[order], np.arange(n_buckets))]
-    bucket_w = w[first]
+    bucket_w = w[order[starts]]  # at each bucket's first member
 
     fv = f.real_values()
     if mode == "exact":
-        agree1, _, _ = _bucket_reduce(ids, n_buckets, D.probs * fv)
-        agree0, _, _ = _bucket_reduce(ids, n_buckets, D.probs * (1.0 - fv))
+        agree1 = np.bincount(ids, weights=D.probs * fv, minlength=n_buckets)
+        agree0 = np.bincount(ids, weights=D.probs * (1.0 - fv), minlength=n_buckets)
         post = np.where(
             agree1 > agree0, 1, np.where(agree0 > agree1, 0, (bucket_w >= 0.5).astype(int))
         )

@@ -10,12 +10,16 @@ A stream of (coordinate, increment) updates acts on a linear sketch only
 through its per-coordinate totals mod p, so the stream path reads updates
 in chunks of at most STREAM_CHUNK, sums each chunk by coordinate, and
 regenerates the rows of the distinct coordinates at once: its working
-memory is O(STREAM_CHUNK * s) whatever n and the stream length are.
+memory is O(STREAM_CHUNK * s) whatever n and the stream length are.  The
+sketch states of sketch.py sum their queued updates with the same
+function, _coordinate_totals.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,6 +69,7 @@ _LOG_TABLE_MAX_BITS = 16
 _FSM_TABLE_LIMIT = 1 << 20  # entries of an FSM transition table
 STREAM_CHUNK = 1 << 16  # updates read at once by the stream path
 _INT64_MAX = (1 << 63) - 1
+_SEED_DRAW = 1 << 16  # sampled seeds drawn per getrandbits call in fsm_distance
 
 
 def _check_field_bits(bits: int):
@@ -307,12 +312,7 @@ def fsm_distance(
     if exact:
         words = _seed_words(np.arange(1 << seed_bits, dtype=np.int64), block_bits, n_words)
     else:  # seeds wider than 64 bits: one little-endian byte row per seed
-        rng = derived_rng(seed, "fsm-distance")
-        nbytes = -(-seed_bits // 8)
-        raw = bytearray(samples * nbytes)  # filled in place: no per-seed objects kept
-        for at in range(0, len(raw), nbytes):
-            raw[at:at + nbytes] = rng.getrandbits(seed_bits).to_bytes(nbytes, "little")
-        seed_bytes = np.frombuffer(raw, dtype=np.uint8).reshape(samples, nbytes)
+        seed_bytes = _sampled_seed_bytes(derived_rng(seed, "fsm-distance"), seed_bits, samples)
         words = [_byte_word(seed_bytes, block_bits * w, block_bits) for w in range(n_words)]
     n_seeds = len(words[0])
     states = np.full(n_seeds, fsm.initial, dtype=np.int64)
@@ -324,6 +324,27 @@ def fsm_distance(
     )
     l1 = float(np.sum(np.abs(true_dist - prg_dist)))
     return FsmDistanceResult(l1, exact, n_seeds, true_dist, prg_dist, stderr)
+
+
+def _sampled_seed_bytes(rng, seed_bits: int, samples: int) -> np.ndarray:
+    """The seeds of `samples` successive rng.getrandbits(seed_bits) calls,
+    one little-endian byte row each, drawn _SEED_DRAW seeds per call.
+
+    getrandbits(k) takes w = ceil(k/32) 32-bit outputs, least significant
+    first, and keeps the top k % 32 bits of the last one; so one
+    getrandbits(32*w*m) yields the words of m seeds in the same order, and
+    shifting every w-th word right by 32 - k % 32 leaves each seed's own.
+    """
+    n_words, nbytes = -(-seed_bits // 32), -(-seed_bits // 8)
+    out = np.empty((samples, nbytes), dtype=np.uint8)
+    for lo in range(0, samples, _SEED_DRAW):
+        m = min(_SEED_DRAW, samples - lo)
+        raw = rng.getrandbits(32 * n_words * m).to_bytes(4 * n_words * m, "little")
+        words = np.frombuffer(raw, dtype="<u4").reshape(m, n_words).copy()
+        if seed_bits % 32:
+            words[:, -1] >>= 32 - seed_bits % 32
+        out[lo:lo + m] = words.view(np.uint8)[:, :nbytes]
+    return out
 
 
 def _byte_word(seed_bytes: np.ndarray, lo: int, bits: int) -> np.ndarray:
@@ -441,42 +462,59 @@ def _mod_matmul(totals: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _coordinate_totals(updates: Iterable[tuple[int, int]], n: int, moduli):
-    """By linearity, what a stream does to a sketch: for each run of at most
-    STREAM_CHUNK updates, yield (coords, totals, length) with coords the
-    distinct coordinates whose increments do not cancel, in increasing
-    order, and totals their summed increments reduced mod the coordinate's
-    modulus (an int, or an int64 array with one modulus per coordinate).
-
-    A coordinate outside [0, n) raises IndexError; an increment outside
-    int64 raises ValueError naming it rather than wrapping.
-    """
+def _stream_chunks(updates: Iterable[tuple[int, int]]):
+    """The stream as flat [coordinate, increment, coordinate, ...] lists of
+    at most STREAM_CHUNK updates each."""
     updates = iter(updates)
     while chunk := list(itertools.islice(updates, STREAM_CHUNK)):
-        try:
-            flat = np.fromiter(itertools.chain.from_iterable(chunk), np.int64)
-        except OverflowError:
-            for coord, inc in chunk:
-                if not 0 <= coord < n:
-                    raise IndexError(f"coordinate {coord} out of range") from None
-                if not -_INT64_MAX - 1 <= inc <= _INT64_MAX:
-                    raise ValueError(f"increment {inc} does not fit int64") from None
-            raise
+        flat = list(itertools.chain.from_iterable(chunk))
         if len(flat) != 2 * len(chunk):
             raise ValueError("every update must be a (coordinate, increment) pair")
-        coords, incs = flat[0::2], flat[1::2]
-        bad = (coords < 0) | (coords >= n)
-        if bad.any():
-            raise IndexError(f"coordinate {coords[bad.argmax()]} out of range")
-        coords, inverse = np.unique(coords, return_inverse=True)
-        mod = moduli[coords] if np.ndim(moduli) else np.full(len(coords), moduli)
-        if mod.max() > _INT64_MAX // STREAM_CHUNK:  # sums may overflow int64
-            incs, mod = incs.astype(object), mod.astype(object)
-        totals = np.zeros(len(coords), dtype=mod.dtype)
-        np.add.at(totals, inverse, incs % mod[inverse])
-        totals = (totals % mod).astype(np.int64)
-        keep = totals != 0
-        yield coords[keep], totals[keep], len(chunk)
+        yield flat
+
+
+def _int64_pairs(flat: list, n: int) -> np.ndarray:
+    """A flat [coordinate, increment, ...] list as one int64 array, checked
+    as a whole before anything uses it.  A value that is not an integer (by
+    operator.index: bools and numpy integers are, floats and strings are
+    not) raises TypeError, a coordinate outside [0, n) IndexError and an
+    increment outside int64 ValueError, each naming the first such value.
+    """
+    try:
+        pairs = np.frombuffer(array.array("q", flat), dtype=np.int64)
+    except (TypeError, OverflowError):
+        pairs = None  # a value to name, found by the scan below
+    if pairs is None or not ((pairs[0::2] >= 0) & (pairs[0::2] < n)).all():
+        for at, value in enumerate(flat):
+            what = "increment" if at % 2 else "coordinate"
+            try:
+                number = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{what} {value!r} is not an integer") from None
+            if not at % 2 and not 0 <= number < n:
+                raise IndexError(f"coordinate {number} out of range")
+            if at % 2 and not -_INT64_MAX - 1 <= number <= _INT64_MAX:
+                raise ValueError(f"increment {number} does not fit int64")
+    return pairs
+
+
+def _coordinate_totals(flat: list, n: int, moduli) -> tuple[np.ndarray, np.ndarray]:
+    """By linearity, what a run of updates does to a sketch: (coords,
+    totals), coords the distinct coordinates whose increments do not
+    cancel, in increasing order, and totals their summed increments
+    reduced mod the coordinate's modulus (an int, or an int64 array with
+    one modulus per coordinate).  `flat` is checked first (_int64_pairs)."""
+    pairs = _int64_pairs(flat, n)
+    coords, incs = pairs[0::2], pairs[1::2]
+    coords, inverse = np.unique(coords, return_inverse=True)
+    mod = moduli[coords] if np.ndim(moduli) else np.full(len(coords), moduli)
+    if mod.max() > _INT64_MAX // len(incs):  # the sums may overflow int64
+        incs, mod = incs.astype(object), mod.astype(object)
+    totals = np.zeros(len(coords), dtype=mod.dtype)
+    np.add.at(totals, inverse, incs % mod[inverse])
+    totals = (totals % mod).astype(np.int64)
+    keep = totals != 0
+    return coords[keep], totals[keep]
 
 
 def derandomized_apply(
@@ -486,11 +524,13 @@ def derandomized_apply(
     demand: per chunk of updates, the rows of the distinct coordinates are
     regenerated at once and applied to their increment totals mod p.  The
     result is order-invariant because coordinate contributions commute.
-    Increments must fit int64 (ValueError otherwise); working memory is
+    Coordinates and increments must be integers (TypeError otherwise) and
+    increments must fit int64 (ValueError otherwise); working memory is
     O(STREAM_CHUNK * s), independent of n and of the stream length.
     """
     p = template.p
     state = np.zeros(template.s, dtype=np.int64)
-    for coords, totals, _ in _coordinate_totals(updates, template.n, p):
+    for flat in _stream_chunks(updates):
+        coords, totals = _coordinate_totals(flat, template.n, p)
         state = (state + _mod_matmul(totals, _template_rows(template, coords), p)) % p
     return state

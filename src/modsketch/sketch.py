@@ -9,6 +9,11 @@ returns (values, bucket).  A randomized sketch is a finite, exactly
 weighted distribution over deterministic ones.  Sketches can be
 evaluated offline, maintained online through update streams, measured
 exactly or by Monte Carlo, and serialized to a versioned JSON text format.
+
+A stream acts on a sketch only through each coordinate's increment total
+mod its modulus, so a SketchState queues updates and steps once per
+distinct coordinate of the queue (prg._coordinate_totals, as
+derandomized_apply does); apply_stream feeds it one chunk at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .algebra import GroupSpec, SubgroupEnum, dot_f2
 from .fourier import DenseFunction
-from .prg import _coordinate_totals
+from . import prg
 from .seeding import derived_rng
 
 __all__ = [
@@ -306,43 +311,80 @@ def bernoulli_round(sketch: Sketch, seed: int = 0) -> Sketch:
 
 
 class SketchState:
-    """Online state of one sketch under a stream of updates (single writer)."""
+    """Online state of one sketch under a stream of updates (single writer).
+
+    apply(coordinate, increment) checks the coordinate at once (IndexError
+    outside [0, n)) and queues the update.  The queue is flushed when it
+    holds prg.STREAM_CHUNK updates (as set when the state is made) and on
+    every values() / output(): by linearity the flush sums the queue per
+    coordinate mod the moduli and steps the sketch once per distinct
+    coordinate, so working memory is O(STREAM_CHUNK).  `updates` counts
+    every accepted update, queued or stepped.
+
+    A flush checks the whole queue before it steps anything.  An increment
+    outside int64 (ValueError) or a coordinate or increment that is not an
+    integer (TypeError) makes it raise, naming the first bad value; none of
+    the queued updates is applied and the queue is emptied, so the state
+    reads, and counts, as it did before that queue.
+    """
 
     def __init__(self, sketch: Sketch):
         self.sketch = sketch
-        self.updates = 0
         self.n = sketch.group.n
         self._step, self._read = sketch.stepper()
+        self._moduli = np.asarray(sketch.group.moduli, dtype=np.int64)
+        self._queue = []  # flat: coordinate, increment, coordinate, ...
+        self._limit = 2 * prg.STREAM_CHUNK
+        self._stepped = 0
+
+    @property
+    def updates(self) -> int:
+        return self._stepped + len(self._queue) // 2
 
     def apply(self, coordinate: int, increment: int):
-        if not 0 <= coordinate < self.n:
-            raise IndexError(f"coordinate {coordinate} out of range")
-        self.updates += 1
-        self._step(coordinate, increment)
+        try:
+            if not 0 <= coordinate < self.n:
+                raise IndexError(f"coordinate {coordinate} out of range")
+        except TypeError:
+            raise TypeError(f"coordinate {coordinate!r} is not an integer") from None
+        queue = self._queue
+        queue.append(coordinate)
+        queue.append(increment)
+        if len(queue) >= self._limit:
+            self._flush()
+
+    def _flush(self):
+        flat, self._queue = self._queue, []
+        if flat:
+            coords, totals = prg._coordinate_totals(flat, self.n, self._moduli)
+            for coord, total in zip(coords.tolist(), totals.tolist()):
+                self._step(coord, total)
+            self._stepped += len(flat) // 2
 
     def values(self):
         """The maintained linear image of the accumulated input."""
+        self._flush()
         return self._read()[0]
 
     def output(self):
+        self._flush()
         return self.sketch.post[self._read()[1]]
 
 
 def apply_stream(sketch: Sketch, updates: Iterable[tuple[int, int]]) -> SketchState:
-    """Run a sequence of (coordinate, increment) updates through a sketch.
+    """Run a sequence of (coordinate, increment) updates through a sketch:
+    a SketchState fed one chunk of at most STREAM_CHUNK updates at a time.
 
     The state depends only on each coordinate's increment total mod its
     modulus (F2 and Z_p images are linear; an H-invariant coset step only
-    sees x mod H), so the stream is read in bounded chunks and each chunk
-    steps once per distinct coordinate; `updates` counts every update.
-    Increments must fit int64 (ValueError otherwise).
+    sees x mod H), so each chunk steps once per distinct coordinate.
+    Raises as a SketchState flush does, and IndexError for a coordinate
+    outside [0, n).
     """
     state = SketchState(sketch)
-    moduli = np.asarray(sketch.group.moduli, dtype=np.int64)
-    for coords, totals, length in _coordinate_totals(updates, state.n, moduli):
-        for coord, total in zip(coords.tolist(), totals.tolist()):
-            state._step(coord, total)
-        state.updates += length
+    for flat in prg._stream_chunks(updates):
+        state._queue = flat
+        state._flush()
     return state
 
 

@@ -302,6 +302,36 @@ def derandomized_apply_per_update(template, updates) -> list[int]:
     return state
 
 
+def step_stream(sketch, updates):
+    """(values, output) after driving the sketch's stepper once per update,
+    in stream order, with no queue, chunk or per-coordinate total."""
+    step, read = sketch.stepper()
+    for coord, inc in updates:
+        step(coord, inc)
+    values, bucket = read()
+    return values, sketch.post[bucket]
+
+
+def seed_bytes_per_sample(rng, seed_bits: int, samples: int) -> np.ndarray:
+    """One rng.getrandbits(seed_bits) call per sample, each seed written as
+    a little-endian byte row."""
+    nbytes = -(-seed_bits // 8)
+    raw = b"".join(rng.getrandbits(seed_bits).to_bytes(nbytes, "little") for _ in range(samples))
+    return np.frombuffer(raw, dtype=np.uint8).reshape(samples, nbytes)
+
+
+def bucket_reduce(ids, n_buckets: int, values):
+    """(sum, min, max) of values per bucket by unbuffered scatter: an empty
+    bucket reads 0, +inf and -inf."""
+    sums = np.zeros(n_buckets, dtype=np.float64)
+    np.add.at(sums, ids, values)
+    mins = np.full(n_buckets, np.inf)
+    maxs = np.full(n_buckets, -np.inf)
+    np.minimum.at(mins, ids, values)
+    np.maximum.at(maxs, ids, values)
+    return sums, mins, maxs
+
+
 def accumulate_stream(n: int, p: int, updates) -> list[int]:
     """Offline fold of an update stream into the input vector."""
     x = [0] * n

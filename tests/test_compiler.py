@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modsketch import compiler
 from modsketch import protocol as protocol_module
 from modsketch.algebra import GroupSpec, orthogonal_complement, rank_basis
 from modsketch.compiler import (
@@ -32,7 +33,7 @@ from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
 from modsketch.sketch import Distribution
 from modsketch.zoo import zoo_fsm, zoo_function, zoo_protocol
 
-from oracles import transcript_frequencies, transcript_success
+from oracles import bucket_reduce, group_add, group_sub, transcript_frequencies, transcript_success
 from test_protocol import random_fsms
 
 
@@ -713,3 +714,37 @@ def test_report_serializes_to_plain_json():
     assert back["cost"] == 1
     assert back["transcript_probability"] == f"1/{2**50}"
     assert back["checks"]["quality-transfer"]["ok"] is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4), st.integers(0, 12), st.integers(0, 2**32))
+def test_sample_inputs_matches_group_add_fold(moduli, n_uniform, seed):
+    # the rng draws are those of one D.sample and n_uniform randrange calls,
+    # and the last input is x minus the fold of the uniform ones
+    group = GroupSpec(moduli)
+    D = Distribution.uniform(group)
+    x, xs = compiler._sample_inputs(group, D, n_uniform, random.Random(seed))
+    draw = random.Random(seed)
+    assert x == D.sample(draw, 1)[0]
+    assert xs[:-1] == [draw.randrange(group.size) for _ in range(n_uniform)]
+    acc = 0
+    for xi in xs[:-1]:
+        acc = group_add(moduli, acc, xi)
+    assert xs[-1] == group_sub(moduli, x, acc)
+    assert type(xs[-1]) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_bucket_sums_and_extremes_match_scatter_oracle(n_buckets, data):
+    # ids leave some buckets empty (first, middle or last); sums are
+    # bincount's, extremes come from one stable sort of the ids
+    ids = np.asarray(data.draw(st.lists(st.integers(0, n_buckets - 1), min_size=1, max_size=60)))
+    values = np.asarray(data.draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=len(ids), max_size=len(ids))))
+    order = np.argsort(ids, kind="stable")
+    starts = np.searchsorted(ids[order], np.arange(n_buckets))
+    sums, mins, maxs = bucket_reduce(ids, n_buckets, values)
+    got_mins, got_maxs = compiler._bucket_extremes(values, order, starts)
+    assert np.bincount(ids, weights=values, minlength=n_buckets).tobytes() == sums.tobytes()
+    assert got_mins.tobytes() == mins.tobytes() and got_maxs.tobytes() == maxs.tobytes()

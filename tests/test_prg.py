@@ -22,7 +22,13 @@ from modsketch.prg import (
 )
 from modsketch.seeding import derived_rng
 
-from oracles import accumulate_stream, derandomized_apply_per_update, fsm_true_distribution, prg_expand_tree
+from oracles import (
+    accumulate_stream,
+    derandomized_apply_per_update,
+    fsm_true_distribution,
+    prg_expand_tree,
+    seed_bytes_per_sample,
+)
 
 
 def test_gf2_field_properties():
@@ -364,3 +370,32 @@ def test_fsm_distance_sampled_seed_words_straddle_bytes():
                   for _ in range(400)]
         assert not res.exact and res.samples == 400
         assert np.array_equal(res.prg_dist, np.bincount(finals, minlength=3) / 400)
+
+
+@pytest.mark.parametrize("seed_bits", [1, 8, 31, 32, 33, 40, 64, 72, 96, 100, 200])
+def test_one_draw_seeds_equal_per_sample_draws(seed_bits):
+    # one getrandbits call for many seeds must give the bytes of one call per
+    # seed, and leave the rng where the per-seed calls leave it
+    for samples in (0, 1, 7, 1000):
+        rng, draw = random.Random(seed_bits), random.Random(seed_bits)
+        got = prg._sampled_seed_bytes(rng, seed_bits, samples)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, seed_bytes_per_sample(draw, seed_bits, samples))
+        assert rng.getrandbits(64) == draw.getrandbits(64)
+
+
+@pytest.mark.parametrize("seed_bits", [8, 33, 72])
+def test_one_draw_seeds_continue_across_draws(seed_bits):
+    samples = prg._SEED_DRAW + 5
+    got = prg._sampled_seed_bytes(random.Random(seed_bits), seed_bits, samples)
+    assert np.array_equal(got, seed_bytes_per_sample(random.Random(seed_bits), seed_bits, samples))
+
+
+def test_derandomized_apply_rejects_non_integer_updates():
+    t = RowTemplate(4, 2, 3, 8, 0)
+    for update, name in (((0, 1.5), "increment 1.5"), ((1.9, 1), "coordinate 1.9"), (("2", 1), "coordinate '2'")):
+        with pytest.raises(TypeError, match=f"{name} is not an integer"):
+            derandomized_apply(t, [(0, 1), update])
+    updates = [(0, 1), (1, 2), (3, 1)]
+    assert derandomized_apply(t, [(np.int64(c), np.int8(i)) for c, i in updates]).tolist() == \
+        derandomized_apply_per_update(t, updates)

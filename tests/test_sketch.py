@@ -30,7 +30,7 @@ from modsketch.sketch import (
     success_probability,
 )
 
-from oracles import accumulate_stream, group_add, group_encode
+from oracles import accumulate_stream, group_add, group_encode, step_stream
 
 
 def parity_junta(n: int) -> LinearJuntaF2:
@@ -204,6 +204,67 @@ def test_apply_stream_rejects_malformed_updates():
             apply_stream(sk, [(0, 1, 1), (1, 1)])
 
 
+def test_non_integer_updates_raise_type_error():
+    sk = ZpJunta(2, 3, ((1, 2),), (0, 1, 1))
+    for update, name in (((0, 1.5), "increment 1.5"), ((1.9, 1), "coordinate 1.9"),
+                         (("2", 1), "coordinate '2'"), ((0, "2"), "increment '2'")):
+        with pytest.raises(TypeError, match=f"{name} is not an integer"):
+            apply_stream(sk, [(0, 1), update])
+    state = SketchState(sk)
+    state.apply(0, 1.5)
+    with pytest.raises(TypeError, match="increment 1.5 is not an integer"):
+        state.values()
+    # bools and numpy integers are integers
+    want = apply_stream(sk, [(0, 1), (1, 2), (1, 1)])
+    got = apply_stream(sk, [(False, True), (np.int8(1), np.uint64(2)), (np.int64(1), 1)])
+    assert (got.values(), got.output(), got.updates) == (want.values(), want.output(), 3)
+
+
+@pytest.mark.parametrize("bad", [(0, 2**63), (0, -(2**63) - 1), (0, 1.5), (1, "1")])
+def test_failed_flush_applies_none_of_its_queue(bad):
+    # a read flushes the queue; a bad value in it raises there, applies none
+    # of the queued updates and empties the queue
+    for sk in (parity_junta(4), ZpJunta(2, 3, ((1, 2),), (0, 1, 1)),
+               HInvariantSketch(subgroup_generated(GroupSpec((4, 6)), [2 + 4 * 3]), tuple(range(12)))):
+        state = SketchState(sk)
+        state.apply(0, 1)
+        state.apply(1, 3)
+        before = (state.values(), state.output())
+        for coord, inc in ((0, 1), (1, 1), bad, (1, 2)):
+            state.apply(coord, inc)
+        assert state.updates == 6
+        with pytest.raises(ValueError if isinstance(bad[1], int) else TypeError, match=repr(bad[1])):
+            state.values()
+        assert state.updates == 2
+        assert (state.values(), state.output()) == before
+        state.apply(0, 1)
+        assert (state.values(), state.output(), state.updates) == (*step_stream(sk, [(0, 1), (1, 3), (0, 1)]), 3)
+
+
+def test_full_queue_flushes_at_the_apply_that_fills_it():
+    sk = ZpJunta(2, 3, ((1, 2),), (0, 1, 1))
+    with mock.patch.object(prg, "STREAM_CHUNK", 3):
+        state = SketchState(sk)
+    state.apply(0, 1)
+    state.apply(1, 2**63)
+    with pytest.raises(ValueError, match="increment 9223372036854775808 does not fit int64"):
+        state.apply(1, 1)
+    assert state.updates == 0 and state.values() == (0,)
+    for _ in range(4):
+        state.apply(0, 1)
+    assert state.updates == 4 and state.values() == (1,)
+
+
+def test_apply_checks_the_coordinate_at_the_call():
+    state = SketchState(parity_junta(4))
+    for coord in (4, -1):
+        with pytest.raises(IndexError, match=f"coordinate {coord} out of range"):
+            state.apply(coord, 1)
+    with pytest.raises(TypeError, match="coordinate '2' is not an integer"):
+        state.apply("2", 1)
+    assert state.updates == 0
+
+
 def test_apply_stream_longer_than_a_chunk_matches_per_update_apply():
     rng = np.random.default_rng(12)
     n, p = 16, 5
@@ -211,11 +272,8 @@ def test_apply_stream_longer_than_a_chunk_matches_per_update_apply():
                  tuple(rng.integers(0, 2, p**3).tolist()))
     length = prg.STREAM_CHUNK + 999
     updates = list(zip(rng.integers(0, n, length).tolist(), rng.integers(-9, 10, length).tolist()))
-    state, stepped = apply_stream(sk, updates), SketchState(sk)
-    for coord, inc in updates:
-        stepped.apply(coord, inc)
-    assert (state.values(), state.output(), state.updates) == \
-        (stepped.values(), stepped.output(), stepped.updates) and state.updates == length
+    state = apply_stream(sk, updates)
+    assert (state.values(), state.output(), state.updates) == (*step_stream(sk, updates), length)
 
 
 def test_success_probability_perfect_parity():
@@ -501,13 +559,30 @@ def test_apply_stream_matches_per_update_apply_across_chunks(case, data):
     n = len(moduli)
     incs = st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1))
     updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1), incs), max_size=40))
-    stepped = SketchState(sk)
-    for coord, inc in updates:
-        stepped.apply(coord, inc)
     with mock.patch.object(prg, "STREAM_CHUNK", data.draw(st.integers(1, 6))):
         state = apply_stream(sk, updates)
-    assert (state.values(), state.output(), state.updates) == \
-        (stepped.values(), stepped.output(), len(updates))
+    assert (state.values(), state.output(), state.updates) == (*step_stream(sk, updates), len(updates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sketches(), st.data())
+def test_queued_apply_reads_match_stepping_every_prefix(case, data):
+    # the queue flushes when full (a chunk of 1-6 updates here) and on every
+    # read; each read must be the state after stepping the whole prefix
+    sk, moduli = case
+    n = len(moduli)
+    incs = st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1))
+    updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1), incs), max_size=30))
+    reads = set(data.draw(st.lists(st.integers(0, len(updates)), max_size=6)))
+    with mock.patch.object(prg, "STREAM_CHUNK", data.draw(st.integers(1, 6))):
+        state = SketchState(sk)
+    for at in range(len(updates) + 1):
+        if at in reads:
+            assert state.updates == at
+            assert (state.values(), state.output()) == step_stream(sk, updates[:at])
+        if at < len(updates):
+            state.apply(*updates[at])
+    assert (state.values(), state.output(), state.updates) == (*step_stream(sk, updates), len(updates))
 
 
 @settings(max_examples=60, deadline=None)
