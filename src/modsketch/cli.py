@@ -109,6 +109,8 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
         kind = raw.get("experiment")
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(
@@ -184,7 +186,7 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
     red = cfg.get("reduction")
     if not isinstance(red, dict) or "players" not in red:
         raise ConfigError("config needs reduction: {players, ...}")
-    return ReductionConfig(
+    fields = dict(
         players=_int_field(red, "players", 0, 1),
         transcript_trials=_int_field(red, "trials", 64, 1),
         target_q=_float_field(red, "target_q", 0.0),
@@ -192,6 +194,10 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
         seed=seed,
         dissociated_limit=_int_field(red, "dissociated_limit", 16, 0),
     )
+    try:
+        return ReductionConfig(**fields)
+    except ValueError as e:
+        raise ConfigError(f"bad reduction settings: {e}") from e
 
 
 def _variant(cfg: dict, group: GroupSpec) -> str:

@@ -115,6 +115,10 @@ class ReductionConfig:
             raise ValueError("negative trial budget")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        for name in ("target_q", "target_eps"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
     def resolved_delta(self) -> Fraction:
         if self.delta is not None:

@@ -5,17 +5,17 @@ fhat(gamma) = E_x f(x) * conj(gamma(x)), so the point mass |G|*1_{0} has
 all-ones spectrum and f(x) = sum_gamma fhat(gamma) * gamma(x).
 Convolution is (f*g)(x) = E_y f(y) g(x-y), hence hat(f*g) = fhat * ghat.
 
-Over F2^n every character is +-1, so real functions have real spectra:
-their transforms stay float64 end to end, through a Walsh-Hadamard
-transform factored as a Kronecker product of small Hadamard blocks, each
-applied as one matrix product.  Complex functions on F2^n go through the
-same real pass on their float64 view, and general mixed-radix groups use
-per-coordinate FFTs (numpy) in complex128.
+Every transform, forward or inverse and on any group, factors the DFT
+matrix of G as a Kronecker product of small DFT blocks, each applied as
+one matrix product.  Over F2^n the blocks are real Hadamard matrices, so
+real functions keep float64 spectra end to end and complex ones take the
+same real pass over their float64 view; other groups use complex128.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +53,11 @@ __all__ = [
 ]
 
 TRANSFORM_SIZE_LIMIT = 1 << 20
-# Largest Hadamard block of the factored WHT, in bits.  Timed on one BLAS
-# thread at sizes 2^13 to 2^20, 2^5 was as fast as 2^6 or faster, and
-# faster than 2^7 and 2^8; smaller blocks were not faster overall.
-WHT_BLOCK_BITS = 5
+# Largest order m^k of a block of the factored transform.  On one BLAS
+# thread at 2^13 to 2^20, Hadamard blocks of 2^5 were as fast as 2^6 or
+# faster, faster than 2^7 and 2^8, and not slower than smaller ones; on
+# Z_3^12, Z_4^9 and Z_5^8 block orders from 9 to 64 timed alike.
+DFT_BLOCK_ORDER = 32
 DISSOCIATED_DEFAULT_LIMIT = 16
 CHANG_DEFAULT_CONSTANT = 8.0
 
@@ -111,8 +112,8 @@ class Spectrum:
     coeffs are float64 when given real values and complex128 otherwise.
     transform() gives float64 exactly for a real function on an all-2
     group (every character is +-1), and complex128 for complex input and
-    on every other group; inverse_transform() maps a float64 spectrum back
-    to real values.
+    on every other group; inverse_transform() maps a float64 spectrum on
+    an all-2 group back to real values.
     """
 
     group: GroupSpec
@@ -131,44 +132,56 @@ class Spectrum:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-@functools.cache
-def _hadamard(bits: int) -> np.ndarray:
-    """The unnormalized Sylvester-Hadamard matrix of order 2^bits (read-only)."""
-    h = np.ones((1, 1))
-    for _ in range(bits):
-        h = np.block([[h, h], [h, -h]])
-    h.flags.writeable = False
-    return h
+def _blocks(moduli: Sequence[int]) -> list[tuple[int, int]]:
+    """The Kronecker factors (m, k), F_{m^k} over k coordinates of modulus m,
+    of the DFT of prod_j Z_{m_j}, from the highest coordinate down: each run
+    of equal moduli split as evenly as possible into the fewest blocks of
+    order m^k <= DFT_BLOCK_ORDER (one coordinate at least), larger first."""
+    out = []
+    for m, run in itertools.groupby(reversed(moduli)):
+        n, most = len(list(run)), 1
+        while m ** (most + 1) <= DFT_BLOCK_ORDER:
+            most += 1
+        parts = -(-n // most)
+        q, r = divmod(n, parts)
+        out += [(m, q + 1)] * r + [(m, q)] * (parts - r)
+    return out
 
 
-def _block_bits(n: int) -> list[int]:
-    """n split into the fewest parts of at most WHT_BLOCK_BITS, as even as possible."""
-    parts = -(-n // WHT_BLOCK_BITS)
-    q, r = divmod(n, parts)
-    return [q + 1] * r + [q] * (parts - r)
+@functools.lru_cache(maxsize=32)
+def _dft_block(m: int, k: int, inverse: bool) -> np.ndarray:
+    """The unnormalized DFT matrix exp(-+2 pi i <x, gamma> / m) of Z_m^k
+    (read-only): for m = 2 the real Sylvester-Hadamard matrix."""
+    if m * m > TRANSFORM_SIZE_LIMIT:
+        raise TransformLimitError(f"modulus {m} needs a DFT block of {m * m} > {TRANSFORM_SIZE_LIMIT} entries")
+    coords = GroupSpec.cyclic_power(m, k).coords_matrix()
+    pairing = coords @ coords.T % m
+    block = 1.0 - 2.0 * pairing if m == 2 else np.exp((2j if inverse else -2j) * np.pi / m * pairing)
+    block.flags.writeable = False
+    return block
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of 2^n values: float64 for
-    real input, complex128 for complex input, which takes the same real
-    pass over its float64 view (a trailing axis of 2 that rides along).
+def _kron_transform(values: np.ndarray, moduli: Sequence[int], inverse: bool) -> np.ndarray:
+    """Unnormalized DFT (inverse: conjugate characters) of values on prod_j Z_{m_j}.
 
-    H_{2^n} is the Kronecker product of blocks H_{2^k} with k <= WHT_BLOCK_BITS.
-    Each pass views the array as (2^k, rest), applies its block to the
-    leading axis with one matrix product, rest^T @ H, and so leaves that
-    axis last: after every block the axes are back in order, with the
-    trailing axis moved to the front.
+    Each pass views the array as (m^k, rest) and applies its block to the
+    leading axis with one matrix product, rest^T @ F, which leaves that
+    axis last: after every block the axes are back in order.  With real
+    blocks only (all-2 groups) real input stays float64, and complex input
+    takes the same real pass over its float64 view (a trailing axis of 2
+    that rides along and ends up in front); otherwise the pass is complex128.
     """
-    is_complex = np.iscomplexobj(values)
-    if is_complex:
+    blocks = [_dft_block(m, k, inverse) for m, k in _blocks(moduli)]
+    real = all(block.dtype == np.float64 for block in blocks)
+    if as_view := real and np.iscomplexobj(values):
         x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
     else:
-        x = np.asarray(values, dtype=np.float64)
+        x = np.asarray(values, dtype=np.float64 if real else np.complex128)
     size = len(values)
-    for bits in _block_bits(size.bit_length() - 1):
-        x = x.reshape(1 << bits, -1).T @ _hadamard(bits)
+    for block in blocks:
+        x = x.reshape(len(block), -1).T @ block
     x = x.reshape(-1, size).T
-    if is_complex:
+    if as_view:
         return np.ascontiguousarray(x).view(np.complex128).reshape(size)
     return x.reshape(size)
 
@@ -181,31 +194,17 @@ def _check_size(group: GroupSpec):
 
 
 def transform(f: DenseFunction) -> Spectrum:
-    """Fourier transform: the factored WHT over F2^n (float64 for real
-    values), a complex mixed-radix FFT otherwise."""
+    """Fourier transform fhat(gamma) = E_x f(x) conj(gamma(x)), float64 for
+    real values on an all-2 group and complex128 otherwise."""
     _check_size(f.group)
-    group = f.group
-    if group.is_boolean:
-        coeffs = _fwht(f.values) / group.size
-    else:
-        shape = group.moduli[::-1]  # coordinate 0 is the fastest-varying axis
-        grid = f.values.astype(np.complex128).reshape(shape)
-        coeffs = np.fft.fftn(grid).reshape(group.size) / group.size
-    return Spectrum(group, coeffs)
+    return Spectrum(f.group, _kron_transform(f.values, f.group.moduli, False) / f.group.size)
 
 
 def inverse_transform(spectrum: Spectrum) -> DenseFunction:
     """Inverse of transform(): real values from a float64 spectrum on an
     all-2 group, complex values otherwise."""
     _check_size(spectrum.group)
-    group = spectrum.group
-    if group.is_boolean:
-        values = _fwht(spectrum.coeffs)
-    else:
-        shape = group.moduli[::-1]
-        grid = spectrum.coeffs.reshape(shape)
-        values = np.fft.ifftn(grid).reshape(group.size) * group.size
-    return DenseFunction(group, values)
+    return DenseFunction(spectrum.group, _kron_transform(spectrum.coeffs, spectrum.group.moduli, True))
 
 
 @dataclass(eq=False)

@@ -55,6 +55,13 @@ class ProtocolFamily:
         return self.build(n_players)
 
 
+def _check_mask(n: int, mask, name: str = "mask") -> int:
+    """mask as a subset of the n coordinates: an int (not a bool) in [0, 2^n)."""
+    if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << n:
+        raise ValueError(f"{name} must be an integer in [0, 2^{n}), got {mask!r}")
+    return mask
+
+
 def _parity(n: int) -> DenseFunction:
     _check_scale(1 << n)
     group = GroupSpec.boolean(n)
@@ -64,6 +71,7 @@ def _parity(n: int) -> DenseFunction:
 
 def _junta_parity(n: int, mask: int) -> DenseFunction:
     _check_scale(1 << n)
+    _check_mask(n, mask)
     group = GroupSpec.boolean(n)
     xs = np.arange(group.size, dtype=np.uint64)
     vals = (np.bitwise_count(xs & np.uint64(mask)) & 1).astype(np.float64)
@@ -98,6 +106,8 @@ def _two_parity_blend(
     if w1 < 0 or w2 < 0 or w1 + w2 > 0.5:
         raise ValueError("need w1, w2 >= 0 with w1 + w2 <= 1/2")
     _check_scale(1 << n)
+    _check_mask(n, a, "a")
+    _check_mask(n, b, "b")
     group = GroupSpec.boolean(n)
     xs = np.arange(group.size, dtype=np.uint64)
     sa = 1.0 - 2.0 * (np.bitwise_count(xs & np.uint64(a)) & 1)
@@ -112,7 +122,7 @@ def _parities(xs: np.ndarray, mask: int) -> np.ndarray:
 
 def _parity_chain(n: int, mask: int | None = None) -> ProtocolFamily:
     group = GroupSpec.boolean(n)
-    m = (1 << n) - 1 if mask is None else mask
+    m = (1 << n) - 1 if mask is None else _check_mask(n, mask)
 
     def msg(x: int, prev: tuple, r: int) -> int:
         acc = prev[-1] if prev else 0
@@ -188,6 +198,8 @@ def _two_parity_blend_chain(
     is the exact quantization error."""
     if levels < 2:
         raise ValueError("need at least 2 quantization levels")
+    _check_mask(n, a, "a")
+    _check_mask(n, b, "b")
     group = GroupSpec.boolean(n)
 
     def msg(x: int, prev: tuple, r: int) -> int:

@@ -131,6 +131,16 @@ def naive_inverse_dft(moduli, coeffs) -> np.ndarray:
     return out
 
 
+def fft_reference(moduli, values, inverse: bool = False) -> np.ndarray:
+    """The transform (or its inverse) by numpy's complex FFT over the grid
+    with coordinate 0 as the last, fastest-varying axis."""
+    size = len(values)
+    grid = np.asarray(values, dtype=np.complex128).reshape(tuple(moduli)[::-1])
+    if inverse:
+        return np.fft.ifftn(grid).reshape(size) * size
+    return np.fft.fftn(grid).reshape(size) / size
+
+
 def naive_wht(values) -> np.ndarray:
     """Defining sum over F2^n with (-1)^<x, gamma> characters."""
     size = len(values)

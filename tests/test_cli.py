@@ -83,6 +83,21 @@ def test_zoo_dispatch_and_errors():
         zoo_protocol("nope")
 
 
+@pytest.mark.parametrize("kind, name, params", [
+    ("function", "junta-parity", {"mask": 0}),
+    ("protocol", "parity-chain", {"mask": 0}),
+    ("function", "two-parity-blend", {"a": 0, "b": 0}),
+    ("protocol", "two-parity-blend-chain", {"a": 0, "b": 0}),
+])
+def test_zoo_masks_are_checked(kind, name, params):
+    build = zoo_function if kind == "function" else zoo_protocol
+    build(name, n=4, **{key: 15 for key in params})
+    for key in params:
+        for bad in (16, 99, -1, 1.5, True, "3"):
+            with pytest.raises(ValueError, match=f"{key} must be an integer in \\[0, 2\\^4\\), got"):
+                build(name, n=4, **{**params, key: bad})
+
+
 def _write_config(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
@@ -543,3 +558,26 @@ def test_prg_check_sizes_the_fsm_before_building_it(tmp_path, capsys, monkeypatc
     cfg = _write_config(tmp_path, {"experiment": "prg-check", **raw})
     err = _one_line_failure(capsys, ["prg-check", "--config", cfg, "--out", str(tmp_path / "o")], 2)
     assert err == f"config error: bad prg settings: {message}\n"
+
+
+_REDUCE_F4 = {"experiment": "reduce", **_BASES["reduce"]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "config {path} must be a JSON object, got list"),
+    ({**_REDUCE_F4, "function": {"name": "junta-parity", "params": {"n": 4, "mask": 99}}},
+     "bad function spec: mask must be an integer in [0, 2^4), got 99"),
+    ({**_REDUCE_F4, "function": {"name": "junta-parity", "params": {"n": 4, "mask": -1}}},
+     "bad function spec: mask must be an integer in [0, 2^4), got -1"),
+    ({**_REDUCE_F4, "protocol": {"name": "parity-chain", "params": {"n": 4, "mask": 1.5}}},
+     "bad protocol spec: mask must be an integer in [0, 2^4), got 1.5"),
+    ({**_REDUCE_F4, "reduction": {"players": 8, "target_q": 2.0}},
+     "bad reduction settings: target_q must lie in [0, 1], got 2.0"),
+    ({**_REDUCE_F4, "reduction": {"players": 8, "target_eps": 1.5}},
+     "bad reduction settings: target_eps must lie in [0, 1], got 1.5"),
+])
+def test_malformed_configs_exit_with_one_line(tmp_path, capsys, payload, message):
+    cfg = _write_config(tmp_path, payload)
+    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: {message.format(path=cfg)}\n"
+    assert not (tmp_path / "o").exists()

@@ -357,6 +357,15 @@ def test_reduce_variant_validation():
         reduce(family, f, None, cfg, "no_such_variant")
 
 
+@pytest.mark.parametrize("field", ["target_q", "target_eps"])
+def test_reduction_config_targets_lie_in_the_unit_interval(field):
+    for value in (0.0, 0.5, 1.0):
+        ReductionConfig(players=4, **{field: value})
+    for value in (-0.1, 1.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match=f"{field} must lie in \\[0, 1\\]"):
+            ReductionConfig(players=4, **{field: value})
+
+
 def test_reduce_rejects_wrong_player_count():
     f = zoo_function("parity", n=4)
     fixed = zoo_protocol("parity-chain", n=4)(7)

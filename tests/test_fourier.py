@@ -16,6 +16,7 @@ from modsketch.algebra import (
     subgroup_generated,
 )
 from modsketch.fourier import (
+    DFT_BLOCK_ORDER,
     ChangBoundError,
     DenseFunction,
     DissociationLimitError,
@@ -26,6 +27,7 @@ from modsketch.fourier import (
     chang_sum,
     convolve,
     dual_annihilator_mask,
+    _blocks,
     extract_dissociated,
     inverse_transform,
     is_dissociated,
@@ -38,6 +40,7 @@ from modsketch.fourier import (
 from oracles import (
     annihilator_mask_rows,
     exhaustive_annihilator,
+    fft_reference,
     fwht_butterfly,
     group_decode,
     is_dissociated_bruteforce,
@@ -390,6 +393,69 @@ def test_wht_matches_defining_sums(case):
     # round trip: the inverse gives f back, in f's own kind of values
     assert np.iscomplexobj(back.values) == np.iscomplexobj(values)
     assert _rel_err(back.values, values) <= 1e-12
+
+
+_MIXED_GROUPS = [(2, 3, 5, 5), (4, 4, 4), (7, 7), (2, 2, 2, 3, 3), (6, 4, 4), (3,) * 5, (12,), (5, 2, 5, 2)]
+
+
+@st.composite
+def _mixed_values(draw):
+    """A function on a mixed-radix group, with real or complex values."""
+    spec = GroupSpec(draw(st.sampled_from(_MIXED_GROUPS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=spec.size) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=spec.size)
+    return spec, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_values())
+def test_group_transform_matches_defining_sums(case):
+    spec, values = case
+    sp = transform(DenseFunction(spec, values))
+    assert sp.coeffs.dtype == np.complex128
+    assert _rel_err(sp.coeffs, naive_dft(spec.moduli, values)) <= 1e-12
+    back = inverse_transform(sp)
+    assert _rel_err(back.values, naive_inverse_dft(spec.moduli, sp.coeffs)) <= 1e-12
+    assert _rel_err(back.values, values) <= 1e-12
+
+
+def test_transform_matches_numpy_fft_at_z3_12():
+    rng = np.random.default_rng(12)
+    spec = GroupSpec.cyclic_power(3, 12)
+    values = rng.normal(size=spec.size) + 1j * rng.normal(size=spec.size)
+    sp = transform(DenseFunction(spec, values))
+    assert _rel_err(sp.coeffs, fft_reference(spec.moduli, values)) <= 1e-12
+    back = inverse_transform(sp).values
+    assert _rel_err(back, fft_reference(spec.moduli, sp.coeffs, inverse=True)) <= 1e-12
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 20, (3,) * 12, (5,) * 8, (7,) * 7, (2, 3, 5, 5),
+                                    (4, 4, 4), (6, 4, 4), (12,), (2, 2, 2, 3, 3), (3, 2, 3), (1031,)])
+def test_blocks_factor_the_group(moduli):
+    blocks = _blocks(moduli)
+    assert math.prod(m**k for m, k in blocks) == math.prod(moduli)
+    # blocks cover the coordinates from the highest down, one modulus each
+    assert [m for m, k in blocks for _ in range(k)] == list(moduli[::-1])
+    assert all(k == 1 or m**k <= DFT_BLOCK_ORDER for m, k in blocks)
+
+
+def test_blocks_split_runs_evenly():
+    assert _blocks((3,) * 7) == [(3, 3), (3, 2), (3, 2)]
+    assert _blocks((2, 2, 4, 4, 4)) == [(4, 2), (4, 1), (2, 2)]
+    assert _blocks((7, 7)) == [(7, 1), (7, 1)]
+    for n in range(1, 21):
+        # the Walsh-Hadamard split: the fewest parts of at most 5 bits, as even as possible
+        parts = -(-n // 5)
+        q, r = divmod(n, parts)
+        assert _blocks((2,) * n) == [(2, q + 1)] * r + [(2, q)] * (parts - r)
+
+
+def test_modulus_too_large_for_a_dft_block():
+    spec = GroupSpec((1031,))
+    with pytest.raises(TransformLimitError, match="modulus 1031"):
+        transform(DenseFunction(spec, np.ones(spec.size)))
 
 
 @pytest.mark.parametrize("n", [14, 20])
