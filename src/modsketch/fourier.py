@@ -5,11 +5,10 @@ fhat(gamma) = E_x f(x) * conj(gamma(x)), so the point mass |G|*1_{0} has
 all-ones spectrum and f(x) = sum_gamma fhat(gamma) * gamma(x).
 Convolution is (f*g)(x) = E_y f(y) g(x-y), hence hat(f*g) = fhat * ghat.
 
-Every transform, forward or inverse and on any group, factors the DFT
-matrix of G as a Kronecker product of small DFT blocks, each applied as
-one matrix product.  Over F2^n the blocks are real Hadamard matrices, so
-real functions keep float64 spectra end to end and complex ones take the
-same real pass over their float64 view; other groups use complex128.
+Every transform, forward or inverse and on any group, applies the DFT
+matrix of G as a Kronecker product of small DFT blocks, one matrix product
+each.  Over F2^n the blocks are real Hadamard matrices, so real functions
+keep float64 spectra and complex ones take one pass over their float64 view.
 """
 
 from __future__ import annotations
@@ -133,10 +132,9 @@ class Spectrum:
 
 
 def _blocks(moduli: Sequence[int]) -> list[tuple[int, int]]:
-    """The Kronecker factors (m, k), F_{m^k} over k coordinates of modulus m,
-    of the DFT of prod_j Z_{m_j}, from the highest coordinate down: each run
-    of equal moduli split as evenly as possible into the fewest blocks of
-    order m^k <= DFT_BLOCK_ORDER (one coordinate at least), larger first."""
+    """The factors (m, k), F_{m^k} over k coordinates of modulus m, from the highest
+    coordinate down: each run of equal moduli split as evenly as possible, larger first,
+    into the fewest blocks of order m^k <= DFT_BLOCK_ORDER (one coordinate at least)."""
     out = []
     for m, run in itertools.groupby(reversed(moduli)):
         n, most = len(list(run)), 1
@@ -148,30 +146,32 @@ def _blocks(moduli: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _dft_block(m: int, k: int, inverse: bool) -> np.ndarray:
-    """The unnormalized DFT matrix exp(-+2 pi i <x, gamma> / m) of Z_m^k
-    (read-only): for m = 2 the real Sylvester-Hadamard matrix."""
-    if m * m > TRANSFORM_SIZE_LIMIT:
-        raise TransformLimitError(f"modulus {m} needs a DFT block of {m * m} > {TRANSFORM_SIZE_LIMIT} entries")
-    coords = GroupSpec.cyclic_power(m, k).coords_matrix()
-    pairing = coords @ coords.T % m
-    block = 1.0 - 2.0 * pairing if m == 2 else np.exp((2j if inverse else -2j) * np.pi / m * pairing)
-    block.flags.writeable = False
-    return block
+@functools.lru_cache(maxsize=16)
+def _dft_blocks(moduli: tuple[int, ...], inverse: bool) -> tuple[np.ndarray, ...]:
+    """The blocks of _blocks(moduli), each the unnormalized DFT matrix exp(-+2 pi i <x, gamma> / m)
+    of its Z_m^k (read-only; for m = 2 the real Sylvester-Hadamard matrix)."""
+    out = []
+    for m, k in _blocks(moduli):
+        if m * m > TRANSFORM_SIZE_LIMIT:
+            raise TransformLimitError(f"modulus {m}: a DFT block of {m * m} > {TRANSFORM_SIZE_LIMIT} entries")
+        coords = GroupSpec.cyclic_power(m, k).coords_matrix()
+        pairing = coords @ coords.T % m
+        block = 1.0 - 2.0 * pairing if m == 2 else np.exp((2j if inverse else -2j) * np.pi / m * pairing)
+        block.flags.writeable = False
+        out.append(block)
+    return tuple(out)
 
 
-def _kron_transform(values: np.ndarray, moduli: Sequence[int], inverse: bool) -> np.ndarray:
+def _kron_transform(values: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndarray:
     """Unnormalized DFT (inverse: conjugate characters) of values on prod_j Z_{m_j}.
 
     Each pass views the array as (m^k, rest) and applies its block to the
-    leading axis with one matrix product, rest^T @ F, which leaves that
-    axis last: after every block the axes are back in order.  With real
-    blocks only (all-2 groups) real input stays float64, and complex input
-    takes the same real pass over its float64 view (a trailing axis of 2
-    that rides along and ends up in front); otherwise the pass is complex128.
+    leading axis as rest^T @ F, which leaves that axis last, so after every
+    block the axes are back in order.  With real blocks only (all-2 groups)
+    real input stays float64 and complex input takes the same pass over its
+    float64 view (a trailing axis of 2 that rides along); else complex128.
     """
-    blocks = [_dft_block(m, k, inverse) for m, k in _blocks(moduli)]
+    blocks = _dft_blocks(moduli, inverse)
     real = all(block.dtype == np.float64 for block in blocks)
     if as_view := real and np.iscomplexobj(values):
         x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
