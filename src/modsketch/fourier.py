@@ -6,9 +6,11 @@ all-ones spectrum and f(x) = sum_gamma fhat(gamma) * gamma(x).
 Convolution is (f*g)(x) = E_y f(y) g(x-y), hence hat(f*g) = fhat * ghat.
 
 Every transform, forward or inverse and on any group, applies the DFT
-matrix of G as a Kronecker product of small DFT blocks, one matrix product
-each.  Over F2^n the blocks are real Hadamard matrices, so real functions
-keep float64 spectra and complex ones take one pass over their float64 view.
+matrix of G as a Kronecker product of DFT blocks, one matrix product each;
+a coordinate of modulus above 32 is split further by Cooley-Tukey, or by
+Bluestein's chirp for a prime factor above 1024.  Over F2^n the blocks are
+real Hadamard matrices, so real functions keep float64 spectra and complex
+ones take one pass over their float64 view.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ __all__ = [
 ]
 
 TRANSFORM_SIZE_LIMIT = 1 << 20
-# Largest order m^k of a block of the factored transform.  On one BLAS
-# thread at 2^13 to 2^20, Hadamard blocks of 2^5 were as fast as 2^6 or
+# Largest order m^k of a block of the factored transform (larger moduli are
+# split into digits of this order, or prime digits up to its square).  On one
+# BLAS thread at 2^13 to 2^20, Hadamard blocks of 2^5 were as fast as 2^6 or
 # faster, faster than 2^7 and 2^8, and not slower than smaller ones; on
 # Z_3^12, Z_4^9 and Z_5^8 block orders from 9 to 64 timed alike.
 DFT_BLOCK_ORDER = 32
@@ -146,40 +149,96 @@ def _blocks(moduli: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+def _roots(m: int, exponents: np.ndarray, inverse: bool) -> np.ndarray:
+    """exp(-+2 pi i e / m) of integer exponents e, reduced mod m so every angle is exact."""
+    return np.exp((2j if inverse else -2j) * np.pi / m * (exponents % m))
+
+
+def _dft_block(m: int, k: int, inverse: bool) -> np.ndarray:
+    """The unnormalized DFT matrix of Z_m^k, read-only (for m = 2 the real Sylvester-Hadamard
+    matrix).  Blocks of order up to DFT_BLOCK_ORDER are kept once built, and of larger ones
+    (prime digits up to DFT_BLOCK_ORDER^2, at most 16.7 MB each) the last four."""
+    coords = GroupSpec.cyclic_power(m, k).coords_matrix()
+    pairing = coords @ coords.T
+    block = 1.0 - 2.0 * (pairing % 2) if m == 2 else _roots(m, pairing, inverse)
+    block.flags.writeable = False
+    return block
+
+
+_small_block = functools.cache(_dft_block)
+_large_block = functools.lru_cache(maxsize=4)(_dft_block)
+
+
+def _digits(m: int) -> tuple[int, ...]:
+    """The digits of m for Cooley-Tukey, most significant first: _blocks of its prime
+    factors (primes above DFT_BLOCK_ORDER alone); () if one exceeds DFT_BLOCK_ORDER^2."""
+    primes, p = [], 2
+    while p * p <= m:
+        while m % p == 0:
+            primes.append(p)
+            m //= p
+        p += 1
+    primes += [m] * (m > 1)
+    return () if primes[-1] > DFT_BLOCK_ORDER**2 else tuple(p**k for p, k in _blocks(primes))
+
+
 @functools.lru_cache(maxsize=16)
-def _dft_blocks(moduli: tuple[int, ...], inverse: bool) -> tuple[np.ndarray, ...]:
-    """The blocks of _blocks(moduli), each the unnormalized DFT matrix exp(-+2 pi i <x, gamma> / m)
-    of its Z_m^k (read-only; for m = 2 the real Sylvester-Hadamard matrix)."""
-    out = []
-    for m, k in _blocks(moduli):
-        if m * m > TRANSFORM_SIZE_LIMIT:
-            raise TransformLimitError(f"modulus {m}: a DFT block of {m * m} > {TRANSFORM_SIZE_LIMIT} entries")
-        coords = GroupSpec.cyclic_power(m, k).coords_matrix()
-        pairing = coords @ coords.T % m
-        block = 1.0 - 2.0 * pairing if m == 2 else np.exp((2j if inverse else -2j) * np.pi / m * pairing)
-        block.flags.writeable = False
-        out.append(block)
-    return tuple(out)
+def _twiddles(m: int, d: int, inverse: bool) -> np.ndarray:
+    """w_m^(-+x k) for x < m/d and k < d, shaped (m/d, 1, d) to scale a (m/d, rest, d) view."""
+    return _roots(m, np.outer(np.arange(m // d), np.arange(d)), inverse)[:, None, :]
+
+
+@functools.lru_cache(maxsize=4)
+def _chirp(m: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bluestein's chirp c_j = exp(-+pi i j^2 / m) for j < m, and the DFT over a
+    power-of-2 cycle L >= 2m - 1 of conj(c_|j|) at j mod L (|j| < m), over L."""
+    c = _roots(2 * m, np.arange(m) ** 2, inverse)
+    v = np.zeros(1 << (2 * m - 2).bit_length(), dtype=np.complex128)
+    v[:m], v[len(v) - m + 1:] = c.conj(), c[:0:-1].conj()
+    return c, _dft_pass(v, len(v), 1, False)[0] / len(v)
+
+
+def _dft_pass(x: np.ndarray, m: int, k: int, inverse: bool) -> np.ndarray:
+    """The DFT over Z_m^k of the leading axis of x seen as (m^k, rest), as (rest, m^k).
+
+    Up to DFT_BLOCK_ORDER this is one dense block.  A larger modulus (k = 1)
+    is decimated in frequency over its digits: each pass applies one digit's
+    dense block to the leading axis and scales by twiddles, and one
+    transpose orders the output digits, which come out least significant
+    first.  A prime factor above DFT_BLOCK_ORDER^2 makes it Bluestein's chirp
+    convolution over a power-of-2 cycle instead.
+    """
+    if m**k <= DFT_BLOCK_ORDER:
+        return x.reshape(m**k, -1).T @ _small_block(m, k, inverse)
+    if digits := _digits(m):
+        b = m
+        for d in digits:
+            b //= d
+            x = x.reshape(d, -1).T @ (_small_block if d <= DFT_BLOCK_ORDER else _large_block)(d, 1, inverse)
+            if b > 1:
+                y = x.reshape(b, -1, d)
+                y *= _twiddles(b * d, d, inverse)
+        return x.reshape(-1, *digits).transpose(0, *range(len(digits), 0, -1)).reshape(-1, m)
+    c, kernel = _chirp(m, inverse)
+    u = np.zeros((len(kernel), x.size // m), dtype=np.complex128)
+    u[:m] = x.reshape(m, -1) * c[:, None]
+    y = _dft_pass(u, len(kernel), 1, False) * kernel
+    return _dft_pass(y.T, len(kernel), 1, True)[:, :m] * c
 
 
 def _kron_transform(values: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndarray:
-    """Unnormalized DFT (inverse: conjugate characters) of values on prod_j Z_{m_j}.
-
-    Each pass views the array as (m^k, rest) and applies its block to the
-    leading axis as rest^T @ F, which leaves that axis last, so after every
-    block the axes are back in order.  With real blocks only (all-2 groups)
-    real input stays float64 and complex input takes the same pass over its
-    float64 view (a trailing axis of 2 that rides along); else complex128.
-    """
-    blocks = _dft_blocks(moduli, inverse)
-    real = all(block.dtype == np.float64 for block in blocks)
+    """Unnormalized DFT (inverse: conjugate characters) of values on prod_j Z_{m_j}, by one
+    _dft_pass per block of _blocks(moduli); each leaves its axis last, so the axes end in
+    order.  On all-2 groups real input stays float64 and complex input takes the same
+    passes over its float64 view (a trailing axis of 2 rides along); else complex128."""
+    real = all(m == 2 for m in moduli)
     if as_view := real and np.iscomplexobj(values):
         x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
     else:
         x = np.asarray(values, dtype=np.float64 if real else np.complex128)
     size = len(values)
-    for block in blocks:
-        x = x.reshape(len(block), -1).T @ block
+    for m, k in _blocks(moduli):
+        x = _dft_pass(x, m, k, inverse)
     x = x.reshape(-1, size).T
     if as_view:
         return np.ascontiguousarray(x).view(np.complex128).reshape(size)

@@ -8,6 +8,7 @@ which is what the CLI exposes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,10 +57,17 @@ class ProtocolFamily:
 
 
 def _check_mask(n: int, mask, name: str = "mask") -> int:
-    """mask as a subset of the n coordinates: an int (not a bool) in [0, 2^n)."""
-    if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << n:
+    """mask as a subset of the n coordinates, as an int in [0, 2^n): an integer
+    (numpy integers too) or an integral float, never a bool."""
+    if isinstance(mask, float) and mask.is_integer():
+        mask = int(mask)
+    try:
+        value = None if isinstance(mask, bool) else operator.index(mask)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value < 1 << n:
         raise ValueError(f"{name} must be an integer in [0, 2^{n}), got {mask!r}")
-    return mask
+    return value
 
 
 def _parity(n: int) -> DenseFunction:
@@ -71,7 +79,7 @@ def _parity(n: int) -> DenseFunction:
 
 def _junta_parity(n: int, mask: int) -> DenseFunction:
     _check_scale(1 << n)
-    _check_mask(n, mask)
+    mask = _check_mask(n, mask)
     group = GroupSpec.boolean(n)
     xs = np.arange(group.size, dtype=np.uint64)
     vals = (np.bitwise_count(xs & np.uint64(mask)) & 1).astype(np.float64)
@@ -106,8 +114,7 @@ def _two_parity_blend(
     if w1 < 0 or w2 < 0 or w1 + w2 > 0.5:
         raise ValueError("need w1, w2 >= 0 with w1 + w2 <= 1/2")
     _check_scale(1 << n)
-    _check_mask(n, a, "a")
-    _check_mask(n, b, "b")
+    a, b = _check_mask(n, a, "a"), _check_mask(n, b, "b")
     group = GroupSpec.boolean(n)
     xs = np.arange(group.size, dtype=np.uint64)
     sa = 1.0 - 2.0 * (np.bitwise_count(xs & np.uint64(a)) & 1)
@@ -198,8 +205,7 @@ def _two_parity_blend_chain(
     is the exact quantization error."""
     if levels < 2:
         raise ValueError("need at least 2 quantization levels")
-    _check_mask(n, a, "a")
-    _check_mask(n, b, "b")
+    a, b = _check_mask(n, a, "a"), _check_mask(n, b, "b")
     group = GroupSpec.boolean(n)
 
     def msg(x: int, prev: tuple, r: int) -> int:

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from modsketch import cli
@@ -92,8 +93,16 @@ def test_zoo_dispatch_and_errors():
 def test_zoo_masks_are_checked(kind, name, params):
     build = zoo_function if kind == "function" else zoo_protocol
     build(name, n=4, **{key: 15 for key in params})
+    for good in (np.int64(5), np.uint8(5), 5.0):
+        # numpy integers and integral floats name the same mask as the int
+        same, plain = (build(name, n=4, **{key: mask for key in params}) for mask in (good, 5))
+        if kind == "function":
+            assert np.array_equal(same.values, plain.values)
+        else:
+            inputs = [[x, (x * 7) % 16, (x + 3) % 16] for x in range(16)]
+            assert [same(3).run(xs) for xs in inputs] == [plain(3).run(xs) for xs in inputs]
     for key in params:
-        for bad in (16, 99, -1, 1.5, True, "3"):
+        for bad in (16, 99, -1, 1.5, True, np.True_, np.int64(16), "3"):
             with pytest.raises(ValueError, match=f"{key} must be an integer in \\[0, 2\\^4\\), got"):
                 build(name, n=4, **{**params, key: bad})
 

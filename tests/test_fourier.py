@@ -28,6 +28,7 @@ from modsketch.fourier import (
     convolve,
     dual_annihilator_mask,
     _blocks,
+    _digits,
     extract_dissociated,
     inverse_transform,
     is_dissociated,
@@ -395,7 +396,8 @@ def test_wht_matches_defining_sums(case):
     assert _rel_err(back.values, values) <= 1e-12
 
 
-_MIXED_GROUPS = [(2, 3, 5, 5), (4, 4, 4), (7, 7), (2, 2, 2, 3, 3), (6, 4, 4), (3,) * 5, (12,), (5, 2, 5, 2)]
+_MIXED_GROUPS = [(2, 3, 5, 5), (4, 4, 4), (7, 7), (2, 2, 2, 3, 3), (6, 4, 4), (3,) * 5, (12,), (5, 2, 5, 2),
+                 (37, 2), (64, 3), (2, 1031)]
 
 
 @st.composite
@@ -421,16 +423,6 @@ def test_group_transform_matches_defining_sums(case):
     assert _rel_err(back.values, values) <= 1e-12
 
 
-def test_transform_matches_numpy_fft_at_z3_12():
-    rng = np.random.default_rng(12)
-    spec = GroupSpec.cyclic_power(3, 12)
-    values = rng.normal(size=spec.size) + 1j * rng.normal(size=spec.size)
-    sp = transform(DenseFunction(spec, values))
-    assert _rel_err(sp.coeffs, fft_reference(spec.moduli, values)) <= 1e-12
-    back = inverse_transform(sp).values
-    assert _rel_err(back, fft_reference(spec.moduli, sp.coeffs, inverse=True)) <= 1e-12
-
-
 @pytest.mark.parametrize("moduli", [(2,) * 20, (3,) * 12, (5,) * 8, (7,) * 7, (2, 3, 5, 5),
                                     (4, 4, 4), (6, 4, 4), (12,), (2, 2, 2, 3, 3), (3, 2, 3), (1031,)])
 def test_blocks_factor_the_group(moduli):
@@ -452,10 +444,30 @@ def test_blocks_split_runs_evenly():
         assert _blocks((2,) * n) == [(2, q + 1)] * r + [(2, q)] * (parts - r)
 
 
-def test_modulus_too_large_for_a_dft_block():
-    spec = GroupSpec((1031,))
-    with pytest.raises(TransformLimitError, match="modulus 1031"):
-        transform(DenseFunction(spec, np.ones(spec.size)))
+@pytest.mark.parametrize("moduli", [(3,) * 12, (33,), (64, 3), (74,), (96, 2), (1024,), (37, 41), (1021, 2),
+                                    (1031,), (2003,), (2 * 1031,), (4099, 3), (3, 128, 5)])
+def test_transform_matches_numpy_fft(moduli):
+    # moduli above 32: Cooley-Tukey over digits, dense prime digits up to 32^2, Bluestein above
+    rng = np.random.default_rng(math.prod(moduli))
+    spec = GroupSpec(moduli)
+    values = rng.normal(size=spec.size) + 1j * rng.normal(size=spec.size)
+    sp = transform(DenseFunction(spec, values))
+    assert _rel_err(sp.coeffs, fft_reference(moduli, values)) <= 1e-12
+    back = inverse_transform(sp).values
+    assert _rel_err(back, fft_reference(moduli, sp.coeffs, inverse=True)) <= 1e-12
+    assert _rel_err(back, values) <= 1e-12
+
+
+def test_digits_factor_a_modulus():
+    assert _digits(64) == (8, 8)
+    assert _digits(1024) == (32, 32)
+    assert _digits(2 * 3 * 37) == (37, 3, 2)
+    assert _digits(1021) == (1021,)
+    assert _digits(1031) == _digits(2 * 1031) == ()  # Bluestein
+    for m in range(2, 3000):
+        digits = _digits(m)
+        assert not digits or math.prod(digits) == m
+        assert all(d <= DFT_BLOCK_ORDER**2 for d in digits)
 
 
 @pytest.mark.parametrize("n", [14, 20])
