@@ -134,7 +134,8 @@ class Spectrum:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def _blocks(moduli: Sequence[int]) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def _blocks(moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The factors (m, k), F_{m^k} over k coordinates of modulus m, from the highest
     coordinate down: each run of equal moduli split as evenly as possible, larger first,
     into the fewest blocks of order m^k <= DFT_BLOCK_ORDER (one coordinate at least)."""
@@ -146,7 +147,7 @@ def _blocks(moduli: Sequence[int]) -> list[tuple[int, int]]:
         parts = -(-n // most)
         q, r = divmod(n, parts)
         out += [(m, q + 1)] * r + [(m, q)] * (parts - r)
-    return out
+    return tuple(out)
 
 
 def _roots(m: int, exponents: np.ndarray, inverse: bool) -> np.ndarray:
@@ -179,7 +180,7 @@ def _digits(m: int) -> tuple[int, ...]:
             m //= p
         p += 1
     primes += [m] * (m > 1)
-    return () if primes[-1] > DFT_BLOCK_ORDER**2 else tuple(p**k for p, k in _blocks(primes))
+    return () if primes[-1] > DFT_BLOCK_ORDER**2 else tuple(p**k for p, k in _blocks(tuple(primes)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -231,13 +232,14 @@ def _kron_transform(values: np.ndarray, moduli: tuple[int, ...], inverse: bool) 
     _dft_pass per block of _blocks(moduli); each leaves its axis last, so the axes end in
     order.  On all-2 groups real input stays float64 and complex input takes the same
     passes over its float64 view (a trailing axis of 2 rides along); else complex128."""
-    real = all(m == 2 for m in moduli)
+    blocks = _blocks(moduli)
+    real = all(m == 2 for m, _ in blocks)
     if as_view := real and np.iscomplexobj(values):
         x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
     else:
         x = np.asarray(values, dtype=np.float64 if real else np.complex128)
     size = len(values)
-    for m, k in _blocks(moduli):
+    for m, k in blocks:
         x = _dft_pass(x, m, k, inverse)
     x = x.reshape(-1, size).T
     if as_view:

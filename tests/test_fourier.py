@@ -434,14 +434,14 @@ def test_blocks_factor_the_group(moduli):
 
 
 def test_blocks_split_runs_evenly():
-    assert _blocks((3,) * 7) == [(3, 3), (3, 2), (3, 2)]
-    assert _blocks((2, 2, 4, 4, 4)) == [(4, 2), (4, 1), (2, 2)]
-    assert _blocks((7, 7)) == [(7, 1), (7, 1)]
+    assert _blocks((3,) * 7) == ((3, 3), (3, 2), (3, 2))
+    assert _blocks((2, 2, 4, 4, 4)) == ((4, 2), (4, 1), (2, 2))
+    assert _blocks((7, 7)) == ((7, 1), (7, 1))
     for n in range(1, 21):
         # the Walsh-Hadamard split: the fewest parts of at most 5 bits, as even as possible
         parts = -(-n // 5)
         q, r = divmod(n, parts)
-        assert _blocks((2,) * n) == [(2, q + 1)] * r + [(2, q)] * (parts - r)
+        assert _blocks((2,) * n) == ((2, q + 1),) * r + ((2, q),) * (parts - r)
 
 
 @pytest.mark.parametrize("moduli", [(3,) * 12, (33,), (64, 3), (74,), (96, 2), (1024,), (37, 41), (1021, 2),
