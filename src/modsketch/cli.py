@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -156,13 +157,16 @@ def _int_field(section: dict, key: str, default: int, minimum: int) -> int:
     return value
 
 
-def _float_field(section: dict, key: str, minimum: float) -> float | None:
-    """section[key] as a float >= minimum, or None if absent or null."""
+def _float_field(section: dict, key: str, minimum: float, maximum: float = math.inf) -> float | None:
+    """section[key] as a float in [minimum, maximum], or None if absent or
+    null."""
     value = section.get(key)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= minimum:
         raise ConfigError(f"{key} must be >= {minimum} (a number), got {value!r}")
+    if not value <= maximum:
+        raise ConfigError(f"{key} must lie in [{minimum:g}, {maximum:g}], got {value!r}")
     return float(value)
 
 
@@ -306,6 +310,8 @@ def _run_boost(config: ExperimentConfig) -> tuple[dict, bool]:
 
 
 def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
+    target_q = _float_field(config.raw, "target_q", 0.0, 1.0)
+    target_eps = _float_field(config.raw, "target_eps", 0.0, 1.0)
     path = config.raw.get("sketch-file")
     if not path:
         raise ConfigError("sketch-eval needs sketch-file")
@@ -339,9 +345,8 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
         )
         result["per_x_table"] = str(table)
         result["min_success"] = min(per_x)
-        target = _float_field(config.raw, "target_q", 0.0)
-        if target is not None:
-            ok = result["min_success"] >= target - config.tolerance
+        if target_q is not None:
+            ok = result["min_success"] >= target_q - config.tolerance
     else:
         entries = sketch.entries if hasattr(sketch, "entries") else [(1, sketch)]
         per_x = np.zeros(f.group.size)
@@ -353,9 +358,8 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
         )
         result["per_x_table"] = str(table)
         result["max_sq_error"] = float(per_x.max())
-        target = _float_field(config.raw, "target_eps", 0.0)
-        if target is not None:
-            ok = result["max_sq_error"] <= target + config.tolerance
+        if target_eps is not None:
+            ok = result["max_sq_error"] <= target_eps + config.tolerance
     return result, ok
 
 

@@ -895,6 +895,7 @@ def minimax_boost(
     lhs = (1 - math.exp(-eta)) * sum(r.quality for r in reports)
     rhs = eta * int(corrects.min()) + math.log(group.size)
     _record(checks, "hedge-regret", lhs, rhs, "boost")
-    per_x = [Fraction(int(cx), rounds) for cx in corrects]
+    shares = [Fraction(k, rounds) for k in range(rounds + 1)]
+    per_x = [shares[k] for k in corrects.tolist()]
     mixture = RandomizedSketch.uniform_mixture(sketches, seed=cfg.seed)
-    return BoostResult(mixture, min(per_x), per_x, reports, checks)
+    return BoostResult(mixture, shares[int(corrects.min())], per_x, reports, checks)

@@ -357,10 +357,12 @@ def _pairing_mask(spec: GroupSpec, gammas: Iterable[int]) -> np.ndarray:
     m = spec.exponent
     weights = np.asarray([m // mj for mj in spec.moduli], dtype=np.int64)
     coords = spec.coords_matrix()
+    gammas = np.asarray(list(gammas), dtype=np.int64)
     mask = np.ones(spec.size, dtype=bool)
-    for g in gammas:
-        gc = np.asarray(spec.decode(g), dtype=np.int64) * weights
-        mask &= (coords @ gc) % m == 0
+    # spec.n gammas at a time: the (size, block) pairings are no larger than coords
+    for lo in range(0, len(gammas), spec.n):
+        weighted = coords[gammas[lo:lo + spec.n]] * weights
+        mask &= ((coords @ weighted.T) % m == 0).all(axis=1)
     return mask
 
 

@@ -2,9 +2,11 @@
 
 NisanGenerator expands a seed of b*(2d+1) bits into k = 2^d blocks of b
 bits through a binary tree of pairwise-independent affine hashes over
-GF(2^b); any single block is recomputable with d hash applications, which
-is what lets a streaming sketch regenerate matrix rows on demand instead
-of storing them.
+GF(2^b).  Any single block is recomputable with at most d hash
+applications (_tree_block), which is what lets a streaming sketch
+regenerate matrix rows on demand instead of storing them; a reader of
+every block in order (fsm_distance) walks the tree instead, one hash per
+block after the first (_tree_blocks_in_order).
 
 A stream of (coordinate, increment) updates acts on a linear sketch only
 through its per-coordinate totals mod p, so the stream path reads updates
@@ -118,7 +120,11 @@ class Gf2Field:
                 log = [0] * (1 << self.bits)
                 for i, v in enumerate(exp):
                     log[v] = i
-                self._exp = np.asarray(exp + exp, dtype=np.int64)  # doubled: no mod
+                # exp doubled, so a sum of two logs needs no mod; log[0] is a
+                # sentinel 2*order that sends any product with 0 into exp's
+                # zero tail (4*order, for two zeros, is its last entry)
+                log[0] = 2 * self.order
+                self._exp = np.asarray(exp + exp + [0] * (2 * self.order + 1), dtype=np.int64)
                 self._log = np.asarray(log, dtype=np.int64)
                 return
         raise RuntimeError("no generator found (non-irreducible modulus?)")
@@ -137,7 +143,7 @@ class Gf2Field:
             return int(self._exp[self._log[x] + self._log[y]])
         if self._log is None:
             return self._mul_array(x, y)
-        return np.where((x == 0) | (y == 0), 0, self._exp[self._log[x] + self._log[y]])
+        return self._exp[self._log[x] + self._log[y]]
 
     def _mul_array(self, x, y) -> np.ndarray:
         """Shift-and-add on uint64 bit patterns, exact up to 64 bits."""
@@ -160,21 +166,42 @@ def _seed_words(seed, bits: int, count: int) -> list:
     return [(seed >> (bits * w)) & mask for w in range(count)]
 
 
+def _hash_step(field: Gf2Field, words: Sequence, level: int, x):
+    """h_level(x) = a_level*x + c_level, with the seed words laid out as
+    (base, a_1, c_1, ..., a_d, c_d)."""
+    return field.mul(words[2 * level - 1], x) ^ words[2 * level]
+
+
 def _tree_block(field: Gf2Field, words: Sequence, index):
     """Block `index` from seed words (base, a_1, c_1, ..., a_d, c_d): apply
-    h_j(x) = a_j*x + c_j for every set bit j-1 of index, highest level
-    first.  For an int index the words are ints, or int64 arrays holding
-    one seed per entry; an int64 array of indices takes one seed's words
-    as int64 scalars and gives every block at once."""
+    h_j for every set bit j-1 of index, highest level first.  For an int
+    index the words are ints, or int64 arrays holding one seed per entry;
+    an int64 array of indices takes one seed's words as int64 scalars and
+    gives every block at once."""
     many = isinstance(index, np.ndarray)
     x = np.full(index.shape, words[0], dtype=np.int64) if many else words[0]
     for j in range((len(words) - 1) // 2, 0, -1):
         bit = (index >> (j - 1)) & 1
         if many:
-            x = np.where(bit, field.mul(words[2 * j - 1], x) ^ words[2 * j], x)
+            x = np.where(bit, _hash_step(field, words, j, x), x)
         elif bit:
-            x = field.mul(words[2 * j - 1], x) ^ words[2 * j]
+            x = _hash_step(field, words, j, x)
     return x
+
+
+def _tree_blocks_in_order(field: Gf2Field, words: Sequence):
+    """Blocks 0, 1, ..., 2^d - 1 of the seed words, as _tree_block gives
+    them, with one hash per block after the first.  level[j] holds the
+    value after the hashes of the index bits from d-1 down to j; block i
+    keeps i-1's bits above its lowest set bit t, so it is h_{t+1} of
+    level[t+1], and that value fills level[0..t]."""
+    depth = (len(words) - 1) // 2
+    level = [words[0]] * (depth + 1)
+    yield level[0]
+    for i in range(1, 1 << depth):
+        t = (i & -i).bit_length() - 1
+        level[:t + 1] = [_hash_step(field, words, t + 1, level[t + 1])] * (t + 1)
+        yield level[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +308,9 @@ def fsm_distance(
 ) -> FsmDistanceResult:
     """L1 distance between the FSM's final-state distribution under true
     randomness (exact integer-count DP over blocks) and under the generator
-    (exact when the seed space is small, sampled otherwise).
+    (exact when the seed space is small, sampled otherwise).  The machine
+    reads every seed's blocks in order, one hash per block
+    (_tree_blocks_in_order).
     """
     if fsm.block_bits != block_bits:
         raise ValueError("FSM block width does not match the generator")
@@ -316,8 +345,9 @@ def fsm_distance(
         words = [_byte_word(seed_bytes, block_bits * w, block_bits) for w in range(n_words)]
     n_seeds = len(words[0])
     states = np.full(n_seeds, fsm.initial, dtype=np.int64)
-    for idx in range(block_count):
-        states = table[states, _tree_block(gen.field, words, idx)]
+    flat = table.reshape(-1)  # state s on block v goes to flat[s << block_bits | v]
+    for block in _tree_blocks_in_order(gen.field, words):
+        states = flat[(states << block_bits) | block]
     prg_dist = np.bincount(states, minlength=fsm.n_states) / n_seeds
     stderr = 0.0 if exact else float(
         np.sum(np.sqrt(np.maximum(prg_dist * (1 - prg_dist), 0) / n_seeds))

@@ -218,6 +218,18 @@ def exhaustive_annihilator(moduli, gammas) -> list[int]:
     return out
 
 
+def pairing_mask_per_gamma(spec, gammas) -> np.ndarray:
+    """Mask of the x with gamma(x) = 1 for every listed gamma, one exact
+    pairing sum_j (m/m_j) gamma_j x_j mod m (m = lcm) per gamma."""
+    m = spec.exponent
+    weights = np.asarray([m // mj for mj in spec.moduli], dtype=np.int64)
+    coords = spec.coords_matrix()
+    mask = np.ones(spec.size, dtype=bool)
+    for g in gammas:
+        mask &= (coords @ (np.asarray(spec.decode(g), dtype=np.int64) * weights)) % m == 0
+    return mask
+
+
 def is_dissociated_bruteforce(moduli, gammas) -> bool:
     """Direct 3^k scan of all signed combinations."""
     import itertools
@@ -300,6 +312,29 @@ def prg_expand_tree(base: int, hashes, mul) -> list[int]:
         return expand(x, level - 1) + expand(mul(a, x) ^ c, level - 1)
 
     return expand(base, len(hashes))
+
+
+def fsm_prg_dist_per_block(fsm, block_bits: int, block_count: int, samples: int, seed: int,
+                           exact_seed_limit: int = 1 << 24):
+    """(prg_dist, exact) of fsm_distance with every block rebuilt from the
+    root by random access (prg._tree_block) and the machine stepped through
+    its 2-d table, over the same seeds fsm_distance reads."""
+    from modsketch import prg
+    from modsketch.seeding import derived_rng
+
+    gen = prg.NisanGenerator(block_bits, block_count, 0)
+    n_words = 2 * gen.depth + 1
+    exact = 1 << gen.seed_bits <= exact_seed_limit
+    if exact:
+        words = prg._seed_words(np.arange(1 << gen.seed_bits, dtype=np.int64), block_bits, n_words)
+    else:
+        seed_bytes = prg._sampled_seed_bytes(derived_rng(seed, "fsm-distance"), gen.seed_bits, samples)
+        words = [prg._byte_word(seed_bytes, block_bits * w, block_bits) for w in range(n_words)]
+    table = fsm.table_array()
+    states = np.full(len(words[0]), fsm.initial, dtype=np.int64)
+    for idx in range(block_count):
+        states = table[states, prg._tree_block(gen.field, words, idx)]
+    return np.bincount(states, minlength=fsm.n_states) / len(words[0]), exact
 
 
 def derandomized_apply_per_update(template, updates) -> list[int]:

@@ -221,6 +221,23 @@ def test_sketch_eval_stream_that_does_not_fit_is_a_config_error(tmp_path, capsys
     assert err == f"config error: stream {stream} does not fit the sketch: {message}\n"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("target_q", 2.0, "target_q must lie in [0, 1], got 2.0"),
+    ("target_eps", 1.5, "target_eps must lie in [0, 1], got 1.5"),
+    ("target_q", -0.1, "target_q must be >= 0.0 (a number), got -0.1"),
+    ("target_eps", "0.5", "target_eps must be >= 0.0 (a number), got '0.5'"),
+])
+def test_sketch_eval_target_outside_unit_interval_is_a_config_error(tmp_path, capsys, key, value, message):
+    # checked before the sketch is evaluated, so no table is written
+    sketch_file = tmp_path / "sketch.json"
+    sketch_file.write_text(serialize_sketch(LinearJuntaF2(5, (31,), (0, 1))))
+    cfg = _write_config(tmp_path, {"experiment": "sketch-eval", "sketch-file": str(sketch_file),
+                                   "function": {"name": "parity", "params": {"n": 5}}, key: value})
+    err = _one_line_failure(capsys, ["sketch-eval", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sketch_eval_real_valued_function(tmp_path):
     # a [0,1]-valued target switches sketch-eval to squared-error tables
     reduce_cfg = _write_config(

@@ -36,6 +36,7 @@ from modsketch.fourier import (
     mixing_gap,
     normalized_indicator,
     transform,
+    _pairing_mask,
 )
 
 from oracles import (
@@ -49,6 +50,7 @@ from oracles import (
     naive_dft,
     naive_inverse_dft,
     naive_wht,
+    pairing_mask_per_gamma,
     shift_average_oracle,
 )
 
@@ -277,6 +279,19 @@ def test_annihilator_matches_exhaustive_oracle(inputs):
     moduli, gammas, _, _ = inputs
     sub = annihilator(GroupSpec(moduli), gammas)
     assert list(sub.elements) == exhaustive_annihilator(moduli, gammas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=4).flatmap(
+    lambda moduli: st.tuples(st.just(tuple(moduli)),
+                             st.lists(st.integers(0, math.prod(moduli) - 1), max_size=10))))
+def test_pairing_mask_matches_per_gamma_loop(inputs):
+    # up to 10 gammas over at most 4 coordinates: several blocks of spec.n
+    moduli, gammas = inputs
+    spec = GroupSpec(moduli)
+    got = _pairing_mask(spec, iter(gammas))
+    assert got.dtype == bool
+    assert np.array_equal(got, pairing_mask_per_gamma(spec, gammas))
 
 
 def test_extract_dissociated_limit_error():

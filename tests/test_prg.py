@@ -25,6 +25,7 @@ from modsketch.seeding import derived_rng
 from oracles import (
     accumulate_stream,
     derandomized_apply_per_update,
+    fsm_prg_dist_per_block,
     fsm_true_distribution,
     prg_expand_tree,
     seed_bytes_per_sample,
@@ -46,9 +47,9 @@ def test_gf2_field_properties():
 
 
 def test_gf2_vectorized_matches_scalar():
-    # 1 bit is a plain AND, 8 and 16 use log tables, 20 the shift-multiply
+    # 1 bit is a plain AND, 2 to 16 use log tables, 20 the shift-multiply
     rng = np.random.default_rng(0)
-    for bits in (1, 8, 16, 20):
+    for bits in (1, 2, 4, 8, 16, 20):
         field = Gf2Field(bits)
         xs = rng.integers(0, 1 << bits, size=200)
         ys = rng.integers(0, 1 << bits, size=200)
@@ -124,7 +125,7 @@ def test_fsm_distance_matches_scalar_generator():
     # the batched chain over all seeds must give the histogram of final
     # states that the scalar generator gives seed by seed
     rng = random.Random(11)
-    for bits, count, samples in ((2, 4, 0), (1, 8, 0), (4, 2, 0), (8, 16, 1500)):
+    for bits, count, samples in ((2, 4, 0), (1, 8, 0), (4, 2, 0), (8, 16, 1500), (16, 4, 40)):
         n_states = 5
         table = tuple(
             tuple(rng.randrange(n_states) for _ in range(1 << bits))
@@ -146,6 +147,49 @@ def test_fsm_distance_matches_scalar_generator():
         assert res.samples == len(finals)
         want = np.bincount(finals, minlength=n_states) / len(finals)
         assert np.array_equal(res.prg_dist, want)
+
+
+@pytest.mark.parametrize("count", [1, 2, 16, 1024])
+@pytest.mark.parametrize("bits", [1, 2, 4, 8, 16, 20])
+def test_in_order_blocks_equal_tree_expansion_and_random_access(bits, count):
+    # the in-order walk gives, per seed, the oracle's full expansion and the
+    # random-access block of every index, on int words and on int64 arrays
+    # of words (one seed per entry)
+    gen = NisanGenerator(bits, count, 0)
+    field, n_words = gen.field, 2 * gen.depth + 1
+    rng = random.Random(bits * count)
+    seeds = [rng.getrandbits(gen.seed_bits) for _ in range(16)]
+    per_seed = [prg._seed_words(seed, bits, n_words) for seed in seeds]
+    for seed, words in zip(seeds[:3], per_seed):
+        walk = list(prg._tree_blocks_in_order(field, words))
+        assert walk == _expand_seed(seed, bits, gen.depth, field.mul)
+        assert walk == [prg._tree_block(field, words, i) for i in range(count)]
+        one_seed = np.asarray(words, dtype=np.int64)
+        assert walk == prg._tree_block(field, one_seed, np.arange(count)).tolist()
+    columns = [np.asarray(col, dtype=np.int64) for col in zip(*per_seed)]
+    walk = list(prg._tree_blocks_in_order(field, columns))
+    assert len(walk) == count
+    for i, blocks in enumerate(walk):
+        assert blocks.dtype == np.int64
+        assert np.array_equal(blocks, prg._tree_block(field, columns, i))
+
+
+@pytest.mark.parametrize("bits, count, samples, limit", [
+    (2, 4, 0, 1 << 24), (1, 8, 0, 1 << 24), (8, 1, 0, 1 << 24), (4, 2, 0, 1 << 24),
+    (8, 16, 3000, 1 << 24), (16, 4, 500, 1 << 24), (3, 8, 400, 1), (4, 1024, 300, 1 << 24),
+    (1, 1024, 500, 1),
+])
+def test_fsm_distance_equals_per_block_loop(bits, count, samples, limit):
+    rng = random.Random(bits * 1000 + count)
+    n_states = 6
+    table = tuple(tuple(rng.randrange(n_states) for _ in range(1 << bits)) for _ in range(n_states))
+    fsm = FSMSpec(n_states, bits, 2, table)
+    res = fsm_distance(fsm, bits, count, samples=samples, seed=4, exact_seed_limit=limit)
+    want, exact = fsm_prg_dist_per_block(fsm, bits, count, samples, 4, limit)
+    assert res.exact == exact == (samples == 0)
+    assert res.samples == (1 << NisanGenerator(bits, count, 0).seed_bits if exact else samples)
+    assert np.array_equal(res.prg_dist, want)
+    assert res.l1 == float(np.sum(np.abs(res.true_dist - want)))
 
 
 @settings(max_examples=40, deadline=None)
