@@ -353,16 +353,18 @@ def _pairing_mask(spec: GroupSpec, gammas: Iterable[int]) -> np.ndarray:
     """Boolean mask over G of the x with gamma(x) = 1 for every listed gamma.
 
     Exact: gamma(x) = 1 iff sum_j (m/m_j) gamma_j x_j = 0 mod m, m = lcm.
+    Each gamma is paired only with the x that every gamma before it kept.
     """
     m = spec.exponent
     weights = np.asarray([m // mj for mj in spec.moduli], dtype=np.int64)
     coords = spec.coords_matrix()
-    gammas = np.asarray(list(gammas), dtype=np.int64)
-    mask = np.ones(spec.size, dtype=bool)
-    # spec.n gammas at a time: the (size, block) pairings are no larger than coords
-    for lo in range(0, len(gammas), spec.n):
-        weighted = coords[gammas[lo:lo + spec.n]] * weights
-        mask &= ((coords @ weighted.T) % m == 0).all(axis=1)
+    pairings = coords[np.asarray(list(gammas), dtype=np.int64)] * weights
+    kept = np.arange(spec.size)
+    for w in pairings:
+        rows = coords if len(kept) == spec.size else coords[kept]
+        kept = kept[(rows @ w) % m == 0]
+    mask = np.zeros(spec.size, dtype=bool)
+    mask[kept] = True
     return mask
 
 

@@ -286,7 +286,7 @@ def test_annihilator_matches_exhaustive_oracle(inputs):
     lambda moduli: st.tuples(st.just(tuple(moduli)),
                              st.lists(st.integers(0, math.prod(moduli) - 1), max_size=10))))
 def test_pairing_mask_matches_per_gamma_loop(inputs):
-    # up to 10 gammas over at most 4 coordinates: several blocks of spec.n
+    # up to 10 gammas, repeats and 0 included, on up to 4 mixed coordinates
     moduli, gammas = inputs
     spec = GroupSpec(moduli)
     got = _pairing_mask(spec, iter(gammas))
