@@ -358,7 +358,8 @@ def _pairing_mask(spec: GroupSpec, gammas: Iterable[int]) -> np.ndarray:
     m = spec.exponent
     weights = np.asarray([m // mj for mj in spec.moduli], dtype=np.int64)
     coords = spec.coords_matrix()
-    pairings = coords[np.asarray(list(gammas), dtype=np.int64)] * weights
+    decoded = np.asarray([spec.decode(g) for g in gammas], dtype=np.int64)
+    pairings = decoded.reshape(-1, spec.n) * weights
     kept = np.arange(spec.size)
     for w in pairings:
         rows = coords if len(kept) == spec.size else coords[kept]

@@ -294,6 +294,12 @@ def test_pairing_mask_matches_per_gamma_loop(inputs):
     assert np.array_equal(got, pairing_mask_per_gamma(spec, gammas))
 
 
+@pytest.mark.parametrize("gamma", [-1, 9, 2**70])
+def test_annihilator_rejects_characters_outside_the_group(gamma):
+    with pytest.raises(ValueError, match=f"index {gamma} out of range"):
+        annihilator(GroupSpec((3, 3)), [0, gamma])
+
+
 def test_extract_dissociated_limit_error():
     spec = GroupSpec.boolean(8)
     gammas = [1 << i for i in range(8)]
