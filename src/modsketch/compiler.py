@@ -768,11 +768,7 @@ def reduce(
     t3 = time.perf_counter()
     junta = build_junta(sel.tail, joint, structure, D, f, mode)
     timings["junta"] = time.perf_counter() - t3
-    checks["coset-constancy"] = {
-        "lhs": junta.coset_deviation,
-        "rhs": 1e-9,
-        "ok": True,
-    }
+    _record(checks, "coset-constancy", junta.coset_deviation, 1e-9, "build-junta")
 
     tol = max(group.size * 2.0 ** (-n / 8), 10 * float(delta))
     b = sel.transcript.b

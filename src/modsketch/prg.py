@@ -13,13 +13,15 @@ through its per-coordinate totals mod p, so the stream path reads updates
 in chunks of at most STREAM_CHUNK, sums each chunk by coordinate, and
 regenerates the rows of the distinct coordinates at once: its working
 memory is O(STREAM_CHUNK * s) whatever n and the stream length are.  The
-sketch states of sketch.py sum their queued updates with the same
-function, _coordinate_totals.
+sketch states of sketch.py share both steps: _coordinate_totals sums
+their queued updates, and _fold adds the totals times the sketch's image
+matrix to the state, so every stream in the library folds the same way.
 """
 
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -81,6 +83,42 @@ def _check_field_bits(bits: int):
         )
 
 
+def _gf2_mul(x: int, y: int, bits: int, modulus: int) -> int:
+    """x * y in GF(2^bits) by shift-and-add."""
+    out = 0
+    while y:
+        if y & 1:
+            out ^= x
+        y >>= 1
+        x <<= 1
+        if x >> bits:
+            x ^= modulus
+    return out
+
+
+@functools.cache
+def _log_exp_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) of GF(2^bits) for the least generator, built once per
+    width and shared read-only by every field of that width.  exp is
+    doubled, so a sum of two logs needs no mod; log[0] is a sentinel
+    2*order that sends any product with 0 into exp's zero tail (4*order,
+    for two zeros, is its last entry)."""
+    modulus, order = _GF2_MODULI[bits], (1 << bits) - 1
+    for g in range(2, 1 << bits):
+        exp = [1]  # powers of g until they return to 1
+        while len(exp) < order and (v := _gf2_mul(exp[-1], g, bits, modulus)) != 1:
+            exp.append(v)
+        if len(exp) == order:
+            break
+    else:
+        raise RuntimeError("no generator found (non-irreducible modulus?)")
+    log = np.full(1 << bits, 2 * order, dtype=np.int64)
+    log[exp] = np.arange(order)
+    exp = np.asarray(exp + exp + [0] * (2 * order + 1), dtype=np.int64)
+    log.flags.writeable = exp.flags.writeable = False
+    return log, exp
+
+
 class Gf2Field:
     """Arithmetic in GF(2^b); log/exp tables for small b, shift-mul beyond."""
 
@@ -89,45 +127,11 @@ class Gf2Field:
         self.bits = bits
         self.modulus = _GF2_MODULI[bits]
         self.order = (1 << bits) - 1
-        self._log = None
-        self._exp = None
-        if 1 < bits <= _LOG_TABLE_MAX_BITS:
-            self._build_tables()
+        small = 1 < bits <= _LOG_TABLE_MAX_BITS
+        self._log, self._exp = _log_exp_tables(bits) if small else (None, None)
 
     def _mul_slow(self, x: int, y: int) -> int:
-        out = 0
-        while y:
-            if y & 1:
-                out ^= x
-            y >>= 1
-            x <<= 1
-            if x >> self.bits:
-                x ^= self.modulus
-        return out
-
-    def _build_tables(self):
-        for g in range(2, 1 << self.bits):
-            acc = 1
-            seen_one_early = False
-            exp = [0] * (self.order)
-            for i in range(self.order):
-                exp[i] = acc
-                acc = self._mul_slow(acc, g)
-                if acc == 1 and i < self.order - 1:
-                    seen_one_early = True
-                    break
-            if not seen_one_early and acc == 1:
-                log = [0] * (1 << self.bits)
-                for i, v in enumerate(exp):
-                    log[v] = i
-                # exp doubled, so a sum of two logs needs no mod; log[0] is a
-                # sentinel 2*order that sends any product with 0 into exp's
-                # zero tail (4*order, for two zeros, is its last entry)
-                log[0] = 2 * self.order
-                self._exp = np.asarray(exp + exp + [0] * (2 * self.order + 1), dtype=np.int64)
-                self._log = np.asarray(log, dtype=np.int64)
-                return
-        raise RuntimeError("no generator found (non-irreducible modulus?)")
+        return _gf2_mul(x, y, self.bits, self.modulus)
 
     def mul(self, x, y):
         """x * y in the field: ints give an int, int64 arrays multiply
@@ -310,11 +314,17 @@ def fsm_distance(
     randomness (exact integer-count DP over blocks) and under the generator
     (exact when the seed space is small, sampled otherwise).  The machine
     reads every seed's blocks in order, one hash per block
-    (_tree_blocks_in_order).
+    (_tree_blocks_in_order).  A sampled run needs samples >= 1
+    (ValueError).
     """
     if fsm.block_bits != block_bits:
         raise ValueError("FSM block width does not match the generator")
     check_fsm_size(fsm.n_states, block_bits, block_count)
+    gen = NisanGenerator(block_bits, block_count, 0)
+    seed_bits, n_words = gen.seed_bits, 2 * gen.depth + 1
+    exact = 1 << seed_bits <= exact_seed_limit
+    if not exact and samples < 1:
+        raise ValueError(f"2^{seed_bits} seeds exceed exact_seed_limit, so samples must be >= 1")
 
     table = fsm.table_array()
     # exact truth as integer counts: count[s] of the 2^(b*t) block sequences
@@ -334,9 +344,6 @@ def fsm_distance(
     total = 1 << (block_bits * block_count)
     true_dist = np.asarray([int(c) / total for c in count])  # int / int is correctly rounded
 
-    gen = NisanGenerator(block_bits, block_count, 0)
-    seed_bits, n_words = gen.seed_bits, 2 * gen.depth + 1
-    exact = 1 << seed_bits <= exact_seed_limit
     # every seed at once: word w of all seeds is one int64 array
     if exact:
         words = _seed_words(np.arange(1 << seed_bits, dtype=np.int64), block_bits, n_words)
@@ -386,6 +393,15 @@ def _byte_word(seed_bytes: np.ndarray, lo: int, bits: int) -> np.ndarray:
     return (acc >> (lo % 8)) & ((1 << bits) - 1)
 
 
+def _row_layout(n: int, s: int, p: int, block_bits: int) -> tuple[int, int, int]:
+    """(field_bits, blocks_per_row, block_count) of a RowTemplate: w =
+    ceil(log2 p) bits per coefficient, enough blocks for s of them per row,
+    and the least power of two holding n rows' blocks."""
+    field_bits = max((p - 1).bit_length(), 1)
+    bpr = -(-(s * field_bits) // block_bits)
+    return field_bits, bpr, 1 << max(n * bpr - 1, 0).bit_length()
+
+
 @dataclass(frozen=True, eq=False)
 class RowTemplate:
     """A sketch matrix whose rows are defined by generator blocks.
@@ -413,12 +429,9 @@ class RowTemplate:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "field_bits", max((self.p - 1).bit_length(), 1))
-        bpr = -(-(self.s * self.field_bits) // self.block_bits)
+        field_bits, bpr, count = _row_layout(self.n, self.s, self.p, self.block_bits)
+        object.__setattr__(self, "field_bits", field_bits)
         object.__setattr__(self, "blocks_per_row", bpr)
-        count = 1
-        while count < self.n * bpr:
-            count *= 2
         object.__setattr__(
             self, "generator", NisanGenerator(self.block_bits, count, self.seed)
         )
@@ -429,12 +442,7 @@ class RowTemplate:
 
     @staticmethod
     def required_seed_bits(n: int, s: int, p: int, block_bits: int) -> int:
-        field_bits = max((p - 1).bit_length(), 1)
-        bpr = -(-(s * field_bits) // block_bits)
-        count = 1
-        while count < n * bpr:
-            count *= 2
-        depth = count.bit_length() - 1
+        depth = _row_layout(n, s, p, block_bits)[2].bit_length() - 1
         return block_bits * (2 * depth + 1)
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -480,16 +488,23 @@ def _template_rows(template: RowTemplate, coords: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _mod_matmul(totals: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """totals @ rows mod p, exact: rows are summed in groups small enough
-    that no int64 sum overflows, or as Python ints when one product might."""
-    per_group = (_INT64_MAX - p) // (p - 1) ** 2
+def _fold_group(moduli) -> int:
+    """Rows per int64-safe group of _fold, from the largest of the moduli;
+    0 when one product might overflow int64."""
+    top = int(np.max(moduli))
+    return max((_INT64_MAX - top) // (top - 1) ** 2, 0)
+
+
+def _fold(state: np.ndarray, totals: np.ndarray, rows: np.ndarray, moduli, per_group: int) -> np.ndarray:
+    """(state + totals @ rows) % moduli, moduli an int or one int64 per
+    column, exact for entries below the largest modulus: summed in groups
+    of per_group = _fold_group(moduli) rows, or as Python ints at 0."""
     if per_group == 0:
-        return (totals.astype(object) @ rows.astype(object) % p).astype(np.int64)
-    out = np.zeros(rows.shape[1], dtype=np.int64)
+        out = state.astype(object) + totals.astype(object) @ rows.astype(object)
+        return (out % np.asarray(moduli, dtype=object)).astype(np.int64)
     for lo in range(0, len(totals), per_group):
-        out = (out + totals[lo:lo + per_group] @ rows[lo:lo + per_group]) % p
-    return out
+        state = (state + totals[lo:lo + per_group] @ rows[lo:lo + per_group]) % moduli
+    return state
 
 
 def _stream_chunks(updates: Iterable[tuple[int, int]]):
@@ -558,9 +573,9 @@ def derandomized_apply(
     increments must fit int64 (ValueError otherwise); working memory is
     O(STREAM_CHUNK * s), independent of n and of the stream length.
     """
-    p = template.p
+    p, per_group = template.p, _fold_group(template.p)
     state = np.zeros(template.s, dtype=np.int64)
     for flat in _stream_chunks(updates):
         coords, totals = _coordinate_totals(flat, template.n, p)
-        state = (state + _mod_matmul(totals, _template_rows(template, coords), p)) % p
+        state = _fold(state, totals, _template_rows(template, coords), p, per_group)
     return state

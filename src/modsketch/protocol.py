@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import prg
 from .algebra import GroupSpec
 from .fourier import TRANSFORM_SIZE_LIMIT, DenseFunction
 
@@ -283,37 +284,28 @@ def run_smp(
 def smp_from_linear_sketch(sketch, n_players: int):
     """SMP protocol computing an additive function from a linear sketch.
 
-    Each player sends the sketch image of its own input; the coordinator
-    sums the images (linearity) and applies the post-processing table.
+    Each player sends the image coords(x) @ gamma mod p of its own input
+    (sketch.image()); the coordinator folds the images (linearity) and
+    applies the post-processing table at their read.  A subgroup-invariant
+    sketch's image is the whole input, so it has no lowering (TypeError).
     Returns (players, coordinator, total_communication_bits).
     """
-    from .sketch import LinearJuntaF2, ZpJunta
+    from .sketch import HInvariantSketch
 
-    if isinstance(sketch, LinearJuntaF2):
-        def player(x: int, r: int) -> int:
-            return sketch.sketch_value(x)
-
-        def coordinator(messages: tuple, r: int):
-            acc = 0
-            for m in messages:
-                acc ^= m
-            return sketch.post[acc]
-
-        bits = n_players * sketch.k
-    elif isinstance(sketch, ZpJunta):
-        p = sketch.p
-
-        def player(x, r: int):
-            coords = sketch.group.decode(x) if isinstance(x, int) else x
-            return sketch.sketch_value(coords)
-
-        def coordinator(messages: tuple, r: int):
-            acc = [0] * sketch.k
-            for m in messages:
-                acc = [(a + v) % p for a, v in zip(acc, m)]
-            return sketch.post[sketch._post_index(tuple(acc))]
-
-        bits = n_players * sketch.k * max((p - 1).bit_length(), 1)
-    else:
+    if isinstance(sketch, HInvariantSketch):
         raise TypeError("SMP lowering needs a linear junta (F2 or Z_p)")
+    gamma, p, read = sketch.image()
+    per_group, zero = prg._fold_group(p), np.zeros(gamma.shape[1], dtype=np.int64)
+
+    def player(x, r: int) -> tuple[int, ...]:
+        x = sketch.check_input(x)
+        coords = np.asarray(sketch.group.decode(x) if isinstance(x, int) else x, dtype=np.int64)
+        return tuple(prg._fold(zero, coords, gamma, p, per_group).tolist())
+
+    def coordinator(messages: tuple, r: int):
+        images = np.asarray(messages, dtype=np.int64).reshape(len(messages), len(zero))
+        ones = np.ones(len(messages), dtype=np.int64)
+        return sketch.post[read(prg._fold(zero, ones, images, p, per_group))[1]]
+
+    bits = n_players * len(zero) * max((p - 1).bit_length(), 1)
     return [player] * n_players, coordinator, bits

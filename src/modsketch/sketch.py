@@ -3,16 +3,17 @@
 A deterministic sketch of every kind is post[bucket(x)]: a dense table
 read at a linear image of the input.  Each kind has the same members:
 group, check_input (the input as eval takes it, or ValueError), eval,
-buckets (the bucket of every input), eval_all, and stepper, the (step,
-read) pair a SketchState drives: step(i, c) adds c at coordinate i, read()
-returns (values, bucket).  A randomized sketch is a finite, exactly
-weighted distribution over deterministic ones.  Sketches can be
-evaluated offline, maintained online through update streams, measured
-exactly or by Monte Carlo, and serialized to a versioned JSON text format.
+buckets (the bucket of every input), eval_all, and image, the (gamma,
+moduli, read) a SketchState folds: row i of gamma is the image of e_i mod
+moduli, and read(vec) gives (values, bucket) at an image vector.  A
+randomized sketch is a finite, exactly weighted distribution over
+deterministic ones.  Sketches can be evaluated offline, maintained online
+through update streams, measured exactly or by Monte Carlo, and
+serialized to a versioned JSON text format.
 
 A stream acts on a sketch only through each coordinate's increment total
-mod its modulus, so a SketchState queues updates and steps once per
-distinct coordinate of the queue (prg._coordinate_totals, as
+mod its modulus, so a SketchState queues updates and flushes them in one
+fold through the image matrix (prg._coordinate_totals, then prg._fold, as
 derandomized_apply does); apply_stream feeds it one chunk at a time.
 """
 
@@ -113,16 +114,15 @@ class LinearJuntaF2:
     def eval_all(self) -> np.ndarray:
         return np.asarray(self.post)[self.buckets()]
 
-    def stepper(self):
-        cols = [sum(((row >> i) & 1) << j for j, row in enumerate(self.rows)) for i in range(self.n)]
-        z = 0
+    def image(self):
+        """gamma[i, j] = bit i of rows[j], mod 2; values = bucket = the sketch value."""
+        gamma = [[row >> i & 1 for row in self.rows] for i in range(self.n)]
 
-        def step(i: int, c: int):
-            nonlocal z
-            if c & 1:
-                z ^= cols[i]
+        def read(vec: np.ndarray):
+            z = sum(v << j for j, v in enumerate(vec.tolist()))
+            return z, z
 
-        return step, lambda: (z, z)
+        return np.asarray(gamma, dtype=np.int64).reshape(self.n, self.k), 2, read
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,14 @@ class ZpJunta:
     def eval_all(self) -> np.ndarray:
         return np.asarray(self.post)[self.buckets()]
 
-    def stepper(self):
-        cols = [[row[i] for row in self.rows] for i in range(self.n)]
-        vec, p = [0] * self.k, self.p
+    def image(self):
+        """gamma = rows transposed, mod p; values = the k forms, bucket = their base-p index."""
 
-        def step(i: int, c: int):
-            for j, a in enumerate(cols[i]):
-                vec[j] = (vec[j] + a * c) % p
+        def read(vec: np.ndarray):
+            values = tuple(vec.tolist())
+            return values, self._post_index(values)
 
-        return step, lambda: (tuple(vec), self._post_index(vec))
+        return np.asarray(self.rows, dtype=np.int64).reshape(self.k, self.n).T, self.p, read
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,23 +238,16 @@ class HInvariantSketch:
     def eval_all(self) -> np.ndarray:
         return np.asarray(self.post)[self.buckets()]
 
-    def stepper(self):
-        # step the least member of the current coset along the coordinate;
-        # its coset is the coset of the accumulated input plus the update
+    def image(self):
+        """gamma = identity, mod the group's moduli; values = bucket = the coset id of x."""
         ids = self.subgroup.coset_ids()
-        least = np.unique(ids, return_index=True)[1].tolist()  # per coset id
-        ids = ids.tolist()
-        moduli, strides = self.group.moduli, self.group.strides
-        q = 0
+        strides = np.asarray(self.group.strides, dtype=np.int64)
 
-        def step(i: int, c: int):
-            nonlocal q
-            m, stride = moduli[i], strides[i]
-            x = least[q]
-            digit = x // stride % m
-            q = ids[x + ((digit + c) % m - digit) * stride]
+        def read(vec: np.ndarray):
+            q = int(ids[vec @ strides])
+            return q, q
 
-        return step, lambda: (q, q)
+        return np.eye(self.group.n, dtype=np.int64), np.asarray(self.group.moduli), read
 
 
 Sketch = LinearJuntaF2 | ZpJunta | HInvariantSketch
@@ -317,11 +309,11 @@ class SketchState:
     outside [0, n)) and queues the update.  The queue is flushed when it
     holds prg.STREAM_CHUNK updates (as set when the state is made) and on
     every values() / output(): by linearity the flush sums the queue per
-    coordinate mod the moduli and steps the sketch once per distinct
-    coordinate, so working memory is O(STREAM_CHUNK).  `updates` counts
-    every accepted update, queued or stepped.
+    coordinate mod the moduli and adds them in one fold through the image
+    matrix, so working memory is O(STREAM_CHUNK).  `updates` counts every
+    accepted update, queued or folded.
 
-    A flush checks the whole queue before it steps anything.  An increment
+    A flush checks the whole queue before it folds anything.  An increment
     outside int64 (ValueError) or a coordinate or increment that is not an
     integer (TypeError) makes it raise, naming the first bad value; none of
     the queued updates is applied and the queue is emptied, so the state
@@ -331,15 +323,18 @@ class SketchState:
     def __init__(self, sketch: Sketch):
         self.sketch = sketch
         self.n = sketch.group.n
-        self._step, self._read = sketch.stepper()
+        self._gamma, self._image_moduli, self._read = sketch.image()
+        self._per_group = prg._fold_group(self._image_moduli)
+        self._vec = np.zeros(self._gamma.shape[1], dtype=np.int64)
+        self._reading = self._read(self._vec)  # (values, bucket), renewed per fold
         self._moduli = np.asarray(sketch.group.moduli, dtype=np.int64)
         self._queue = []  # flat: coordinate, increment, coordinate, ...
         self._limit = 2 * prg.STREAM_CHUNK
-        self._stepped = 0
+        self._folded = 0
 
     @property
     def updates(self) -> int:
-        return self._stepped + len(self._queue) // 2
+        return self._folded + len(self._queue) // 2
 
     def apply(self, coordinate: int, increment: int):
         try:
@@ -357,18 +352,19 @@ class SketchState:
         flat, self._queue = self._queue, []
         if flat:
             coords, totals = prg._coordinate_totals(flat, self.n, self._moduli)
-            for coord, total in zip(coords.tolist(), totals.tolist()):
-                self._step(coord, total)
-            self._stepped += len(flat) // 2
+            rows = self._gamma.take(coords, axis=0)
+            self._vec = prg._fold(self._vec, totals, rows, self._image_moduli, self._per_group)
+            self._reading = self._read(self._vec)
+            self._folded += len(flat) // 2
 
     def values(self):
         """The maintained linear image of the accumulated input."""
         self._flush()
-        return self._read()[0]
+        return self._reading[0]
 
     def output(self):
         self._flush()
-        return self.sketch.post[self._read()[1]]
+        return self.sketch.post[self._reading[1]]
 
 
 def apply_stream(sketch: Sketch, updates: Iterable[tuple[int, int]]) -> SketchState:
@@ -376,8 +372,8 @@ def apply_stream(sketch: Sketch, updates: Iterable[tuple[int, int]]) -> SketchSt
     a SketchState fed one chunk of at most STREAM_CHUNK updates at a time.
 
     The state depends only on each coordinate's increment total mod its
-    modulus (F2 and Z_p images are linear; an H-invariant coset step only
-    sees x mod H), so each chunk steps once per distinct coordinate.
+    modulus (every kind's image is linear in the input), so each chunk is
+    one fold through the image matrix.
     Raises as a SketchState flush does, and IndexError for a coordinate
     outside [0, n).
     """

@@ -347,14 +347,35 @@ def derandomized_apply_per_update(template, updates) -> list[int]:
     return state
 
 
+def read_at(sketch, coords):
+    """(values(), output()) of a sketch at the input with these coordinates,
+    from the definitions: parities, linear forms mod p, or the rank of the
+    coset's least member among all cosets' least members."""
+    moduli = sketch.group.moduli
+    if hasattr(sketch, "subgroup"):
+        size = 1
+        for m in moduli:
+            size *= m
+        least = {x: min(group_add(moduli, x, h) for h in sketch.subgroup.elements) for x in range(size)}
+        q = sorted(set(least.values())).index(least[group_encode(moduli, coords)])
+        return q, sketch.post[q]
+    if hasattr(sketch, "p"):
+        v = tuple(sum(a * c for a, c in zip(row, coords)) % sketch.p for row in sketch.rows)
+        return v, sketch.post[sum(c * sketch.p**j for j, c in enumerate(v))]
+    z = sum((sum(coords[i] for i in range(sketch.n) if row >> i & 1) % 2) << j
+            for j, row in enumerate(sketch.rows))
+    return z, sketch.post[z]
+
+
 def step_stream(sketch, updates):
-    """(values, output) after driving the sketch's stepper once per update,
-    in stream order, with no queue, chunk or per-coordinate total."""
-    step, read = sketch.stepper()
+    """(values, output) after a stream: every update is added to its
+    coordinate in Python ints, in stream order, with no queue, chunk or
+    array, and the sum is read from the definitions (read_at)."""
+    moduli = sketch.group.moduli
+    coords = [0] * len(moduli)
     for coord, inc in updates:
-        step(coord, inc)
-    values, bucket = read()
-    return values, sketch.post[bucket]
+        coords[coord] += inc
+    return read_at(sketch, [c % m for c, m in zip(coords, moduli)])
 
 
 def seed_bytes_per_sample(rng, seed_bits: int, samples: int) -> np.ndarray:

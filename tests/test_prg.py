@@ -46,6 +46,22 @@ def test_gf2_field_properties():
             assert field.mul(x, y) ^ field.mul(x, z) == field.mul(x, y ^ z)
 
 
+def test_gf2_tables_are_built_once_per_width():
+    # every field of a width shares one read-only table pair, and its
+    # products are the shift-and-add ones
+    a, b = Gf2Field(16), Gf2Field(16)
+    assert a._log is b._log and a._exp is b._exp
+    assert not a._log.flags.writeable and not a._exp.flags.writeable
+    assert Gf2Field(12)._log is not a._log
+    rng = random.Random(16)
+    pairs = [(rng.getrandbits(16), rng.getrandbits(16)) for _ in range(3000)]
+    pairs += [(0, 5), (5, 0), (0, 0), (1, 0xFFFF), (0xFFFF, 0xFFFF)]
+    want = [a._mul_slow(x, y) for x, y in pairs]
+    assert [b.mul(x, y) for x, y in pairs] == want
+    xs, ys = (np.asarray(v, dtype=np.int64) for v in zip(*pairs))
+    assert b.mul(xs, ys).tolist() == want
+
+
 def test_gf2_vectorized_matches_scalar():
     # 1 bit is a plain AND, 2 to 16 use log tables, 20 the shift-multiply
     rng = np.random.default_rng(0)
@@ -110,6 +126,15 @@ def test_fsm_distance_trivial_cases():
     fsm = block_parity_counter(4, 4)
     res1 = fsm_distance(fsm, 4, 1, samples=0, exact_seed_limit=1 << 24)
     assert res1.exact and res1.l1 < 1e-12
+
+
+def test_fsm_distance_needs_a_sample_past_the_exact_limit():
+    # 16 bits x 2 blocks: 2^48 seeds, so the generator side is sampled
+    fsm = block_parity_counter(4, 16)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="2\\^48 seeds exceed exact_seed_limit, so samples must be >= 1"):
+            fsm_distance(fsm, 16, 2, samples=samples)
+    assert fsm_distance(fsm, 16, 2, samples=1).samples == 1
 
 
 def test_fsm_distance_block_parity_counter():
@@ -346,6 +371,40 @@ def test_derandomized_apply_is_exact_at_large_moduli(p):
     t = RowTemplate(48, 4, p, 16, rng.getrandbits(RowTemplate.required_seed_bits(48, 4, p, 16)))
     updates = [(i, p - 1 - k) for i in range(48) for k in range(6)] + [(0, p - 1)] * 64
     assert derandomized_apply(t, updates).tolist() == derandomized_apply_per_update(t, updates)
+
+
+def _fold_by_python_ints(state, totals, rows, moduli) -> list[int]:
+    return [(v + sum(t * row[j] for t, row in zip(totals, rows))) % m
+            for j, (v, m) in enumerate(zip(state, moduli))]
+
+
+@pytest.mark.parametrize("moduli", [
+    3,
+    1_600_000_000,  # 3 rows per int64-safe group
+    3_037_000_499,  # 1 row per group: (p - 1)^2 just below 2^63
+    2**61 - 1,  # one product may overflow: Python ints
+    [3, 5, 2**31 - 1, 7],
+    [2, 3_037_000_499, 5],
+    [2**61 - 1, 3],
+])
+def test_fold_matches_python_ints(moduli):
+    # totals and entries at the top of their range, with row counts just
+    # below, at and past the group size and past two groups
+    top = max(moduli) if isinstance(moduli, list) else moduli
+    k = len(moduli) if isinstance(moduli, list) else 4
+    arg = np.asarray(moduli, dtype=np.int64) if isinstance(moduli, list) else moduli
+    per_group = prg._fold_group(arg)
+    assert per_group == max((2**63 - 1 - top) // (top - 1) ** 2, 0)
+    rng = random.Random(top)
+    column_moduli = moduli if isinstance(moduli, list) else [moduli] * k
+    for count in sorted({0, 1, 2, 3, 4, 7, per_group - 1, per_group, per_group + 1, 2 * per_group + 1} & set(range(9))):
+        state = [rng.randrange(m) for m in column_moduli]
+        totals = [top - 1 - rng.randrange(2) for _ in range(count)]
+        rows = [[top - 1 - rng.randrange(2) for _ in range(k)] for _ in range(count)]
+        got = prg._fold(np.asarray(state, dtype=np.int64), np.asarray(totals, dtype=np.int64),
+                        np.asarray(rows, dtype=np.int64).reshape(count, k), arg, per_group)
+        assert got.dtype == np.int64
+        assert got.tolist() == _fold_by_python_ints(state, totals, rows, column_moduli)
 
 
 # ------------------------------------------------- coefficient distribution

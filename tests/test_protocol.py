@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsketch import protocol as protocol_module
-from modsketch.algebra import GroupSpec
+from modsketch.algebra import GroupSpec, subgroup_generated
 from modsketch.protocol import (
     BroadcastProtocol,
     StreamFSM,
@@ -19,8 +19,10 @@ from modsketch.protocol import (
     run_smp,
     smp_from_linear_sketch,
 )
-from modsketch.sketch import LinearJuntaF2, ZpJunta, eval_sketch
+from modsketch.sketch import HInvariantSketch, LinearJuntaF2, ZpJunta, eval_sketch
 from modsketch.zoo import zoo_function, zoo_protocol
+
+from oracles import group_add
 
 
 def test_constant_protocol_fixed_transcript():
@@ -225,6 +227,36 @@ def test_smp_from_zp_sketch_matches_eval_on_sum():
         for x in inputs:
             acc = spec.add(acc, x)
         assert out == sk.eval(spec.decode(acc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_smp_lowering_equals_eval_at_the_group_sum(data):
+    # F2 and Z_p juntas with k = 0 to 3 forms; the lowering's bits are one
+    # ceil(log2 p)-bit coordinate per form per player
+    players = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+    post = tuple(data.draw(st.lists(st.integers(0, 1), min_size=p**k, max_size=p**k)))
+    if p == 2 and data.draw(st.booleans()):
+        sk = LinearJuntaF2(n, tuple(data.draw(st.integers(0, 2**n - 1)) for _ in range(k)), post)
+    else:
+        rows = tuple(tuple(data.draw(st.integers(0, p - 1)) for _ in range(n)) for _ in range(k))
+        sk = ZpJunta(n, p, rows, post)
+    fns, coordinator, bits = smp_from_linear_sketch(sk, players)
+    assert bits == players * k * {2: 1, 3: 2, 5: 3, 7: 3}[p]
+    inputs = data.draw(st.lists(st.integers(0, p**n - 1), min_size=players, max_size=players))
+    total = 0
+    for x in inputs:
+        total = group_add((p,) * n, total, x)
+    assert run_smp(fns, coordinator, inputs) == eval_sketch(sk, total)
+
+
+def test_smp_lowering_refuses_a_subgroup_sketch():
+    spec = GroupSpec((4, 2))
+    sk = HInvariantSketch(subgroup_generated(spec, [spec.encode((2, 0))]), (0, 1, 1, 0))
+    with pytest.raises(TypeError, match="SMP lowering needs a linear junta"):
+        smp_from_linear_sketch(sk, 3)
 
 
 def test_streaming_table_fn_lookup():

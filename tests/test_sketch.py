@@ -30,7 +30,7 @@ from modsketch.sketch import (
     success_probability,
 )
 
-from oracles import accumulate_stream, group_add, group_encode, step_stream
+from oracles import accumulate_stream, read_at, step_stream
 
 
 def parity_junta(n: int) -> LinearJuntaF2:
@@ -511,22 +511,6 @@ def _sketches(draw):
     return HInvariantSketch(sub, post), moduli
 
 
-def _oracle_read(sk, moduli, coords):
-    """(values(), output()) of a sketch at the input with these coordinates,
-    from the definitions: parities, linear forms mod p, or the rank of the
-    coset's least member among all cosets' least members."""
-    if isinstance(sk, LinearJuntaF2):
-        z = sum((sum(coords[i] for i in range(sk.n) if row >> i & 1) % 2) << j for j, row in enumerate(sk.rows))
-        return z, sk.post[z]
-    if isinstance(sk, ZpJunta):
-        v = tuple(sum(a * c for a, c in zip(row, coords)) % sk.p for row in sk.rows)
-        return v, sk.post[sum(c * sk.p**j for j, c in enumerate(v))]
-    size = math.prod(moduli)
-    least = {x: min(group_add(moduli, x, h) for h in sk.subgroup.elements) for x in range(size)}
-    q = sorted(set(least.values())).index(least[group_encode(moduli, coords)])
-    return q, sk.post[q]
-
-
 @settings(max_examples=60, deadline=None)
 @given(_sketches())
 def test_eval_all_matches_pointwise_eval(case):
@@ -544,7 +528,7 @@ def test_stream_state_matches_offline_fold(case, data):
     updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-7, 7)), max_size=40))
     coords = [c % m for c, m in zip(accumulate_stream(n, math.lcm(*moduli), updates), moduli)]
     state = apply_stream(sk, updates)
-    assert (state.values(), state.output()) == _oracle_read(sk, moduli, coords)
+    assert (state.values(), state.output()) == read_at(sk, coords)
     assert state.updates == len(updates)
     shuffled = data.draw(st.permutations(updates))
     assert apply_stream(sk, shuffled).values() == state.values()
@@ -553,8 +537,8 @@ def test_stream_state_matches_offline_fold(case, data):
 @settings(max_examples=60, deadline=None)
 @given(_sketches(), st.data())
 def test_apply_stream_matches_per_update_apply_across_chunks(case, data):
-    # apply_stream steps once per distinct coordinate of each chunk; a small
-    # chunk makes every stream cross several chunk boundaries
+    # apply_stream folds each chunk once; a small chunk makes every stream
+    # cross several chunk boundaries
     sk, moduli = case
     n = len(moduli)
     incs = st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1))
@@ -568,7 +552,7 @@ def test_apply_stream_matches_per_update_apply_across_chunks(case, data):
 @given(_sketches(), st.data())
 def test_queued_apply_reads_match_stepping_every_prefix(case, data):
     # the queue flushes when full (a chunk of 1-6 updates here) and on every
-    # read; each read must be the state after stepping the whole prefix
+    # read; each read must be the state after the whole prefix
     sk, moduli = case
     n = len(moduli)
     incs = st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1))
