@@ -550,16 +550,15 @@ def _coordinate_totals(flat: list, n: int, moduli) -> tuple[np.ndarray, np.ndarr
     reduced mod the coordinate's modulus (an int, or an int64 array with
     one modulus per coordinate).  `flat` is checked first (_int64_pairs)."""
     pairs = _int64_pairs(flat, n)
-    coords, incs = pairs[0::2], pairs[1::2]
-    coords, inverse = np.unique(coords, return_inverse=True)
+    order = pairs[0::2].argsort()
+    coords, incs = pairs[0::2][order], pairs[1::2][order]
+    starts = np.flatnonzero(np.concatenate(([True], coords[1:] != coords[:-1])))  # each run's first
     mod = moduli[coords] if np.ndim(moduli) else np.full(len(coords), moduli)
     if mod.max() > _INT64_MAX // len(incs):  # the sums may overflow int64
         incs, mod = incs.astype(object), mod.astype(object)
-    totals = np.zeros(len(coords), dtype=mod.dtype)
-    np.add.at(totals, inverse, incs % mod[inverse])
-    totals = (totals % mod).astype(np.int64)
+    totals = (np.add.reduceat(incs % mod, starts) % mod[starts]).astype(np.int64)
     keep = totals != 0
-    return coords[keep], totals[keep]
+    return coords[starts][keep], totals[keep]
 
 
 def derandomized_apply(
