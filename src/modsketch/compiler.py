@@ -346,8 +346,9 @@ def _select_r_star(protocol, f, D, cfg, mode) -> tuple[int, int]:
 
 
 class _PlayerSetSource:
-    """Message tables and player sets A_i of one transcript search, with
-    the tape fixed.
+    """Message tables and player sets A_i of the transcript searches on one
+    protocol with the tape fixed: one reduce, or every round of one
+    minimax_boost call that selects this tape.
 
     A streaming protocol's message function reads only its input, prev[-1]
     and r, so its table over all inputs is kept per (fn, prev[-1] or None)
@@ -369,6 +370,10 @@ class _PlayerSetSource:
         self.batches = 0
         self.built = 0
         self.hits = 0
+
+    def counters(self) -> tuple[int, int, int, int]:
+        """(message_calls, built, hits, batches) so far."""
+        return self.message_calls, self.built, self.hits, self.batches
 
     def _key(self, i: int, messages: tuple):
         return self.protocol.msg_fns[i], messages[i - 1] if i else None
@@ -460,6 +465,7 @@ def sample_and_select_transcript(
     D: Distribution,
     cfg: ReductionConfig,
     mode: str = "exact",
+    sources: dict | None = None,
 ) -> SelectedTranscript:
     """Sample transcripts of the first N players, verify the probability
     condition exactly for each distinct candidate, and keep the best
@@ -470,7 +476,9 @@ def sample_and_select_transcript(
     and requires (target_eps + delta) / (1 - delta).  Raises
     TranscriptSearchError (carrying the best candidate) otherwise.  For a
     streaming protocol, player sets are memoized across players and
-    candidates (see _PlayerSetSource).
+    candidates (see _PlayerSetSource); `sources` maps each tape r* to its
+    source and may be shared by several searches on the same protocol.
+    The counters returned are this search's work only.
     """
     if cfg.transcript_trials < 1:
         raise TranscriptSearchError("transcript_trials must be at least 1")
@@ -479,7 +487,10 @@ def sample_and_select_transcript(
     delta = cfg.resolved_delta()
     threshold = delta * Fraction(1, 2 ** (protocol.message_bits * n))
     r_star, r_calls = _select_r_star(protocol, f, D, cfg, mode)
-    source = _PlayerSetSource(protocol, r_star)
+    if sources is None:
+        sources = {}
+    source = sources.setdefault(r_star, _PlayerSetSource(protocol, r_star))
+    before = source.counters()
     rng = derived_rng(cfg.seed, "transcripts")
 
     seen: set[tuple] = set()
@@ -527,12 +538,13 @@ def sample_and_select_transcript(
     transcript = Transcript(
         key, prob, quality, "success" if mode == "exact" else "sq_error"
     )
+    calls, built, hits, batches = (a - b for a, b in zip(source.counters(), before))
     return SelectedTranscript(
         transcript, ps, tail, r_star, trials, len(seen), rejected,
-        message_calls=r_calls + trials * protocol.n_players + source.message_calls,
-        player_sets_built=source.built,
-        player_set_hits=source.hits,
-        message_batches=source.batches,
+        message_calls=r_calls + trials * protocol.n_players + calls,
+        player_sets_built=built,
+        player_set_hits=hits,
+        message_batches=batches,
     )
 
 
@@ -619,14 +631,16 @@ def build_junta(
     mode: str = "exact",
 ) -> JuntaResult:
     """Average the tail over the player sets (given by their joint
-    spectrum) and the invariant shift, check bucket-constancy, and emit
-    the deterministic sketch.
+    spectrum) and the invariant shift, and emit the deterministic sketch.
 
     w(x) = E[h(x - y_1 - ... - y_N + v)] is constant on sketch buckets by
-    construction; exact mode derandomizes by picking per bucket the output
-    maximizing D-weighted agreement with f (ties resolved by rounding w),
-    which weakly dominates averaging over Bernoulli roundings.  Approx mode
-    keeps the [0,1]-valued bucket averages as the post table.
+    construction; the result carries its largest spread within a bucket
+    as coset_deviation, which reduce's coset-constancy check reads, and
+    the post table reads w at each bucket's first member.  Exact mode
+    derandomizes by picking per bucket the output maximizing D-weighted
+    agreement with f (ties resolved by rounding w), which weakly dominates
+    averaging over Bernoulli roundings.  Approx mode keeps the
+    [0,1]-valued bucket averages as the post table.
     """
     ids, n_buckets = structure.sketch.buckets(), structure.complexity
     w_fn = averaged_shift(joint, tail.h, structure.invariant)
@@ -635,10 +649,6 @@ def build_junta(
     starts = np.searchsorted(ids[order], np.arange(n_buckets))
     mins, maxs = _bucket_extremes(w, order, starts)
     deviation = float(np.max(maxs - mins)) if n_buckets else 0.0
-    if deviation > 1e-9:
-        raise InvariantViolation(
-            "build-junta", f"averaged tail varies by {deviation:.3g} within a bucket"
-        )
     if np.min(w) < -1e-9 or np.max(w) > 1 + 1e-9:
         raise InvariantViolation("build-junta", "averaged tail escapes [0,1]")
     w = np.clip(w, 0.0, 1.0)
@@ -706,26 +716,43 @@ def reduce(
     against the conversion chain and 2*eps + tol.  All intermediate
     quantities land in the report.
     """
+    _check_variant(variant, f.group)
+    if D is None:
+        D = Distribution.uniform(f.group)
+    if D.group != f.group:
+        raise ValueError("distribution group mismatch")
+    protocol = _as_protocol(protocol_source, cfg.players + 1, f.group)
+    return _reduce(protocol, f, D, cfg, variant)
+
+
+def _check_variant(variant: str, group: GroupSpec):
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    if variant.endswith("_f2") and not group.is_boolean:
+        raise ValueError("F2 variants need an all-2 group")
+
+
+def _reduce(
+    protocol: BroadcastProtocol,
+    f: DenseFunction,
+    D: Distribution,
+    cfg: ReductionConfig,
+    variant: str,
+    sources: dict | None = None,
+) -> ReduceResult:
+    """reduce's pipeline on a built protocol and a checked variant, the
+    transcript search drawing on `sources` (see sample_and_select_transcript;
+    with None its tables are freed before the later stages run)."""
     mode = "exact" if variant.startswith("exact") else "approx"
     kind = "subspace" if variant.endswith("_f2") else "subgroup"
     group = f.group
-    if kind == "subspace" and not group.is_boolean:
-        raise ValueError("F2 variants need an all-2 group")
-    if D is None:
-        D = Distribution.uniform(group)
-    if D.group != group:
-        raise ValueError("distribution group mismatch")
-
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    protocol = _as_protocol(protocol_source, cfg.players + 1, group)
     n, c = cfg.players, protocol.message_bits
     delta = cfg.resolved_delta()
     warnings = cfg.threshold_warnings(group)
 
-    sel = sample_and_select_transcript(protocol, f, D, cfg, mode)
+    sel = sample_and_select_transcript(protocol, f, D, cfg, mode, sources)
     timings["transcript"] = time.perf_counter() - t0
     checks: dict = {}
     ok = sel.transcript.a >= delta * Fraction(1, 2 ** (c * n))
@@ -768,7 +795,8 @@ def reduce(
     t3 = time.perf_counter()
     junta = build_junta(sel.tail, joint, structure, D, f, mode)
     timings["junta"] = time.perf_counter() - t3
-    _record(checks, "coset-constancy", junta.coset_deviation, 1e-9, "build-junta")
+    _record(checks, "coset-constancy", junta.coset_deviation, 1e-9, "build-junta",
+            junta.coset_deviation <= 1e-9)
 
     tol = max(group.size * 2.0 ** (-n / 8), 10 * float(delta))
     b = sel.transcript.b
@@ -857,7 +885,11 @@ def minimax_boost(
     exact per-input success profile.  Checks the Hedge regret bound on the
     reported qualities q_t: (1 - e^-eta) sum_t q_t <= eta min_x L(x) + ln|G|.
     Only exact variants: an approx round reports a squared error, not a
-    success probability, so the bound would not constrain it."""
+    success probability, so the bound would not constrain it.
+
+    The protocol is built once, and the rounds that select the same tape
+    r* share its message tables and player sets (with their spectra) for
+    this call only.  Each round's report counts that round's work."""
     if rounds < 1:
         raise ValueError("need at least one round")
     if not variant.startswith("exact"):
@@ -871,6 +903,9 @@ def minimax_boost(
     if eta is None:
         eta = min(0.5, math.sqrt(math.log(group.size) / rounds))
 
+    _check_variant(variant, group)
+    protocol = _as_protocol(protocol_source, cfg.players + 1, group)
+    sources: dict = {}  # r* -> _PlayerSetSource, shared by the rounds of this call only
     weights = np.full(group.size, 1.0 / group.size)
     sketches = []
     corrects = np.zeros(group.size, dtype=np.int64)
@@ -878,7 +913,7 @@ def minimax_boost(
     for t in range(rounds):
         D_t = Distribution(group, weights / weights.sum(), name=f"boost-round-{t}")
         round_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"boost-{t}"))
-        res = reduce(protocol_source, f, D_t, round_cfg, variant)
+        res = _reduce(protocol, f, D_t, round_cfg, variant, sources)
         sketches.append(res.sketch)
         reports.append(res.report)
         out = np.asarray(res.sketch.eval_all())

@@ -468,12 +468,13 @@ def _greedy_dissociated(
 
     The kept set stays dissociated; reach is a bitmap over G of every
     signed sum of the kept elements, grown by reach |= (reach + gamma) |
-    (reach - gamma).  Raises DissociationLimitError when a candidate
-    arrives while `limit` elements are already kept.
+    (reach - gamma).  Each shifted copy is rolled one axis at a time,
+    skipping the zero coordinates of gamma: numpy rolls several axes at
+    once as up to 2^n slice copies.  Raises DissociationLimitError when a
+    candidate arrives while `limit` elements are already kept.
     """
     chosen: list[int] = []
     reach = None
-    axes = tuple(range(spec.n))
     for g in gammas:
         if limit is not None and len(chosen) >= limit:
             raise DissociationLimitError(
@@ -487,7 +488,11 @@ def _greedy_dissociated(
         if reach[shift]:
             continue
         chosen.append(g)
-        reach |= np.roll(reach, shift, axes) | np.roll(reach, [-a for a in shift], axes)
+        plus = minus = reach
+        for axis, a in enumerate(shift):
+            if a:
+                plus, minus = np.roll(plus, a, axis), np.roll(minus, -a, axis)
+        reach |= plus | minus
     return chosen
 
 

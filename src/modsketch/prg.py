@@ -20,10 +20,10 @@ matrix to the state, so every stream in the library folds the same way.
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -512,10 +512,9 @@ def _stream_chunks(updates: Iterable[tuple[int, int]]):
     at most STREAM_CHUNK updates each."""
     updates = iter(updates)
     while chunk := list(itertools.islice(updates, STREAM_CHUNK)):
-        flat = list(itertools.chain.from_iterable(chunk))
-        if len(flat) != 2 * len(chunk):
+        if operator.countOf(map(len, chunk), 2) != len(chunk):
             raise ValueError("every update must be a (coordinate, increment) pair")
-        yield flat
+        yield list(itertools.chain.from_iterable(chunk))
 
 
 def _int64_pairs(flat: list, n: int) -> np.ndarray:
@@ -526,8 +525,8 @@ def _int64_pairs(flat: list, n: int) -> np.ndarray:
     increment outside int64 ValueError, each naming the first such value.
     """
     try:
-        pairs = np.frombuffer(array.array("q", flat), dtype=np.int64)
-    except (TypeError, OverflowError):
+        pairs = np.frombuffer(struct.pack(f"{len(flat)}q", *flat), dtype=np.int64)
+    except struct.error:
         pairs = None  # a value to name, found by the scan below
     if pairs is None or not ((pairs[0::2] >= 0) & (pairs[0::2] < n)).all():
         for at, value in enumerate(flat):

@@ -116,13 +116,15 @@ class LinearJuntaF2:
 
     def image(self):
         """gamma[i, j] = bit i of rows[j], mod 2; values = bucket = the sketch value."""
-        gamma = [[row >> i & 1 for row in self.rows] for i in range(self.n)]
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows), dtype=np.uint8)
+        bits = np.unpackbits(packed.reshape(self.k, width), axis=1, count=self.n, bitorder="little")
 
         def read(vec: np.ndarray):
             z = sum(v << j for j, v in enumerate(vec.tolist()))
             return z, z
 
-        return np.asarray(gamma, dtype=np.int64).reshape(self.n, self.k), 2, read
+        return bits.T.astype(np.int64, order="C"), 2, read
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ def test_build_invariant_structure_group_case():
 
 
 def test_junta_w_values_coset_constant_exhaustive():
-    # checked internally by build_junta; re-verified here over all cosets
+    # reduce's coset-constancy check reads coset_deviation; re-verified here over all cosets
     rng = random.Random(4)
     n, N = 6, 20
     spec = GroupSpec.boolean(n)
@@ -690,7 +690,7 @@ def test_minimax_boost_hedge_check_catches_false_quality(monkeypatch):
     def lying_reduce(*args, **kwargs):
         return ReduceResult(wrong, SimpleNamespace(quality=1.0))
 
-    monkeypatch.setattr(compiler, "reduce", lying_reduce)
+    monkeypatch.setattr(compiler, "_reduce", lying_reduce)  # each boost round's pipeline
     cfg = ReductionConfig(players=4, transcript_trials=2)
     with pytest.raises(InvariantViolation, match="hedge-regret"):
         minimax_boost(f, zoo_protocol("parity-chain", n=2), cfg, rounds=20)
@@ -709,6 +709,121 @@ def test_minimax_boost_input_validation():
     for variant in ("approx_f2", "approx_group"):
         with pytest.raises(ValueError, match="exact variant"):
             minimax_boost(zoo_function("parity", n=3), family, cfg, rounds=2, variant=variant)
+
+
+def tape_mask_chain(n_players: int) -> BroadcastProtocol:
+    """A streaming parity chain on F2^3 whose tape r picks the mask it
+    forwards: bit 0 of the input, xored over the players, against a
+    target no mask computes, so r* moves with D and the sampling noise."""
+    masks = (0b011, 0b101, 0b110, 0b111)
+
+    def step(x, prev, r):
+        return (prev[-1] if prev else 0) ^ ((x & masks[r]).bit_count() & 1)
+
+    return BroadcastProtocol(GroupSpec.boolean(3), n_players, 1, (step,) * n_players,
+                             randomness_bits=2, streaming=True, name="tape-mask-chain")
+
+
+BOOST_CASES = {
+    "f2": (zoo_function("parity", n=4), zoo_protocol("parity-chain", n=4),
+           ReductionConfig(players=40, transcript_trials=4, target_q=1.0), "exact_f2"),
+    "z3": (zoo_function("mod-p-sum-zero", n=3, p=3), zoo_protocol("running-sum-mod-p", n=3, p=3),
+           ReductionConfig(players=48, transcript_trials=4, target_q=1.0), "exact_group"),
+    "tape": (DenseFunction(GroupSpec.boolean(3), np.arange(8) & 1), tape_mask_chain,
+             ReductionConfig(players=30, transcript_trials=4, r_eval_samples=8), "exact_f2"),
+}
+PER_ROUND_COUNTERS = ("message_calls", "player_sets_built", "player_set_hits", "message_batches")
+
+
+def boost_by_fresh_reduces(f, source, cfg, rounds, variant):
+    """minimax_boost's loop with every round a separate reduce call."""
+    from modsketch.seeding import derive_seed
+    from modsketch.sketch import RandomizedSketch
+
+    group, fv = f.group, f.real_values()
+    eta = min(0.5, math.sqrt(math.log(group.size) / rounds))
+    weights = np.full(group.size, 1.0 / group.size)
+    corrects = np.zeros(group.size, dtype=np.int64)
+    sketches, reports = [], []
+    for t in range(rounds):
+        D_t = Distribution(group, weights / weights.sum(), name=f"boost-round-{t}")
+        res = reduce(source, f, D_t, replace(cfg, seed=derive_seed(cfg.seed, f"boost-{t}")), variant)
+        sketches.append(res.sketch)
+        reports.append(res.report)
+        correct = (np.asarray(res.sketch.eval_all()) == fv).astype(np.float64)
+        corrects += correct.astype(np.int64)
+        weights = weights * np.exp(-eta * correct)
+        weights = weights / weights.sum()
+    lhs = (1 - math.exp(-eta)) * sum(r.quality for r in reports)
+    rhs = eta * int(corrects.min()) + math.log(group.size)
+    checks = {"hedge-regret": {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + compiler.BOUNDARY_TOL}}
+    per_x = [Fraction(int(k), rounds) for k in corrects]
+    return RandomizedSketch.uniform_mixture(sketches, seed=cfg.seed), per_x, checks, reports
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(BOOST_CASES)), st.integers(0, 2**16), st.integers(1, 4))
+def test_minimax_boost_matches_fresh_reduce_per_round(name, seed, rounds):
+    from modsketch.sketch import serialize_sketch
+
+    f, source, cfg, variant = BOOST_CASES[name]
+    cfg = replace(cfg, seed=seed)
+    res = minimax_boost(f, source, cfg, rounds, variant)
+    mixture, per_x, checks, reports = boost_by_fresh_reduces(f, source, cfg, rounds, variant)
+    assert serialize_sketch(res.mixture) == serialize_sketch(mixture)
+    assert res.per_x_success == per_x
+    assert res.checks == checks
+    skip = ("timings",) + PER_ROUND_COUNTERS
+    for got, want in zip(res.round_reports, reports, strict=True):
+        assert {k: v for k, v in got.to_dict().items() if k not in skip} == \
+            {k: v for k, v in want.to_dict().items() if k not in skip}
+        # each round counts its own lookups only: one per player and candidate
+        assert got.player_sets_built + got.player_set_hits == cfg.players * got.candidates_evaluated
+
+
+def test_minimax_boost_shares_tables_within_one_call_only():
+    # the boost-zp shape: Z_3^7 at the mixing threshold, four rounds
+    f = zoo_function("mod-p-sum-zero", n=7, p=3)
+    family = zoo_protocol("running-sum-mod-p", n=7, p=3)
+    cfg = ReductionConfig(players=111, transcript_trials=4, target_q=1.0, seed=1)
+    first, again = (minimax_boost(f, family, cfg, 4, "exact_group") for _ in range(2))
+    head, *rest = first.round_reports
+    assert head.message_batches > 0
+    assert all(r.message_batches < head.message_batches for r in rest)
+    assert all(r.player_sets_built < head.player_sets_built for r in rest)
+    counts = [[getattr(r, c) for c in PER_ROUND_COUNTERS] for r in first.round_reports]
+    assert counts == [[getattr(r, c) for c in PER_ROUND_COUNTERS] for r in again.round_reports]
+
+
+def test_minimax_boost_keys_shared_sources_by_tape():
+    f, source, cfg, variant = BOOST_CASES["tape"]
+    res = minimax_boost(f, source, replace(cfg, seed=1), 4, variant)
+    tapes = [r.r_star for r in res.round_reports]
+    assert len(set(tapes)) > 1
+    for t, r in enumerate(res.round_reports):
+        # a round on a tape no earlier round selected builds every distinct set afresh
+        if r.r_star not in tapes[:t]:
+            assert r.player_sets_built > 0
+
+
+def test_coset_constancy_check_can_fail(monkeypatch):
+    from modsketch import fourier
+    from modsketch.compiler import InvariantViolation
+
+    def uneven(joint, h, invariant=None):
+        w = fourier.averaged_shift(joint, h, invariant)
+        if invariant is None:
+            return w
+        vals = w.real_values(tol=1e-7)
+        odd = np.arange(len(vals)) & 1  # varies inside each parity bucket
+        return DenseFunction(w.group, np.where(vals > 0.5, vals - 1e-6 * odd, vals + 1e-6 * odd))
+
+    f = zoo_function("parity", n=4)
+    cfg = ReductionConfig(players=40, transcript_trials=4, target_q=1.0, seed=3)
+    monkeypatch.setattr(compiler, "averaged_shift", uneven)
+    with pytest.raises(InvariantViolation, match="coset-constancy") as err:
+        reduce(zoo_protocol("parity-chain", n=4), f, None, cfg, "exact_f2")
+    assert err.value.stage == "build-junta"
 
 
 def test_report_serializes_to_plain_json():

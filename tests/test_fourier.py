@@ -273,6 +273,27 @@ def test_extract_dissociated_matches_bruteforce_greedy(inputs):
     assert is_dissociated(spec, gammas) == is_dissociated_bruteforce(moduli, gammas)
 
 
+@st.composite
+def _sparse_shifts(draw):
+    """Two to four coordinates of distinct moduli, and up to six elements each
+    with at least one zero coordinate (the rolls that _greedy_dissociated skips)."""
+    moduli = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=4, unique=True)))
+    spec = GroupSpec(moduli)
+    gammas = []
+    for _ in range(draw(st.integers(1, 6))):
+        coords = [draw(st.integers(0, m - 1)) for m in moduli]
+        coords[draw(st.integers(0, len(moduli) - 1))] = 0
+        gammas.append(spec.encode(coords))
+    return moduli, gammas
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_shifts())
+def test_is_dissociated_matches_bruteforce_on_sparse_shifts(inputs):
+    moduli, gammas = inputs
+    assert is_dissociated(GroupSpec(moduli), gammas) == is_dissociated_bruteforce(moduli, gammas)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_dissociation_inputs())
 def test_annihilator_matches_exhaustive_oracle(inputs):

@@ -494,6 +494,13 @@ def test_one_draw_seeds_continue_across_draws(seed_bits):
     assert np.array_equal(got, seed_bytes_per_sample(random.Random(seed_bits), seed_bits, samples))
 
 
+def test_derandomized_apply_rejects_malformed_updates():
+    t = RowTemplate(4, 2, 3, 8, 0)
+    for updates in ([(0, 1, 1), (1,)], [(0, 1), (1, 1, 1)], [(0,)]):
+        with pytest.raises(ValueError, match="pair"):
+            derandomized_apply(t, updates)
+
+
 def test_derandomized_apply_rejects_non_integer_updates():
     t = RowTemplate(4, 2, 3, 8, 0)
     for update, name in (((0, 1.5), "increment 1.5"), ((1.9, 1), "coordinate 1.9"), (("2", 1), "coordinate '2'")):

@@ -202,6 +202,18 @@ def test_apply_stream_rejects_malformed_updates():
             apply_stream(sk, [(-(2**70), 1)])
         with pytest.raises(ValueError, match="pair"):
             apply_stream(sk, [(0, 1, 1), (1, 1)])
+        with pytest.raises(ValueError, match="pair"):  # lengths 3 and 1 flatten to two pairs' worth
+            apply_stream(sk, [(0, 1, 1), (1,)])
+
+
+def test_f2_image_matches_bit_definition_beyond_64_bits():
+    rng = random.Random(200)
+    rows = tuple(rng.getrandbits(200) for _ in range(12)) + ((1 << 199) | 1, 0)
+    gamma, moduli, _ = LinearJuntaF2(200, rows, (0,) * (1 << 14)).image()
+    assert moduli == 2 and gamma.dtype == np.int64 and gamma.shape == (200, 14)
+    assert gamma.tolist() == [[row >> i & 1 for row in rows] for i in range(200)]
+    empty, _, _ = LinearJuntaF2(5, (), (1,)).image()
+    assert empty.shape == (5, 0)
 
 
 def test_non_integer_updates_raise_type_error():
