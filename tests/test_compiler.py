@@ -30,7 +30,8 @@ from modsketch.compiler import (
 )
 from modsketch.fourier import ChangBoundError, DenseFunction, normalized_indicator
 from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
-from modsketch.sketch import Distribution
+from modsketch.seeding import derive_seed
+from modsketch.sketch import Distribution, RandomizedSketch, serialize_sketch
 from modsketch.zoo import zoo_fsm, zoo_function, zoo_protocol
 
 from oracles import bucket_reduce, group_add, group_sub, transcript_frequencies, transcript_success
@@ -712,9 +713,10 @@ def test_minimax_boost_input_validation():
 
 
 def tape_mask_chain(n_players: int) -> BroadcastProtocol:
-    """A streaming parity chain on F2^3 whose tape r picks the mask it
-    forwards: bit 0 of the input, xored over the players, against a
-    target no mask computes, so r* moves with D and the sampling noise."""
+    """A streaming parity chain on F2^3 whose tape r picks the mask each
+    player xors into the message.  No mask computes the target, bit 0 of
+    the input sum, so every tape succeeds half the time and r* moves with
+    D and with the sampling noise of its estimate."""
     masks = (0b011, 0b101, 0b110, 0b111)
 
     def step(x, prev, r):
@@ -729,7 +731,7 @@ BOOST_CASES = {
            ReductionConfig(players=40, transcript_trials=4, target_q=1.0), "exact_f2"),
     "z3": (zoo_function("mod-p-sum-zero", n=3, p=3), zoo_protocol("running-sum-mod-p", n=3, p=3),
            ReductionConfig(players=48, transcript_trials=4, target_q=1.0), "exact_group"),
-    "tape": (DenseFunction(GroupSpec.boolean(3), np.arange(8) & 1), tape_mask_chain,
+    "tape": (DenseFunction(GroupSpec.boolean(3), (np.arange(8) & 1).astype(float)), tape_mask_chain,
              ReductionConfig(players=30, transcript_trials=4, r_eval_samples=8), "exact_f2"),
 }
 PER_ROUND_COUNTERS = ("message_calls", "player_sets_built", "player_set_hits", "message_batches")
@@ -737,9 +739,6 @@ PER_ROUND_COUNTERS = ("message_calls", "player_sets_built", "player_set_hits", "
 
 def boost_by_fresh_reduces(f, source, cfg, rounds, variant):
     """minimax_boost's loop with every round a separate reduce call."""
-    from modsketch.seeding import derive_seed
-    from modsketch.sketch import RandomizedSketch
-
     group, fv = f.group, f.real_values()
     eta = min(0.5, math.sqrt(math.log(group.size) / rounds))
     weights = np.full(group.size, 1.0 / group.size)
@@ -764,8 +763,6 @@ def boost_by_fresh_reduces(f, source, cfg, rounds, variant):
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(sorted(BOOST_CASES)), st.integers(0, 2**16), st.integers(1, 4))
 def test_minimax_boost_matches_fresh_reduce_per_round(name, seed, rounds):
-    from modsketch.sketch import serialize_sketch
-
     f, source, cfg, variant = BOOST_CASES[name]
     cfg = replace(cfg, seed=seed)
     res = minimax_boost(f, source, cfg, rounds, variant)
