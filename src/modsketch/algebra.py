@@ -389,7 +389,7 @@ def max_independent_subset(
 class SubgroupEnum:
     """A subgroup of a finite abelian group as an explicit element list."""
 
-    __slots__ = ("spec", "elements", "_member_set", "_coset_ids", "_n_cosets", "_generators")
+    __slots__ = ("spec", "elements", "_member_set", "_coset_ids", "_n_cosets", "_generators", "_dual_mask")
 
     def __init__(self, spec: GroupSpec, elements: Iterable[int]):
         self.spec = spec
@@ -400,6 +400,7 @@ class SubgroupEnum:
         self._coset_ids = None
         self._n_cosets = None
         self._generators = None
+        self._dual_mask = None  # set by fourier.dual_annihilator_mask
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -474,7 +475,8 @@ class SubgroupEnum:
 
     def quotient_add_table(self) -> np.ndarray:
         """Addition table of the quotient group on coset ids (quadratic in
-        the number of cosets; streaming state steps coset members instead)."""
+        the number of cosets; a streaming state folds its coordinate totals
+        through the sketch's image matrix instead)."""
         ids = self.coset_ids()
         reps = [int(np.argmax(ids == q)) for q in range(self.n_cosets)]
         table = np.empty((self.n_cosets, self.n_cosets), dtype=np.int64)

@@ -248,6 +248,7 @@ class ReductionReport:
     player_sets_built: int = 0
     player_set_hits: int = 0
     message_batches: int = 0
+    subgroups_built: int = 0
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -577,6 +578,7 @@ def build_invariant_structure(
     weights: np.ndarray,
     kind: str,
     dissociated_limit: int = 16,
+    subgroups: dict | None = None,
 ) -> InvariantStructure:
     """Span the heavy spectrum and return the structure the junta lives on.
 
@@ -584,7 +586,9 @@ def build_invariant_structure(
     sketch buckets are the sign patterns against those generators (cosets
     of the orthogonal subspace).  Over general groups: a greedy max-weight
     dissociated subset, whose annihilator subgroup H defines the buckets
-    as cosets of H.
+    as cosets of H.  `subgroups` maps each H built so far to itself; an
+    H already there (same group and members, whatever the generators) is
+    returned as the stored object, with its coset table and dual mask.
     """
     s_list = [int(g) for g in S]
     w_list = [float(weights[g]) for g in s_list]
@@ -597,6 +601,8 @@ def build_invariant_structure(
         raise ValueError(f"unknown structure kind {kind!r}")
     gens = extract_dissociated(group, s_list, w_list, limit=dissociated_limit)
     sub = annihilator(group, gens)
+    if subgroups is not None:
+        sub = subgroups.setdefault(sub, sub)
     return InvariantStructure("subgroup", gens, sub, HInvariantSketch(sub, (0,) * sub.n_cosets))
 
 
@@ -739,10 +745,12 @@ def _reduce(
     cfg: ReductionConfig,
     variant: str,
     sources: dict | None = None,
+    subgroups: dict | None = None,
 ) -> ReduceResult:
     """reduce's pipeline on a built protocol and a checked variant, the
     transcript search drawing on `sources` (see sample_and_select_transcript;
-    with None its tables are freed before the later stages run)."""
+    with None its tables are freed before the later stages run) and the
+    invariant structure on `subgroups` (see build_invariant_structure)."""
     mode = "exact" if variant.startswith("exact") else "approx"
     kind = "subspace" if variant.endswith("_f2") else "subgroup"
     group = f.group
@@ -762,8 +770,10 @@ def _reduce(
     t1 = time.perf_counter()
     B, S, weights = heavy_set(sel.player_sets, c)
     _record(checks, "heavy-majority", len(B), f">= {n}/2", "heavy-set", 2 * len(B) >= n)
+    subgroups = {} if subgroups is None else subgroups
+    known = len(subgroups)
     structure = build_invariant_structure(
-        group, S, weights, kind, cfg.dissociated_limit
+        group, S, weights, kind, cfg.dissociated_limit, subgroups
     )
     timings["structure"] = time.perf_counter() - t1
     if kind == "subspace":
@@ -858,6 +868,7 @@ def _reduce(
         player_sets_built=sel.player_sets_built,
         player_set_hits=sel.player_set_hits,
         message_batches=sel.message_batches,
+        subgroups_built=len(subgroups) - known,
     )
     return ReduceResult(junta.sketch, report)
 
@@ -889,7 +900,10 @@ def minimax_boost(
 
     The protocol is built once, and the rounds that select the same tape
     r* share its message tables and player sets (with their spectra) for
-    this call only.  Each round's report counts that round's work."""
+    this call only, and the rounds whose annihilators coincide share one
+    SubgroupEnum, with its coset table, generators and dual mask.  Each
+    round's report counts that round's work.  eta must be finite and > 0
+    (at eta <= 0 the regret check could never fail)."""
     if rounds < 1:
         raise ValueError("need at least one round")
     if not variant.startswith("exact"):
@@ -902,10 +916,12 @@ def minimax_boost(
         raise ValueError("boosting needs a binary target function")
     if eta is None:
         eta = min(0.5, math.sqrt(math.log(group.size) / rounds))
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and > 0, got {eta!r}")
 
     _check_variant(variant, group)
     protocol = _as_protocol(protocol_source, cfg.players + 1, group)
-    sources: dict = {}  # r* -> _PlayerSetSource, shared by the rounds of this call only
+    sources, subgroups = {}, {}  # for this call's rounds only: r* -> _PlayerSetSource, H -> H
     weights = np.full(group.size, 1.0 / group.size)
     sketches = []
     corrects = np.zeros(group.size, dtype=np.int64)
@@ -913,7 +929,7 @@ def minimax_boost(
     for t in range(rounds):
         D_t = Distribution(group, weights / weights.sum(), name=f"boost-round-{t}")
         round_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"boost-{t}"))
-        res = _reduce(protocol, f, D_t, round_cfg, variant, sources)
+        res = _reduce(protocol, f, D_t, round_cfg, variant, sources, subgroups)
         sketches.append(res.sketch)
         reports.append(res.report)
         out = np.asarray(res.sketch.eval_all())

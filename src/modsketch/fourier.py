@@ -333,7 +333,9 @@ def dual_annihilator_mask(
     This is exactly the support of the spectrum of phi_H.  Computed by exact
     integer arithmetic, not by transform: over F2 the annihilator is the
     orthogonal complement of H, whose members are spanned by doubling over
-    its basis in O(|H^perp|).
+    its basis in O(|H^perp|), a fresh array per call.  A SubgroupEnum's mask
+    is computed once, on the first call with its own group, and every call
+    returns that array read-only.
     """
     if isinstance(invariant, SubspaceF2):
         if not group.is_boolean or group.n != invariant.n:
@@ -346,7 +348,11 @@ def dual_annihilator_mask(
         return mask
     if invariant.spec != group:
         raise ValueError("subgroup does not live in the given group")
-    return _pairing_mask(group, invariant.generators())
+    if invariant._dual_mask is None:
+        mask = _pairing_mask(group, invariant.generators())
+        mask.flags.writeable = False
+        invariant._dual_mask = mask
+    return invariant._dual_mask
 
 
 def _pairing_mask(spec: GroupSpec, gammas: Iterable[int]) -> np.ndarray:

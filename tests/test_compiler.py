@@ -314,6 +314,7 @@ def test_group_variant_agrees_with_f2_on_boolean_groups():
     res_f2 = reduce(family, f, None, cfg, "exact_f2")
     res_gr = reduce(family, f, None, cfg, "exact_group")
     assert res_gr.report.complexity == 2 ** res_f2.report.cost == 2
+    assert (res_f2.report.subgroups_built, res_gr.report.subgroups_built) == (0, 1)
     assert np.array_equal(
         np.asarray(res_f2.sketch.eval_all()),
         np.asarray(res_gr.sketch.eval_all()),
@@ -734,7 +735,8 @@ BOOST_CASES = {
     "tape": (DenseFunction(GroupSpec.boolean(3), (np.arange(8) & 1).astype(float)), tape_mask_chain,
              ReductionConfig(players=30, transcript_trials=4, r_eval_samples=8), "exact_f2"),
 }
-PER_ROUND_COUNTERS = ("message_calls", "player_sets_built", "player_set_hits", "message_batches")
+PER_ROUND_COUNTERS = ("message_calls", "player_sets_built", "player_set_hits", "message_batches",
+                      "subgroups_built")
 
 
 def boost_by_fresh_reduces(f, source, cfg, rounds, variant):
@@ -790,6 +792,36 @@ def test_minimax_boost_shares_tables_within_one_call_only():
     assert all(r.player_sets_built < head.player_sets_built for r in rest)
     counts = [[getattr(r, c) for c in PER_ROUND_COUNTERS] for r in first.round_reports]
     assert counts == [[getattr(r, c) for c in PER_ROUND_COUNTERS] for r in again.round_reports]
+
+
+def test_minimax_boost_shares_annihilators_within_one_call_only():
+    # the boost-zp shape at a seed where round 1 keeps the character 2186 and
+    # rounds 2-4 keep 1093, its negative: one annihilator, so one subgroup
+    f = zoo_function("mod-p-sum-zero", n=7, p=3)
+    family = zoo_protocol("running-sum-mod-p", n=7, p=3)
+    cfg = ReductionConfig(players=111, transcript_trials=4, target_q=1.0, seed=3025046857)
+    first, again = (minimax_boost(f, family, cfg, 4, "exact_group") for _ in range(2))
+    assert [r.generators for r in first.round_reports] == [[2186], [1093], [1093], [1093]]
+    held = [sketch.subgroup for _, sketch in first.mixture.entries]
+    assert all(sub is held[0] for sub in held)
+    assert len(held[0]) == 729
+    assert [r.subgroups_built for r in first.round_reports] == [1, 0, 0, 0]
+    # a second call builds its own subgroup: the memo lives for one call
+    other = again.mixture.entries[0][1].subgroup
+    assert other is not held[0] and other == held[0]
+    assert [r.subgroups_built for r in again.round_reports] == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+def test_minimax_boost_rejects_eta_without_a_hedge_bound(monkeypatch, eta):
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(compiler, "_reduce", no_round)
+    cfg = ReductionConfig(players=4, transcript_trials=2)
+    with pytest.raises(ValueError, match="eta"):
+        minimax_boost(zoo_function("parity", n=3), zoo_protocol("parity-chain", n=3), cfg,
+                      rounds=2, eta=eta)
 
 
 def test_minimax_boost_keys_shared_sources_by_tape():

@@ -343,6 +343,24 @@ def test_annihilator_examples_and_size_bound():
         assert len(sub) >= g.size / g.exponent**k
 
 
+@settings(max_examples=100, deadline=None)
+@given(_dissociation_inputs(), st.lists(st.integers(0, 215), max_size=3))
+def test_dual_annihilator_mask_is_computed_once(inputs, generators):
+    moduli, gammas, _, _ = inputs
+    g = GroupSpec(moduli)
+    ann = annihilator(g, gammas)
+    for sub in (ann, subgroup_generated(g, [x % g.size for x in generators])):
+        mask = dual_annihilator_mask(g, sub)
+        assert dual_annihilator_mask(g, sub) is mask
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, _pairing_mask(g, sub.generators()))
+        with pytest.raises(ValueError, match="does not live"):  # the group is checked first
+            dual_annihilator_mask(GroupSpec(moduli + (2,)), sub)
+    # duality: the characters trivial on ann(gammas) are those trivial on its members
+    assert np.flatnonzero(dual_annihilator_mask(g, ann)).tolist() == \
+        exhaustive_annihilator(moduli, ann.elements)
+
+
 def test_dual_annihilator_mask_matches_spectrum_support():
     # for a subgroup H, the mask equals the support of phihat_H
     g = GroupSpec((6, 4))
