@@ -454,23 +454,27 @@ class SubgroupEnum:
         """Map every group element index to a coset id in [0, |G|/|H|).
 
         Coset ids are assigned in increasing order of the smallest element
-        of the coset, so id 0 is the subgroup itself.
+        of the coset, so id 0 is the subgroup itself.  The least element of
+        x + H is a minimum over x + <g> for each generator g in turn.
         """
         if self._coset_ids is None:
             spec = self.spec
-            ids = np.full(spec.size, -1, dtype=np.int64)
-            members = np.asarray(self.elements, dtype=np.int64)
-            member_coords = spec.coords_matrix()[members]
-            next_id = 0
-            for x in range(spec.size):
-                if ids[x] != -1:
-                    continue
-                shifted = spec.encode_matrix(member_coords + spec.coords_matrix()[x])
-                ids[shifted] = next_id
-                next_id += 1
+            cols = spec.coords_matrix().T
+            idx = np.arange(spec.size, dtype=np.int64)
+            least = idx
+            for g in self.generators():
+                shift = idx.copy()  # x -> x + g, one nonzero coordinate of g at a time
+                for j, gj in enumerate(spec.decode(g)):
+                    if gj:
+                        shift += ((cols[j] + gj) % spec.moduli[j] - cols[j]) * spec.strides[j]
+                for _ in range((spec.exponent - 1).bit_length()):  # 2^k >= the order of g
+                    least = np.minimum(least, least[shift])
+                    shift = shift[shift]
+            is_least = least == idx
+            ids = (np.cumsum(is_least) - 1)[least]
             ids.setflags(write=False)
             self._coset_ids = ids
-            self._n_cosets = next_id
+            self._n_cosets = int(np.count_nonzero(is_least))
         return self._coset_ids
 
     def quotient_add_table(self) -> np.ndarray:

@@ -158,6 +158,12 @@ class PlayerSets:
     def densities(self) -> list[Fraction]:
         return [ind.density for ind in self.indicators]
 
+    def heavy(self, message_bits: int) -> list[NormalizedIndicator]:
+        """The distinct sets of density >= 2^(-2(c+1)), in first-seen order,
+        by the exact integer test count * 2^(2(c+1)) >= |G|."""
+        shift = 2 * (message_bits + 1)
+        return [ind for ind in self.distinct if ind.count << shift >= ind.group.size]
+
     def joint(self) -> Spectrum:
         """prod_j phihat_j^(count_j) over the distinct sets."""
         if self._joint is None:
@@ -379,11 +385,12 @@ class _PlayerSetSource:
     def _key(self, i: int, messages: tuple):
         return self.protocol.msg_fns[i], messages[i - 1] if i else None
 
-    def table(self, i: int, messages: tuple) -> np.ndarray:
+    def table(self, i: int, messages: Sequence) -> np.ndarray:
         """fn_i(x, messages[:i], r_star) for every input x."""
         key = self._key(i, messages)
-        if self.memo and key in self.tables:
-            return self.tables[key]
+        table = self.tables.get(key)
+        if table is not None:
+            return table
         fn, size = key[0], self.protocol.group.size
         batch = getattr(fn, "batch", None) if self.memo else None
         if batch is None:
@@ -401,6 +408,26 @@ class _PlayerSetSource:
         if self.memo:
             self.tables[key] = table
         return table
+
+    def transcript(self, xs: Sequence[int]) -> tuple:
+        """The first N messages on inputs xs, as protocol.run gives them; a
+        streaming protocol's are read off the tables its player sets use."""
+        protocol = self.protocol
+        n = protocol.n_players - 1
+        if not self.memo:
+            self.message_calls += protocol.n_players
+            return protocol.run(xs, self.r_star)[0][:n]
+        limit, fns = 1 << protocol.message_bits, protocol.msg_fns
+        messages, m = [], None
+        for i in range(n):
+            table = self.tables.get((fns[i], m))  # _key(i, messages), inlined
+            if table is None:
+                table = self.table(i, messages)
+            m = table.item(xs[i])
+            if not 0 <= int(m) < limit:
+                raise ValueError(f"player {i} message {m} does not fit in {protocol.message_bits} bits")
+            messages.append(m)
+        return tuple(messages)
 
     def indicator(self, i: int, messages: tuple) -> NormalizedIndicator:
         """The normalized indicator of A_i = {x : fn_i(x, messages[:i]) = m_i}."""
@@ -477,7 +504,8 @@ def sample_and_select_transcript(
     and requires (target_eps + delta) / (1 - delta).  Raises
     TranscriptSearchError (carrying the best candidate) otherwise.  For a
     streaming protocol, player sets are memoized across players and
-    candidates (see _PlayerSetSource); `sources` maps each tape r* to its
+    candidates and trials are sampled from the same message tables (see
+    _PlayerSetSource); `sources` maps each tape r* to its
     source and may be shared by several searches on the same protocol.
     The counters returned are this search's work only.
     """
@@ -500,8 +528,7 @@ def sample_and_select_transcript(
     trials = 0
     for trials in range(1, cfg.transcript_trials + 1):
         _, xs = _sample_inputs(group, D, n, rng)
-        messages, _ = protocol.run(xs, r_star)
-        key = tuple(messages[:n])
+        key = source.transcript(xs)
         if key in seen:
             continue
         seen.add(key)
@@ -542,7 +569,7 @@ def sample_and_select_transcript(
     calls, built, hits, batches = (a - b for a, b in zip(source.counters(), before))
     return SelectedTranscript(
         transcript, ps, tail, r_star, trials, len(seen), rejected,
-        message_calls=r_calls + trials * protocol.n_players + calls,
+        message_calls=r_calls + calls,
         player_sets_built=built,
         player_set_hits=hits,
         message_batches=batches,
@@ -554,20 +581,20 @@ def heavy_set(
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The high-density player set B and the jointly heavy spectrum S.
 
-    B keeps players of density >= 2^(-2(c+1)) (inclusive, exact rational
-    comparison); S keeps dual indices whose spectral energy summed over B
-    reaches |B|/2 (inclusive with float tolerance), the sum taken as
-    count * energy over the distinct sets.  Returns
-    (B, S indices, per-gamma energy weights).
+    B keeps players of density >= 2^(-2(c+1)) (inclusive, exact, decided
+    once per distinct set by PlayerSets.heavy); S keeps dual indices whose
+    spectral energy summed over B reaches |B|/2 (inclusive with float
+    tolerance), the sum taken as count * energy over the distinct sets.
+    Returns (B, S indices, per-gamma energy weights).
     """
     if not player_sets.indicators:
         raise ValueError("empty player sets")
-    thresh = Fraction(1, 2 ** (2 * (message_bits + 1)))
-    B = [i for i, ind in enumerate(player_sets.indicators) if ind.density >= thresh]
+    heavy = player_sets.heavy(message_bits)
+    keep = set(heavy)
+    B = [i for i, ind in enumerate(player_sets.indicators) if ind in keep]
     weights = np.zeros(player_sets.indicators[0].group.size, dtype=np.float64)
-    for ind, count in player_sets.distinct.items():
-        if ind.density >= thresh:
-            weights += count * np.abs(ind.spectrum().coeffs) ** 2
+    for ind in heavy:
+        weights += player_sets.distinct[ind] * np.abs(ind.spectrum().coeffs) ** 2
     S = np.nonzero(weights >= len(B) / 2 - tol)[0]
     return B, S, weights
 
@@ -586,9 +613,10 @@ def build_invariant_structure(
     sketch buckets are the sign patterns against those generators (cosets
     of the orthogonal subspace).  Over general groups: a greedy max-weight
     dissociated subset, whose annihilator subgroup H defines the buckets
-    as cosets of H.  `subgroups` maps each H built so far to itself; an
-    H already there (same group and members, whatever the generators) is
-    returned as the stored object, with its coset table and dual mask.
+    as cosets of H.  `subgroups` is annihilator's memo, keyed by the
+    group and H's member bitmap: an H already there (whatever the
+    generators) is returned as the stored object, with its coset table and
+    dual mask, and is not built again.
     """
     s_list = [int(g) for g in S]
     w_list = [float(weights[g]) for g in s_list]
@@ -600,9 +628,7 @@ def build_invariant_structure(
     if kind != "subgroup":
         raise ValueError(f"unknown structure kind {kind!r}")
     gens = extract_dissociated(group, s_list, w_list, limit=dissociated_limit)
-    sub = annihilator(group, gens)
-    if subgroups is not None:
-        sub = subgroups.setdefault(sub, sub)
+    sub = annihilator(group, gens, subgroups)
     return InvariantStructure("subgroup", gens, sub, HInvariantSketch(sub, (0,) * sub.n_cosets))
 
 
@@ -763,7 +789,10 @@ def _reduce(
     sel = sample_and_select_transcript(protocol, f, D, cfg, mode, sources)
     timings["transcript"] = time.perf_counter() - t0
     checks: dict = {}
-    ok = sel.transcript.a >= delta * Fraction(1, 2 ** (c * n))
+    # a recomputed from the members of each distinct set, not from the search's counts
+    a = Fraction(math.prod(int(np.count_nonzero(ind.members)) ** k for ind, k in sel.player_sets.distinct.items()),
+                 group.size**n)
+    ok = a == sel.transcript.a and a >= delta * Fraction(1, 2 ** (c * n))
     _record(checks, "transcript-probability", str(sel.transcript.a), f"{delta}*2^-{c * n}",
             "transcript-search", ok)
 
@@ -781,13 +810,12 @@ def _reduce(
     else:
         _record(checks, "complexity-bound", structure.complexity, group.exponent**structure.cost, "structure")
     # Chang's bound once per distinct heavy set; the record keeps the least slack
-    players = sel.player_sets.indicators
     lhs, rhs, tightest = min(
         ((chang_sum(ind, structure.generators), cfg.chang_constant * math.log2(1 / ind.density), ind)
-         for ind in dict.fromkeys(players[i] for i in B)),
+         for ind in sel.player_sets.heavy(c)),
         key=lambda s: s[1] - s[0],
     )
-    player = players.index(tightest)
+    player = sel.player_sets.indicators.index(tightest)
     checks["chang-per-player"] = {"lhs": lhs, "rhs": rhs, "player": player, "ok": lhs <= rhs + BOUNDARY_TOL}
     if not checks["chang-per-player"]["ok"]:
         raise ChangBoundError(
@@ -901,9 +929,10 @@ def minimax_boost(
     The protocol is built once, and the rounds that select the same tape
     r* share its message tables and player sets (with their spectra) for
     this call only, and the rounds whose annihilators coincide share one
-    SubgroupEnum, with its coset table, generators and dual mask.  Each
-    round's report counts that round's work.  eta must be finite and > 0
-    (at eta <= 0 the regret check could never fail)."""
+    SubgroupEnum, with its coset table, generators and dual mask (the memo
+    is keyed by the annihilator's member bitmap, so a round that reuses one
+    builds none).  Each round's report counts that round's work.  eta must
+    be finite and > 0 (at eta <= 0 the regret check could never fail)."""
     if rounds < 1:
         raise ValueError("need at least one round")
     if not variant.startswith("exact"):
@@ -921,7 +950,7 @@ def minimax_boost(
 
     _check_variant(variant, group)
     protocol = _as_protocol(protocol_source, cfg.players + 1, group)
-    sources, subgroups = {}, {}  # for this call's rounds only: r* -> _PlayerSetSource, H -> H
+    sources, subgroups = {}, {}  # for this call's rounds only: r* -> _PlayerSetSource, (G, H's bitmap) -> H
     weights = np.full(group.size, 1.0 / group.size)
     sketches = []
     corrects = np.zeros(group.size, dtype=np.int64)

@@ -539,7 +539,15 @@ def extract_dissociated(
     return chosen
 
 
-def annihilator(spec: GroupSpec, gammas: Sequence[int]) -> SubgroupEnum:
-    """The subgroup of all x with gamma(x) = 1 for every listed character."""
+def annihilator(spec: GroupSpec, gammas: Sequence[int], memo: dict | None = None) -> SubgroupEnum:
+    """The subgroup of all x with gamma(x) = 1 for every listed character.
+
+    `memo` maps (group, member bitmap bytes) to the subgroups built so far:
+    a subgroup already there is returned as the stored object, and only a
+    new one is built (and added)."""
     _check_size(spec)
-    return SubgroupEnum(spec, np.nonzero(_pairing_mask(spec, gammas))[0].tolist())
+    mask = _pairing_mask(spec, gammas)
+    memo, key = {} if memo is None else memo, (spec, mask.tobytes())
+    if key not in memo:
+        memo[key] = SubgroupEnum(spec, np.flatnonzero(mask).tolist())
+    return memo[key]

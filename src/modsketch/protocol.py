@@ -190,17 +190,19 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
         return fsm.emit(fsm.run_input(state, x))
 
     group = fsm.group
-    if fsm.n_states * group.n * max(group.moduli) <= TRANSFORM_SIZE_LIMIT:
+    n, width = group.n, max(group.moduli)
+    if fsm.n_states * n * width <= TRANSFORM_SIZE_LIMIT:
         tables = functools.cache(lambda: _fsm_tables(fsm))  # built on the first batch call
 
         def run_all(xs: np.ndarray, state, r: int) -> np.ndarray:
-            transitions = tables()[0]
+            flat = tables()[0].reshape(-1)  # T[st, j, digit] at st*n*width + j*width + digit
             state = fsm.initial if state is None else state
             if not 0 <= state < fsm.n_states:
                 raise ValueError(f"state {state} outside [0, {fsm.n_states})")
+            offsets = group.coords_matrix()[xs].T + (np.arange(n) * width)[:, None]
             st = np.full(len(xs), state, dtype=np.int64)
-            for j, (m, s) in enumerate(zip(group.moduli, group.strides)):
-                st = transitions[st, j, xs // s % m]
+            for j in range(n):
+                st = flat[st * (n * width) + offsets[j]]
             return st
 
         def emit_all(xs: np.ndarray, state, r: int) -> np.ndarray:

@@ -443,6 +443,20 @@ def transcript_success(protocol, f_values) -> dict[tuple, Fraction]:
     return {k: Fraction(good, count) for k, (good, count) in hits.items()}
 
 
+def coset_ids_loop(spec, elements) -> list[int]:
+    """Coset ids of the subgroup with these elements, by visiting the
+    elements of G in increasing order and labelling the whole coset of each
+    one not yet labelled with the next id."""
+    ids = [-1] * spec.size
+    next_id = 0
+    for x in range(spec.size):
+        if ids[x] == -1:
+            for h in elements:
+                ids[spec.add(x, h)] = next_id
+            next_id += 1
+    return ids
+
+
 def greedy_generators(moduli, elements) -> list[int]:
     """Greedy generating set of a subgroup given by its elements: each
     element not yet in the closure, in ascending order, is a generator; the

@@ -19,7 +19,7 @@ from modsketch.algebra import (
     subgroup_generated,
 )
 
-from oracles import coset_partition, char_value, greedy_generators, naive_rank_masks
+from oracles import coset_ids_loop, coset_partition, char_value, greedy_generators, naive_rank_masks
 
 
 def test_bitvec_self_inverse():
@@ -220,6 +220,17 @@ def test_subgroup_generators_match_greedy_closure_oracle(data):
     assert subgroup_generated(g, gens) == sub
     gens.append(-1)  # the cached list is not handed out
     assert sub.generators() == gens[:-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_coset_ids_match_the_coset_loop(data):
+    moduli = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=4))
+    g = GroupSpec(moduli)
+    sub = subgroup_generated(g, data.draw(st.lists(st.integers(0, g.size - 1), max_size=4)))
+    ids = sub.coset_ids()
+    assert ids.tolist() == coset_ids_loop(g, sub.elements)
+    assert sub.n_cosets == g.size // len(sub) and not ids.flags.writeable
 
 
 def test_quotient_add_table_is_group():

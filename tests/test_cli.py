@@ -460,6 +460,20 @@ def test_library_limit_and_bound_errors_exit_cleanly(tmp_path, capsys, monkeypat
     assert err.endswith("raised by the library\n")
 
 
+def test_transcript_probability_violation_exits_1(tmp_path, capsys, monkeypatch):
+    from modsketch.fourier import NormalizedIndicator
+
+    monkeypatch.setattr(NormalizedIndicator, "count", property(lambda ind: ind._count + 1))
+    cfg = _write_config(tmp_path, {
+        "experiment": "reduce",
+        "function": {"name": "parity", "params": {"n": 4}},
+        "protocol": {"name": "parity-chain", "params": {"n": 4}},
+        "reduction": {"players": 40, "trials": 4},
+    })
+    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 1)
+    assert err.startswith("stage failure: [transcript-search] transcript-probability: ")
+
+
 def _boost_config(tmp_path, **extra):
     return _write_config(tmp_path, {
         "experiment": "boost",
@@ -500,9 +514,9 @@ def test_reduce_report_carries_transcript_counters(tmp_path):
     keys = list(report)
     at = keys.index("candidates_evaluated")
     assert keys[at + 1:at + 5] == ["message_calls", "player_sets_built", "player_set_hits", "message_batches"]
-    # one candidate: sampling runs 41 players, then tables for no state, 0 and
-    # 1, each from one call of the parity chain's array form
-    assert report["message_calls"] == 41 + 3 * 16
+    # one candidate: tables for no state, 0 and 1, each from one call of the
+    # parity chain's array form; sampling reads its messages off these tables
+    assert report["message_calls"] == 3 * 16
     assert report["message_batches"] == 3
     assert report["player_sets_built"] + report["player_set_hits"] == 40
     assert report["player_set_hits"] >= 35

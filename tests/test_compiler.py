@@ -162,6 +162,19 @@ def test_heavy_set_full_space_and_boundary():
     assert 0 in B2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.data())
+def test_heavy_sets_match_the_rational_density_test(n, c, data):
+    spec = GroupSpec.boolean(n)
+    sizes = data.draw(st.lists(st.integers(1, spec.size), min_size=1, max_size=5))
+    sets = [normalized_indicator(spec, range(k)) for k in sizes]
+    ps = PlayerSets(data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=12)))
+    thresh = Fraction(1, 2 ** (2 * (c + 1)))
+    assert ps.heavy(c) == [ind for ind in ps.distinct if ind.density >= thresh]
+    B, _, _ = heavy_set(ps, c)
+    assert B == [i for i, ind in enumerate(ps.indicators) if ind.density >= thresh]
+
+
 def test_heavy_set_parity_chain_spectrum():
     n, N = 4, 40
     f = zoo_function("parity", n=n)
@@ -531,13 +544,13 @@ def _counted(protocol):
 
 def test_streaming_reduce_tabulates_each_message_function_once_per_state():
     # parity chain, n=6, N=60: one table per incoming state (none, 0, 1)
-    # serves all 60 player sets and the tail; sampling adds 61 calls a trial
+    # serves all 60 player sets and the tail, and sampling reads the same tables
     n, N = 6, 60
     protocol, calls = _counted(zoo_protocol("parity-chain", n=n)(N + 1))
     cfg = ReductionConfig(players=N, transcript_trials=8, target_q=1.0, seed=4)
     res = reduce(protocol, zoo_function("parity", n=n), None, cfg, "exact_f2")
     assert res.report.quality == 1.0
-    assert calls[0] <= 4 * 2**n
+    assert calls[0] == 3 * 2**n
     assert res.report.message_calls == calls[0]
     assert res.report.player_sets_built <= 1 + 2 * 2
     assert res.report.player_sets_built + res.report.player_set_hits == N * res.report.candidates_evaluated
@@ -555,6 +568,69 @@ def test_streaming_reduce_tabulates_each_message_function_once_per_state():
     res = reduce(gated, zoo_function("parity", n=2), None, ReductionConfig(players=8, seed=1), "exact_f2")
     assert res.report.r_star == 1
     assert res.report.message_calls == calls[0] > 4 * 256 * 9
+
+
+@st.composite
+def _walked_protocols(draw):
+    """A streaming protocol with array forms (a zoo chain or the lifted
+    running sum), or one of them wrapped per input with its forms dropped."""
+    kind = draw(st.sampled_from(["parity", "blend", "running-sum"]))
+    players = draw(st.integers(1, 12))
+    if kind == "running-sum":
+        n, p = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 5]))
+        protocol = zoo_protocol("running-sum-mod-p", n=n, p=p)(players)
+    else:
+        n = draw(st.integers(1, 5))
+        mask = st.integers(0, (1 << n) - 1)
+        params = {"mask": draw(mask)} if kind == "parity" else {"a": draw(mask), "b": draw(mask)}
+        name = "parity-chain" if kind == "parity" else "two-parity-blend-chain"
+        protocol = zoo_protocol(name, n=n, **params)(players)
+    return _counted(protocol)[0] if draw(st.booleans()) else protocol
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walked_protocols(), st.data())
+def test_table_walk_gives_the_messages_of_protocol_run(protocol, data):
+    source = compiler._PlayerSetSource(protocol, 0)
+    n, walked = protocol.n_players - 1, set()
+    for _ in range(3):
+        xs = data.draw(st.lists(st.integers(0, protocol.group.size - 1),
+                                min_size=protocol.n_players, max_size=protocol.n_players))
+        want = protocol.run(xs, 0)[0][:-1]
+        got = source.transcript(xs)
+        assert got == want and [type(m) for m in got] == [type(m) for m in want]
+        walked |= {source._key(i, got) for i in range(n)}
+    # the walk builds only the tables the candidates' player sets read
+    assert set(source.tables) == walked
+    assert source.message_calls == protocol.group.size * len(walked)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_table_walk_rejects_an_oversized_message_like_protocol_run(batched):
+    def msg(x, prev, r):  # inputs of F2^2 as 1-bit messages: 2 and 3 do not fit
+        return x
+
+    if batched:
+        msg.batch = lambda xs, last, r: xs.copy()
+    protocol = BroadcastProtocol(group=GroupSpec.boolean(2), n_players=3, message_bits=1,
+                                 msg_fns=(msg,) * 3, streaming=True)
+    with pytest.raises(ValueError) as want:
+        protocol.run([1, 3, 0])
+    with pytest.raises(ValueError) as got:
+        compiler._PlayerSetSource(protocol, 0).transcript([1, 3, 0])
+    assert str(got.value) == str(want.value) == "player 1 message 3 does not fit in 1 bits"
+
+
+def test_transcript_probability_check_can_fail(monkeypatch):
+    from modsketch.compiler import InvariantViolation
+    from modsketch.fourier import NormalizedIndicator
+
+    # the search multiplies the sets' counts; the check recounts their members
+    monkeypatch.setattr(NormalizedIndicator, "count", property(lambda ind: ind._count + 1))
+    cfg = ReductionConfig(players=40, transcript_trials=4, seed=3)
+    with pytest.raises(InvariantViolation, match="transcript-probability") as err:
+        reduce(zoo_protocol("parity-chain", n=5), zoo_function("parity", n=5), None, cfg, "exact_f2")
+    assert err.value.stage == "transcript-search"
 
 
 def _assert_same_selection(got, want):

@@ -302,6 +302,24 @@ def test_annihilator_matches_exhaustive_oracle(inputs):
     assert list(sub.elements) == exhaustive_annihilator(moduli, gammas)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_dissociation_inputs())
+def test_annihilator_memo_is_keyed_by_the_member_bitmap(inputs):
+    moduli, gammas, _, _ = inputs
+    g, memo = GroupSpec(moduli), {}
+    sub = annihilator(g, gammas, memo)
+    assert len(memo) == 1 and sub == annihilator(g, gammas)
+    # other characters with the same annihilator hit the stored object
+    same = [g.neg(x) for x in gammas] + [0]
+    assert annihilator(g, same, memo) is sub and len(memo) == 1
+    # a hit is a lookup only: no subgroup is built for it
+    key = next(iter(memo))
+    memo[key] = stored = object()
+    assert annihilator(g, gammas, memo) is stored
+    bigger = GroupSpec(moduli + (2,))
+    assert annihilator(bigger, gammas, memo) is not stored and len(memo) == 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(2, 7), min_size=1, max_size=4).flatmap(
     lambda moduli: st.tuples(st.just(tuple(moduli)),
