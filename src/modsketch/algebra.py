@@ -28,6 +28,7 @@ __all__ = [
     "orthogonal_complement",
     "coset_rep",
     "max_independent_subset",
+    "heaviest_first",
     "char_eval",
     "subgroup_from_elements",
 ]
@@ -340,6 +341,17 @@ def coset_rep(space: SubspaceF2, x: int | BitVec) -> int:
     return space.reduce(x)
 
 
+def heaviest_first(weights: Sequence[float], keys: Sequence) -> list[int]:
+    """Indices by decreasing weight, ties by increasing key.
+
+    Weights are compared rounded to 9 digits relative to the largest, so
+    weights that are equal in exact arithmetic (those of gamma and -gamma,
+    say) tie whatever rounding their transform left in them.
+    """
+    top = max(map(abs, weights), default=0.0) or 1.0
+    return sorted(range(len(weights)), key=lambda i: (-round(weights[i] / top, 9), keys[i]))
+
+
 def max_independent_subset(
     vectors: Sequence[int | BitVec],
     weights: Sequence[float],
@@ -347,9 +359,9 @@ def max_independent_subset(
 ) -> list[int]:
     """Greedy maximal linearly independent subset, heaviest first.
 
-    Ties are broken lexicographically on the coordinate sequence
-    (coordinate 0 first).  Returns packed ints in selection order; the
-    output spans the same space as the input.
+    Ties (see heaviest_first) are broken lexicographically on the
+    coordinate sequence (coordinate 0 first).  Returns packed ints in
+    selection order; the output spans the same space as the input.
     """
     if len(vectors) != len(weights):
         raise ValueError("weights length must match vectors")
@@ -364,15 +376,10 @@ def max_independent_subset(
     if n is None:
         raise ValueError("dimension n required when vectors are packed ints")
 
-    def lex_key(bits: int) -> tuple[int, ...]:
-        return tuple((bits >> i) & 1 for i in range(n))
-
-    order = sorted(
-        range(len(packed)), key=lambda i: (-weights[i], lex_key(packed[i]))
-    )
+    lex_keys = [tuple((bits >> i) & 1 for i in range(n)) for bits in packed]
     chosen: list[int] = []
     basis: list[int] = []
-    for i in order:
+    for i in heaviest_first(weights, lex_keys):
         v = packed[i]
         w = v
         for b in basis:
@@ -419,18 +426,12 @@ class SubgroupEnum:
         return hash((self.spec, self.elements))
 
     def verify_closed(self) -> bool:
-        """Exhaustive closure check (addition and negation), vectorized."""
-        spec = self.spec
-        members = np.zeros(spec.size, dtype=bool)
-        idx = np.asarray(self.elements, dtype=np.int64)
-        members[idx] = True
-        coords = spec.coords_matrix()[idx]
-        if not members[spec.encode_matrix(-coords)].all():
-            return False
-        return all(
-            members[spec.encode_matrix(coords + spec.coords_matrix()[a])].all()
-            for a in self.elements
-        )
+        """Closure check, linear in the span: the subgroup that generators()
+        span contains H, so H is closed iff that span has |H| members."""
+        closure, members = _trivial_closure(self.spec)
+        for g in self.generators():
+            members = _grow_closure(self.spec, closure, members, g)
+        return len(members) == len(self.elements)
 
     def generators(self) -> list[int]:
         """A small generating set, found by greedy closure growth: each
@@ -491,8 +492,11 @@ class SubgroupEnum:
 
 
 def subgroup_from_elements(spec: GroupSpec, elements: Iterable[int]) -> SubgroupEnum:
-    """Build a SubgroupEnum after verifying closure exhaustively."""
+    """Build a SubgroupEnum after checking that the elements lie in G and
+    are closed under its operation."""
     sub = SubgroupEnum(spec, elements)
+    if not 0 <= sub.elements[-1] < spec.size:
+        raise ValueError(f"element {sub.elements[-1]} outside the group of order {spec.size}")
     if not sub.verify_closed():
         raise ValueError("element set is not closed under the group operation")
     return sub

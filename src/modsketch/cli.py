@@ -320,6 +320,9 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad sketch file {path}: {e!r}") from e
     f = _load_function(config.raw)
+    group = (sketch.entries[0][1] if hasattr(sketch, "entries") else sketch).group
+    if f.group != group:
+        raise ConfigError(f"function group {f.group} does not match the sketch's group {group}")
     result: dict = {"sketch_file": path}
     ok = True
     stream = config.raw.get("stream-file")

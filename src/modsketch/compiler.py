@@ -68,6 +68,9 @@ __all__ = [
 VARIANTS = ("exact_f2", "approx_f2", "exact_group", "approx_group")
 BOUNDARY_TOL = 1e-9
 BOOST_SIZE_LIMIT = 1 << 16
+# _select_r_star tries every tape up to this many, else this many random tapes
+R_TAPE_EXHAUSTIVE_LIMIT = 1 << 16
+R_TAPE_SAMPLES = 256
 
 
 class CompilerError(Exception):
@@ -102,8 +105,6 @@ class ReductionConfig:
     target_q: float | None = None
     target_eps: float | None = None
     seed: int = 0
-    r_tape_exhaustive_limit: int = 1 << 16
-    r_tape_samples: int = 256
     r_eval_samples: int = 256
     dissociated_limit: int = 16
     chang_constant: float = 8.0
@@ -338,10 +339,10 @@ def _select_r_star(protocol, f, D, cfg, mode) -> tuple[int, int]:
         return 0, 0
     rng = derived_rng(cfg.seed, "r-star")
     space = 1 << protocol.randomness_bits
-    if space <= cfg.r_tape_exhaustive_limit:
+    if space <= R_TAPE_EXHAUSTIVE_LIMIT:
         tapes = range(space)
     else:
-        tapes = [rng.getrandbits(protocol.randomness_bits) for _ in range(cfg.r_tape_samples)]
+        tapes = [rng.getrandbits(protocol.randomness_bits) for _ in range(R_TAPE_SAMPLES)]
     best_r, best_val = 0, -math.inf
     for r in tapes:
         val = _protocol_quality_estimate(

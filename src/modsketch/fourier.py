@@ -6,11 +6,11 @@ all-ones spectrum and f(x) = sum_gamma fhat(gamma) * gamma(x).
 Convolution is (f*g)(x) = E_y f(y) g(x-y), hence hat(f*g) = fhat * ghat.
 
 Every transform, forward or inverse and on any group, applies the DFT
-matrix of G as a Kronecker product of DFT blocks, one matrix product each;
-a coordinate of modulus above 32 is split further by Cooley-Tukey, or by
-Bluestein's chirp for a prime factor above 1024.  Over F2^n the blocks are
-real Hadamard matrices, so real functions keep float64 spectra and complex
-ones take one pass over their float64 view.
+matrix of G as a Kronecker product of dense DFT blocks, one matrix product
+each; a coordinate of modulus above 32 (other than a prime up to 170) goes
+through np.fft instead.  Over F2^n the blocks are real Hadamard matrices, so
+real functions keep float64 spectra and complex ones take one pass over
+their float64 view.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .algebra import (
     GroupSpec,
     SubgroupEnum,
     SubspaceF2,
+    heaviest_first,
     max_independent_subset,
     orthogonal_complement,
 )
@@ -54,14 +55,16 @@ __all__ = [
 ]
 
 TRANSFORM_SIZE_LIMIT = 1 << 20
-# Largest order m^k of a block of the factored transform (larger moduli are
-# split into digits of this order, or prime digits up to its square).  On one
+# Largest order m^k of a dense DFT block for a run of equal moduli.  On one
 # BLAS thread at 2^13 to 2^20, Hadamard blocks of 2^5 were as fast as 2^6 or
 # faster, faster than 2^7 and 2^8, and not slower than smaller ones; on
 # Z_3^12, Z_4^9 and Z_5^8 block orders from 9 to 64 timed alike.
 DFT_BLOCK_ORDER = 32
+# Largest prime modulus transformed by its dense block; other moduli above
+# DFT_BLOCK_ORDER go through np.fft, whose generic radix is slower on such
+# primes (BENCH_large-moduli.json).
+DENSE_PRIME_LIMIT = 170
 DISSOCIATED_DEFAULT_LIMIT = 16
-CHANG_DEFAULT_CONSTANT = 8.0
 
 
 class TransformLimitError(ValueError):
@@ -155,10 +158,10 @@ def _roots(m: int, exponents: np.ndarray, inverse: bool) -> np.ndarray:
     return np.exp((2j if inverse else -2j) * np.pi / m * (exponents % m))
 
 
+@functools.cache
 def _dft_block(m: int, k: int, inverse: bool) -> np.ndarray:
     """The unnormalized DFT matrix of Z_m^k, read-only (for m = 2 the real Sylvester-Hadamard
-    matrix).  Blocks of order up to DFT_BLOCK_ORDER are kept once built, and of larger ones
-    (prime digits up to DFT_BLOCK_ORDER^2, at most 16.7 MB each) the last four."""
+    matrix), kept once built."""
     coords = GroupSpec.cyclic_power(m, k).coords_matrix()
     pairing = coords @ coords.T
     block = 1.0 - 2.0 * (pairing % 2) if m == 2 else _roots(m, pairing, inverse)
@@ -166,65 +169,16 @@ def _dft_block(m: int, k: int, inverse: bool) -> np.ndarray:
     return block
 
 
-_small_block = functools.cache(_dft_block)
-_large_block = functools.lru_cache(maxsize=4)(_dft_block)
-
-
-def _digits(m: int) -> tuple[int, ...]:
-    """The digits of m for Cooley-Tukey, most significant first: _blocks of its prime
-    factors (primes above DFT_BLOCK_ORDER alone); () if one exceeds DFT_BLOCK_ORDER^2."""
-    primes, p = [], 2
-    while p * p <= m:
-        while m % p == 0:
-            primes.append(p)
-            m //= p
-        p += 1
-    primes += [m] * (m > 1)
-    return () if primes[-1] > DFT_BLOCK_ORDER**2 else tuple(p**k for p, k in _blocks(tuple(primes)))
-
-
-@functools.lru_cache(maxsize=16)
-def _twiddles(m: int, d: int, inverse: bool) -> np.ndarray:
-    """w_m^(-+x k) for x < m/d and k < d, shaped (m/d, 1, d) to scale a (m/d, rest, d) view."""
-    return _roots(m, np.outer(np.arange(m // d), np.arange(d)), inverse)[:, None, :]
-
-
-@functools.lru_cache(maxsize=4)
-def _chirp(m: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Bluestein's chirp c_j = exp(-+pi i j^2 / m) for j < m, and the DFT over a
-    power-of-2 cycle L >= 2m - 1 of conj(c_|j|) at j mod L (|j| < m), over L."""
-    c = _roots(2 * m, np.arange(m) ** 2, inverse)
-    v = np.zeros(1 << (2 * m - 2).bit_length(), dtype=np.complex128)
-    v[:m], v[len(v) - m + 1:] = c.conj(), c[:0:-1].conj()
-    return c, _dft_pass(v, len(v), 1, False)[0] / len(v)
-
-
 def _dft_pass(x: np.ndarray, m: int, k: int, inverse: bool) -> np.ndarray:
     """The DFT over Z_m^k of the leading axis of x seen as (m^k, rest), as (rest, m^k).
 
-    Up to DFT_BLOCK_ORDER this is one dense block.  A larger modulus (k = 1)
-    is decimated in frequency over its digits: each pass applies one digit's
-    dense block to the leading axis and scales by twiddles, and one
-    transpose orders the output digits, which come out least significant
-    first.  A prime factor above DFT_BLOCK_ORDER^2 makes it Bluestein's chirp
-    convolution over a power-of-2 cycle instead.
+    One dense block up to DFT_BLOCK_ORDER, or for a prime m up to DENSE_PRIME_LIMIT;
+    np.fft for every other modulus (k = 1 above DFT_BLOCK_ORDER).
     """
-    if m**k <= DFT_BLOCK_ORDER:
-        return x.reshape(m**k, -1).T @ _small_block(m, k, inverse)
-    if digits := _digits(m):
-        b = m
-        for d in digits:
-            b //= d
-            x = x.reshape(d, -1).T @ (_small_block if d <= DFT_BLOCK_ORDER else _large_block)(d, 1, inverse)
-            if b > 1:
-                y = x.reshape(b, -1, d)
-                y *= _twiddles(b * d, d, inverse)
-        return x.reshape(-1, *digits).transpose(0, *range(len(digits), 0, -1)).reshape(-1, m)
-    c, kernel = _chirp(m, inverse)
-    u = np.zeros((len(kernel), x.size // m), dtype=np.complex128)
-    u[:m] = x.reshape(m, -1) * c[:, None]
-    y = _dft_pass(u, len(kernel), 1, False) * kernel
-    return _dft_pass(y.T, len(kernel), 1, True)[:, :m] * c
+    if m**k <= DFT_BLOCK_ORDER or (m <= DENSE_PRIME_LIMIT and all(m % d for d in range(2, math.isqrt(m) + 1))):
+        return x.reshape(m**k, -1).T @ _dft_block(m, k, inverse)
+    x = x.reshape(m, -1).T
+    return np.fft.ifft(x, norm="forward") if inverse else np.fft.fft(x)
 
 
 def _kron_transform(values: np.ndarray, moduli: tuple[int, ...], inverse: bool) -> np.ndarray:
@@ -441,29 +395,16 @@ def mixing_gap(
     return float(np.max(np.abs(diff.values)))
 
 
-def chang_sum(
-    indicator: NormalizedIndicator,
-    gammas: Sequence[int],
-    check: bool = False,
-    constant: float = CHANG_DEFAULT_CONSTANT,
-    tol: float = 1e-9,
-) -> float:
+def chang_sum(indicator: NormalizedIndicator, gammas: Sequence[int]) -> float:
     """sum over gamma of |phihat_A(gamma)|^2 for the given dual indices.
 
     The caller guarantees gammas are linearly independent (F2) or
-    dissociated (general); with check=True the value is asserted against
-    constant * log2(1/density).  Base-2 logs throughout.
+    dissociated (general), and compares the sum with Chang's bound
+    C * log2(1/density) itself (the compiler's chang-per-player check).
     """
     coeffs = indicator.spectrum().coeffs
     idx = np.asarray(list(gammas), dtype=np.int64)
-    total = float(np.sum(np.abs(coeffs[idx]) ** 2)) if idx.size else 0.0
-    if check:
-        bound = constant * math.log2(1 / indicator.density)
-        if total > bound + tol:
-            raise ChangBoundError(
-                f"spectral sum {total:.6g} exceeds {constant} * log2(1/alpha) = {bound:.6g}"
-            )
-    return total
+    return float(np.sum(np.abs(coeffs[idx]) ** 2)) if idx.size else 0.0
 
 
 def _greedy_dissociated(
@@ -518,7 +459,8 @@ def extract_dissociated(
     weights: Sequence[float],
     limit: int = DISSOCIATED_DEFAULT_LIMIT,
 ) -> list[int]:
-    """Greedy maximal dissociated subset, heaviest first (lex tie-break).
+    """Greedy maximal dissociated subset, heaviest first (ties by the lex
+    rule of heaviest_first).
 
     Raises DissociationLimitError if a candidate arrives once the set
     holds `limit` elements.  Over F2 the result provably equals the greedy
@@ -526,10 +468,7 @@ def extract_dissociated(
     """
     if len(gammas) != len(weights):
         raise ValueError("weights length must match gammas")
-    order = sorted(
-        range(len(gammas)),
-        key=lambda i: (-weights[i], spec.decode(gammas[i])),
-    )
+    order = heaviest_first(weights, [spec.decode(g) for g in gammas])
     chosen = _greedy_dissociated(spec, [gammas[i] for i in order], limit)
     if spec.is_boolean:
         independent = max_independent_subset(

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import GroupSpec, SubgroupEnum, dot_f2
+from .algebra import GroupSpec, SubgroupEnum, dot_f2, subgroup_from_elements
 from .fourier import DenseFunction
 from . import prg
 from .seeding import derived_rng
@@ -570,7 +570,7 @@ def _sketch_from_dict(d: dict) -> Sketch:
         )
     if kind == "h-invariant":
         spec = GroupSpec(d["moduli"])
-        return HInvariantSketch(SubgroupEnum(spec, d["subgroup"]), tuple(d["post"]))
+        return HInvariantSketch(subgroup_from_elements(spec, d["subgroup"]), tuple(d["post"]))
     raise ValueError(f"unknown sketch kind {kind!r}")
 
 

@@ -424,11 +424,27 @@ def test_seed_syntax():
 
 def test_malformed_sketch_file_is_a_config_error(tmp_path, capsys):
     sketch = tmp_path / "sk.json"
-    sketch.write_text(json.dumps({"format": "modsketch.sketch", "version": 1, "kind": "zp-junta"}))
     cfg = _write_config(tmp_path, {"experiment": "sketch-eval", "sketch-file": str(sketch),
-                                   "function": {"name": "parity", "params": {"n": 4}}})
+                                   "function": {"name": "mod-p-sum-zero", "params": {"n": 2, "p": 3}}})
+    bodies = [
+        {"kind": "zp-junta"},
+        # {0, 1} is not a subgroup of Z_3^2 (1 + 1 = 2), though its closure has 3 cosets
+        {"kind": "h-invariant", "moduli": [3, 3], "subgroup": [0, 1], "post": [0, 1, 1]},
+        {"kind": "h-invariant", "moduli": [3, 3], "subgroup": [0, 9], "post": [0]},
+    ]
+    for body in bodies:
+        sketch.write_text(json.dumps({"format": "modsketch.sketch", "version": 1, **body}))
+        err = _one_line_failure(capsys, ["sketch-eval", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+        assert err.startswith("config error: bad sketch file")
+
+
+def test_sketch_on_another_group_is_a_config_error(tmp_path, capsys):
+    sketch = tmp_path / "sk.json"
+    sketch.write_text(serialize_sketch(LinearJuntaF2(4, (1,), (0, 1))))
+    cfg = _write_config(tmp_path, {"experiment": "sketch-eval", "sketch-file": str(sketch),
+                                   "function": {"name": "mod-p-sum-zero", "params": {"n": 2, "p": 3}}})
     err = _one_line_failure(capsys, ["sketch-eval", "--config", cfg, "--out", str(tmp_path / "o")], 2)
-    assert err.startswith("config error: bad sketch file")
+    assert "does not match the sketch's group" in err
 
 
 def test_dissociation_limit_is_a_config_error(tmp_path, capsys):
