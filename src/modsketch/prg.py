@@ -12,7 +12,11 @@ A stream of (coordinate, increment) updates acts on a linear sketch only
 through its per-coordinate totals mod p, so the stream path reads updates
 in chunks of at most STREAM_CHUNK, sums each chunk by coordinate, and
 regenerates the rows of the distinct coordinates at once: its working
-memory is O(STREAM_CHUNK * s) whatever n and the stream length are.  The
+memory is O(STREAM_CHUNK * s) whatever n and the stream length are.  A
+chunk of at least n updates is summed into a dense array of n totals, a
+shorter one by sorting it, so no array is longer than the chunk; the sums
+are exact, with increments reduced first when their raw int64 sum might
+overflow, and Python ints past moduli of INT64_MAX // len.  The
 sketch states of sketch.py share both steps: _coordinate_totals sums
 their queued updates, and _fold adds the totals times the sketch's image
 matrix to the state, so every stream in the library folds the same way.
@@ -512,7 +516,11 @@ def _stream_chunks(updates: Iterable[tuple[int, int]]):
     at most STREAM_CHUNK updates each."""
     updates = iter(updates)
     while chunk := list(itertools.islice(updates, STREAM_CHUNK)):
-        if operator.countOf(map(len, chunk), 2) != len(chunk):
+        try:
+            pairs = operator.countOf(map(len, chunk), 2) == len(chunk)
+        except TypeError:  # an update with no length, such as an int or None
+            pairs = False
+        if not pairs:
             raise ValueError("every update must be a (coordinate, increment) pair")
         yield list(itertools.chain.from_iterable(chunk))
 
@@ -547,17 +555,37 @@ def _coordinate_totals(flat: list, n: int, moduli) -> tuple[np.ndarray, np.ndarr
     totals), coords the distinct coordinates whose increments do not
     cancel, in increasing order, and totals their summed increments
     reduced mod the coordinate's modulus (an int, or an int64 array with
-    one modulus per coordinate).  `flat` is checked first (_int64_pairs)."""
+    one modulus per coordinate).  `flat` is checked first (_int64_pairs).
+
+    With n no larger than the run, the increments are added into a dense
+    array of n sums (np.add.at) and each sum is reduced once; otherwise
+    they are sorted into one run per coordinate (np.add.reduceat), so no
+    array is ever longer than the run, whatever n is.  Both sum exactly:
+    raw increments in int64 when len * max|increment| fits; otherwise each
+    increment is first reduced mod its modulus, and summed as a Python int
+    when a modulus exceeds INT64_MAX // len."""
     pairs = _int64_pairs(flat, n)
-    order = pairs[0::2].argsort()
-    coords, incs = pairs[0::2][order], pairs[1::2][order]
-    starts = np.flatnonzero(np.concatenate(([True], coords[1:] != coords[:-1])))  # each run's first
-    mod = moduli[coords] if np.ndim(moduli) else np.full(len(coords), moduli)
-    if mod.max() > _INT64_MAX // len(incs):  # the sums may overflow int64
-        incs, mod = incs.astype(object), mod.astype(object)
-    totals = (np.add.reduceat(incs % mod, starts) % mod[starts]).astype(np.int64)
-    keep = totals != 0
-    return coords[starts][keep], totals[keep]
+    coords, incs = pairs[0::2], pairs[1::2]
+    size = len(incs)
+    if size * int(np.abs(incs).view(np.uint64).max()) > _INT64_MAX:  # raw sums may overflow
+        mod = moduli[coords] if np.ndim(moduli) else moduli
+        if np.max(mod) > _INT64_MAX // size:  # and so may sums of reduced increments
+            incs = incs.astype(object)
+        incs = incs % mod
+    if n <= size:  # a dense accumulator no longer than the queue
+        keys, sums = np.arange(n), np.zeros(n, dtype=incs.dtype)
+        np.add.at(sums, coords, incs)
+    else:  # sorted runs, so memory stays O(queue) at any n
+        order = coords.argsort()
+        coords = coords[order]
+        first = np.empty(size, dtype=bool)  # each run's first entry
+        first[0] = True
+        np.not_equal(coords[1:], coords[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        keys, sums = coords[starts], np.add.reduceat(incs[order], starts)
+    totals = sums % (moduli[keys] if np.ndim(moduli) else moduli)
+    keep = np.flatnonzero(totals)
+    return keys[keep], totals[keep].astype(np.int64, copy=False)
 
 
 def derandomized_apply(

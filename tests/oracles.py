@@ -406,6 +406,23 @@ def accumulate_stream(n: int, p: int, updates) -> list[int]:
     return x
 
 
+def coordinate_totals(updates, moduli) -> tuple[list[int], list[int]]:
+    """(coords, totals) of a run of updates from the definition: each
+    coordinate's increments summed as Python ints and reduced mod its
+    modulus (moduli an int, or a sequence with one per coordinate), the
+    nonzero totals in increasing coordinate order."""
+    sums = {}
+    for coord, inc in updates:
+        sums[coord] = sums.get(coord, 0) + inc
+    coords, totals = [], []
+    for coord in sorted(sums):
+        total = sums[coord] % (moduli if isinstance(moduli, int) else int(moduli[coord]))
+        if total:
+            coords.append(coord)
+            totals.append(total)
+    return coords, totals
+
+
 def transcript_frequencies(protocol, n_tail_players: int) -> dict[tuple, Fraction]:
     """Exhaustive exact transcript distribution over all input tuples.
 

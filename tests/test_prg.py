@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from modsketch.seeding import derived_rng
 
 from oracles import (
     accumulate_stream,
+    coordinate_totals,
     derandomized_apply_per_update,
     fsm_prg_dist_per_block,
     fsm_true_distribution,
@@ -338,6 +340,85 @@ def test_derandomized_apply_stream_longer_than_a_chunk():
     assert np.array_equal(derandomized_apply(t, updates), t.materialize().T @ x % 5)
 
 
+_INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def _totals_case(draw):
+    """(updates, n, moduli) on one side of n <= len(updates): increments
+    small, at the int64 bounds or anywhere in int64, sometimes followed by
+    their negations so the run cancels to nothing, and moduli small or just
+    below, at or above the Python-int cut INT64_MAX // len."""
+    dense = draw(st.booleans())
+    incs = st.one_of(st.integers(-20, 20), st.sampled_from([-(2**63), -(2**63) + 1, 2**62, _INT64_MAX]),
+                     st.integers(-(2**63), _INT64_MAX))
+    updates = draw(st.lists(st.tuples(st.integers(0, 2**40 - 1), incs), min_size=1, max_size=24))
+    if draw(st.booleans()):  # the run cancels to nothing
+        updates = [(c, max(i, -_INT64_MAX)) for c, i in updates]
+        updates = draw(st.permutations(updates + [(c, -i) for c, i in updates]))
+    size = len(updates)
+    if dense:
+        n = draw(st.integers(1, size))
+    else:
+        n = draw(st.sampled_from([size + 1, size + 7, 2**40]))
+    updates = [(c % n, i) for c, i in updates]
+    cut = _INT64_MAX // size
+    modulus = st.sampled_from(sorted({2, 3, 7, cut - 1, cut, min(cut + 1, _INT64_MAX), _INT64_MAX}))
+    if n <= 64 and draw(st.booleans()):
+        return updates, n, draw(st.lists(modulus, min_size=n, max_size=n))
+    return updates, n, draw(modulus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_totals_case())
+def test_coordinate_totals_match_python_int_oracle(case):
+    # a dense sum when n <= len(updates), sorted runs past it; each exact
+    # with raw, pre-reduced or Python-int sums
+    updates, n, moduli = case
+    flat = [v for update in updates for v in update]
+    arg = np.asarray(moduli, dtype=np.int64) if isinstance(moduli, list) else moduli
+    coords, totals = prg._coordinate_totals(flat, n, arg)
+    assert coords.dtype == totals.dtype == np.int64
+    assert (coords.tolist(), totals.tolist()) == coordinate_totals(updates, moduli)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes traced while fn runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_short_runs_at_huge_n_allocate_for_the_run_not_for_n():
+    n = 2**40  # an array of n int64 would be 8 TiB
+    updates = [(n - 1, 5), (7, -3), (n - 1, 1)]
+    flat = [v for update in updates for v in update]
+    assert _peak_bytes(lambda: prg._coordinate_totals(flat, n, 5)) < 64 << 10
+    coords, totals = prg._coordinate_totals(flat, n, 5)
+    assert (coords.tolist(), totals.tolist()) == ([7, n - 1], [2, 1])
+    rng = random.Random(40)
+    t = RowTemplate(n, 4, 5, 8, rng.getrandbits(RowTemplate.required_seed_bits(n, 4, 5, 8)))
+    assert _peak_bytes(lambda: derandomized_apply(t, updates)) < 64 << 10
+    assert derandomized_apply(t, updates).tolist() == derandomized_apply_per_update(t, updates)
+
+
+@pytest.mark.parametrize("n", [7, 2**40])  # dense sums and sorted runs
+@pytest.mark.parametrize("chunk", [2**10, 2**13])
+def test_stream_memory_is_proportional_to_the_chunk(n, chunk):
+    # three chunks of a lazily made stream: the peak follows the chunk, not
+    # the stream length or n
+    rng = random.Random(chunk)
+    flat = [v for _ in range(chunk) for v in (rng.randrange(n), rng.randrange(-9, 10))]
+    assert _peak_bytes(lambda: prg._coordinate_totals(flat, n, 5)) < 128 * chunk + (16 << 10)
+    t = RowTemplate(n, 4, 5, 8, rng.getrandbits(RowTemplate.required_seed_bits(n, 4, 5, 8)))
+    stream = ((rng.randrange(n), rng.randrange(-9, 10)) for _ in range(3 * chunk))
+    with mock.patch.object(prg, "STREAM_CHUNK", chunk):
+        assert _peak_bytes(lambda: derandomized_apply(t, stream)) < 512 * chunk + (64 << 10)
+
+
 def test_stream_path_never_regenerates_rows_one_by_one(monkeypatch):
     rng = random.Random(8)
     t = RowTemplate(40, 6, 7, 8, rng.getrandbits(RowTemplate.required_seed_bits(40, 6, 7, 8)))
@@ -496,8 +577,8 @@ def test_one_draw_seeds_continue_across_draws(seed_bits):
 
 def test_derandomized_apply_rejects_malformed_updates():
     t = RowTemplate(4, 2, 3, 8, 0)
-    for updates in ([(0, 1, 1), (1,)], [(0, 1), (1, 1, 1)], [(0,)]):
-        with pytest.raises(ValueError, match="pair"):
+    for updates in ([(0, 1, 1), (1,)], [(0, 1), (1, 1, 1)], [(0,)], [5], [(0, 1), None]):
+        with pytest.raises(ValueError, match="every update must be a \\(coordinate, increment\\) pair"):
             derandomized_apply(t, updates)
 
 

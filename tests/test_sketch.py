@@ -204,6 +204,9 @@ def test_apply_stream_rejects_malformed_updates():
             apply_stream(sk, [(0, 1, 1), (1, 1)])
         with pytest.raises(ValueError, match="pair"):  # lengths 3 and 1 flatten to two pairs' worth
             apply_stream(sk, [(0, 1, 1), (1,)])
+        for updates in ([5], [(0, 1), None]):  # updates with no length
+            with pytest.raises(ValueError, match="every update must be a \\(coordinate, increment\\) pair"):
+                apply_stream(sk, updates)
 
 
 def test_f2_image_matches_bit_definition_beyond_64_bits():
@@ -275,6 +278,32 @@ def test_apply_checks_the_coordinate_at_the_call():
     with pytest.raises(TypeError, match="coordinate '2' is not an integer"):
         state.apply("2", 1)
     assert state.updates == 0
+
+
+def test_flushes_on_both_sides_of_the_dense_totals_cut_match_stepping():
+    # n = 6 with chunks of 8: full flushes sum into a dense array, reads
+    # after fewer than 6 queued updates sort them
+    rng = random.Random(19)
+    sk = ZpJunta(6, 7, tuple(tuple(rng.randrange(7) for _ in range(6)) for _ in range(2)),
+                 tuple(rng.randrange(2) for _ in range(49)))
+    updates = [(rng.randrange(6), rng.choice([rng.randrange(-30, 31), 2**63 - 1, -(2**63)])) for _ in range(60)]
+    dense = []
+    totals = prg._coordinate_totals
+
+    def spy(flat, n, moduli):
+        dense.append(n <= len(flat) // 2)
+        return totals(flat, n, moduli)
+
+    with mock.patch.object(prg, "STREAM_CHUNK", 8), mock.patch.object(prg, "_coordinate_totals", spy):
+        state = SketchState(sk)
+        for at, update in enumerate(updates, 1):
+            state.apply(*update)
+            if at % 11 in (0, 3):
+                assert (state.values(), state.output()) == step_stream(sk, updates[:at])
+        assert (state.values(), state.output()) == step_stream(sk, updates)
+        for prefix in (13, 60):  # one full chunk and a short tail, or seven and a tail
+            assert apply_stream(sk, updates[:prefix]).values() == step_stream(sk, updates[:prefix])[0]
+    assert True in dense and False in dense
 
 
 def test_apply_stream_longer_than_a_chunk_matches_per_update_apply():
