@@ -31,6 +31,7 @@ __all__ = [
     "heaviest_first",
     "char_eval",
     "subgroup_from_elements",
+    "span_mask",
 ]
 
 
@@ -396,7 +397,7 @@ def max_independent_subset(
 class SubgroupEnum:
     """A subgroup of a finite abelian group as an explicit element list."""
 
-    __slots__ = ("spec", "elements", "_member_set", "_coset_ids", "_n_cosets", "_generators", "_dual_mask")
+    __slots__ = ("spec", "elements", "_member_set", "_coset_ids", "_n_cosets", "_generators")
 
     def __init__(self, spec: GroupSpec, elements: Iterable[int]):
         self.spec = spec
@@ -407,7 +408,6 @@ class SubgroupEnum:
         self._coset_ids = None
         self._n_cosets = None
         self._generators = None
-        self._dual_mask = None  # set by fourier.dual_annihilator_mask
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -428,10 +428,7 @@ class SubgroupEnum:
     def verify_closed(self) -> bool:
         """Closure check, linear in the span: the subgroup that generators()
         span contains H, so H is closed iff that span has |H| members."""
-        closure, members = _trivial_closure(self.spec)
-        for g in self.generators():
-            members = _grow_closure(self.spec, closure, members, g)
-        return len(members) == len(self.elements)
+        return int(np.count_nonzero(span_mask(self.spec, self.generators()))) == len(self.elements)
 
     def generators(self) -> list[int]:
         """A small generating set, found by greedy closure growth: each
@@ -504,10 +501,20 @@ def subgroup_from_elements(spec: GroupSpec, elements: Iterable[int]) -> Subgroup
 
 def subgroup_generated(spec: GroupSpec, generators: Iterable[int]) -> SubgroupEnum:
     """Closure of a generator list (desk scale: closure fits in memory)."""
+    return SubgroupEnum(spec, np.flatnonzero(span_mask(spec, generators)).tolist())
+
+
+def span_mask(spec: GroupSpec, generators: Iterable[int]) -> np.ndarray:
+    """Membership bitmap over G of the subgroup the generators span.
+
+    Read as characters, the span of gammas is Ann(Ann(gammas)): exactly the
+    characters trivial on the subgroup the gammas annihilate."""
     closure, members = _trivial_closure(spec)
     for g in generators:
+        if not 0 <= g < spec.size:  # a negative index would wrap to another element
+            raise ValueError(f"index {g} out of range")
         members = _grow_closure(spec, closure, members, g)
-    return SubgroupEnum(spec, members.tolist())
+    return closure
 
 
 def _trivial_closure(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -520,11 +527,12 @@ def _trivial_closure(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
 def _grow_closure(spec: GroupSpec, closure: np.ndarray, members: np.ndarray, e: int) -> np.ndarray:
     """Members of H + <e>, given the members of a subgroup H (members[0] = 0)
     and its bitmap, which is updated in place.  H + k*e is H again or
-    disjoint from it, and it is H exactly when k*e (its entry 0) is in H."""
-    coords = spec.coords_matrix()
+    disjoint from it, and it is H exactly when k*e (its entry 0) is in H.
+    On an all-2 group index addition is xor, so no coordinate matrix is built."""
+    coords = None if spec.is_boolean else spec.coords_matrix()
     grown, shifted = [members], members
     while True:
-        shifted = spec.encode_matrix(coords[shifted] + coords[e])
+        shifted = shifted ^ e if coords is None else spec.encode_matrix(coords[shifted] + coords[e])
         if closure[shifted[0]]:
             return np.concatenate(grown)
         closure[shifted] = True

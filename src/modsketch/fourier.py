@@ -24,14 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (
-    GroupSpec,
-    SubgroupEnum,
-    SubspaceF2,
-    heaviest_first,
-    max_independent_subset,
-    orthogonal_complement,
-)
+from .algebra import GroupSpec, SubgroupEnum, heaviest_first, max_independent_subset
 
 __all__ = [
     "DenseFunction",
@@ -48,7 +41,6 @@ __all__ = [
     "is_dissociated",
     "extract_dissociated",
     "annihilator",
-    "dual_annihilator_mask",
     "TransformLimitError",
     "DissociationLimitError",
     "ChangBoundError",
@@ -279,36 +271,6 @@ def convolve(f: DenseFunction, g: DenseFunction) -> DenseFunction:
     return inverse_transform(Spectrum(f.group, fh * gh))
 
 
-def dual_annihilator_mask(
-    group: GroupSpec, invariant: SubspaceF2 | SubgroupEnum
-) -> np.ndarray:
-    """Boolean mask over dual indices gamma with gamma(h) = 1 for all h in H.
-
-    This is exactly the support of the spectrum of phi_H.  Computed by exact
-    integer arithmetic, not by transform: over F2 the annihilator is the
-    orthogonal complement of H, whose members are spanned by doubling over
-    its basis in O(|H^perp|), a fresh array per call.  A SubgroupEnum's mask
-    is computed once, on the first call with its own group, and every call
-    returns that array read-only.
-    """
-    if isinstance(invariant, SubspaceF2):
-        if not group.is_boolean or group.n != invariant.n:
-            raise ValueError("subspace dimension does not match the group")
-        members = np.zeros(1, dtype=np.int64)
-        for row in orthogonal_complement(invariant).basis:
-            members = np.concatenate((members, members ^ row))
-        mask = np.zeros(group.size, dtype=bool)
-        mask[members] = True
-        return mask
-    if invariant.spec != group:
-        raise ValueError("subgroup does not live in the given group")
-    if invariant._dual_mask is None:
-        mask = _pairing_mask(group, invariant.generators())
-        mask.flags.writeable = False
-        invariant._dual_mask = mask
-    return invariant._dual_mask
-
-
 def _pairing_mask(spec: GroupSpec, gammas: Iterable[int]) -> np.ndarray:
     """Boolean mask over G of the x with gamma(x) = 1 for every listed gamma.
 
@@ -352,36 +314,31 @@ def joint_spectrum(group: GroupSpec, sets: Mapping[NormalizedIndicator, int]) ->
     return Spectrum(group, prod)
 
 
-def averaged_shift(
-    joint: Spectrum,
-    f: DenseFunction,
-    invariant: SubspaceF2 | SubgroupEnum | None = None,
-) -> DenseFunction:
+def averaged_shift(joint: Spectrum, f: DenseFunction, keep: np.ndarray | None = None) -> DenseFunction:
     """E[f(x - y_1 - ... - y_N + v)] as a function of x.
 
     joint is the joint spectrum of the sets the y_i are uniform on (see
-    joint_spectrum) and v is uniform on the invariant subgroup (omitted if
-    None): one spectral product with f and one inverse transform.
+    joint_spectrum) and v is uniform on an invariant subgroup H, given by
+    `keep`, the boolean mask of the characters trivial on H (the support of
+    phihat_H; v is omitted if None): one spectral product with f and one
+    inverse transform.
     """
     if joint.group != f.group:
         raise ValueError("spectrum group mismatch")
     prod = transform(f).coeffs * joint.coeffs
-    if invariant is not None:
-        prod *= dual_annihilator_mask(f.group, invariant)
+    if keep is not None:
+        prod *= keep
     return inverse_transform(Spectrum(f.group, prod))
 
 
-def mixing_gap(
-    joint: Spectrum,
-    invariant: SubspaceF2 | SubgroupEnum,
-    hp: DenseFunction,
-) -> float:
+def mixing_gap(joint: Spectrum, keep: np.ndarray, hp: DenseFunction) -> float:
     """Largest deviation the invariant shift can cause to a shift average.
 
     Returns max over x of |E[hp(x - sum y_i)] - E[hp(x - sum y_i + v)]|
     with the y_i uniform on the sets whose joint spectrum is given and v
-    uniform on the invariant subgroup: the inverse transform of
-    hphat * joint off the annihilator of the invariant.  (Over F2 the
+    uniform on the invariant subgroup H, `keep` being the mask of the
+    characters trivial on H (see averaged_shift): the inverse transform of
+    hphat * joint off that mask.  (Over F2 the
     signs are immaterial; over general groups this subtracted-shift
     orientation is the one the sketch compiler consumes.)  The compiler
     compares the result against |G| * 2^(-N/8) itself.
@@ -390,8 +347,7 @@ def mixing_gap(
         raise ValueError("spectrum group mismatch")
     if np.max(np.abs(np.abs(hp.values) - 1.0)) > 1e-6:
         raise ValueError("hp must take unit-modulus values")
-    keep = ~dual_annihilator_mask(hp.group, invariant)
-    diff = inverse_transform(Spectrum(hp.group, transform(hp).coeffs * joint.coeffs * keep))
+    diff = inverse_transform(Spectrum(hp.group, transform(hp).coeffs * joint.coeffs * ~keep))
     return float(np.max(np.abs(diff.values)))
 
 
@@ -478,15 +434,7 @@ def extract_dissociated(
     return chosen
 
 
-def annihilator(spec: GroupSpec, gammas: Sequence[int], memo: dict | None = None) -> SubgroupEnum:
-    """The subgroup of all x with gamma(x) = 1 for every listed character.
-
-    `memo` maps (group, member bitmap bytes) to the subgroups built so far:
-    a subgroup already there is returned as the stored object, and only a
-    new one is built (and added)."""
+def annihilator(spec: GroupSpec, gammas: Sequence[int]) -> SubgroupEnum:
+    """The subgroup of all x with gamma(x) = 1 for every listed character."""
     _check_size(spec)
-    mask = _pairing_mask(spec, gammas)
-    memo, key = {} if memo is None else memo, (spec, mask.tobytes())
-    if key not in memo:
-        memo[key] = SubgroupEnum(spec, np.flatnonzero(mask).tolist())
-    return memo[key]
+    return SubgroupEnum(spec, np.flatnonzero(_pairing_mask(spec, gammas)).tolist())

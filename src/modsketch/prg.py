@@ -536,7 +536,8 @@ def _int64_pairs(flat: list, n: int) -> np.ndarray:
         pairs = np.frombuffer(struct.pack(f"{len(flat)}q", *flat), dtype=np.int64)
     except struct.error:
         pairs = None  # a value to name, found by the scan below
-    if pairs is None or not ((pairs[0::2] >= 0) & (pairs[0::2] < n)).all():
+    # one unsigned maximum: a negative coordinate wraps above 2^63
+    if pairs is None or pairs[0::2].view(np.uint64).max() >= min(n, 1 << 63):
         for at, value in enumerate(flat):
             what = "increment" if at % 2 else "coordinate"
             try:

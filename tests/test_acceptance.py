@@ -194,12 +194,12 @@ def test_criterion_04_mixing_claim_with_enumeration_oracle():
         ps = PlayerSets(indicators)
         B, S, weights = heavy_set(ps, c)
         structure = build_invariant_structure(spec, S, weights, "subspace")
-        gap = mixing_gap(ps.joint(), structure.invariant, hp)
+        gap = mixing_gap(ps.joint(), structure.dual, hp)
         # independent oracle: both expectations by stepwise naive convolution
         from modsketch.fourier import averaged_shift
 
         plain_lib = averaged_shift(ps.joint(), hp).values
-        shifted_lib = averaged_shift(ps.joint(), hp, structure.invariant).values
+        shifted_lib = averaged_shift(ps.joint(), hp, structure.dual).values
         plain = shift_average_oracle(spec.moduli, member_lists, hp_vals)
         shifted = shift_average_oracle(
             spec.moduli, member_lists, hp_vals, structure.invariant.elements()

@@ -35,6 +35,7 @@ from modsketch.sketch import Distribution, RandomizedSketch, serialize_sketch
 from modsketch.zoo import zoo_fsm, zoo_function, zoo_protocol
 
 from oracles import bucket_reduce, group_add, group_sub, transcript_frequencies, transcript_success
+from test_fourier import _dissociation_inputs
 from test_protocol import random_fsms
 
 
@@ -228,15 +229,25 @@ def test_joint_spectrum_formed_once_per_candidate_passing_the_threshold(monkeypa
     assert len(formed) == sel.candidates_evaluated - sel.rejected_condition_i > 1
 
 
-def test_chang_check_records_the_tightest_set_and_can_fail():
+def test_chang_check_records_the_tightest_set_and_can_fail(monkeypatch):
     f = zoo_function("parity", n=4)
     family = zoo_protocol("parity-chain", n=4)
     cfg = ReductionConfig(players=40, transcript_trials=8, target_q=1.0, seed=1)
     rec = reduce(family, f, None, cfg, "exact_f2").report.checks["chang-per-player"]
     # every heavy set is a half-space with |phihat(1111)|^2 = 1 and alpha = 1/2
     assert rec == {"lhs": pytest.approx(1.0, abs=1e-12), "rhs": 8.0, "player": 0, "ok": True}
+    monkeypatch.setattr(compiler, "CHANG_CONSTANT", 0.5)
     with pytest.raises(ChangBoundError, match="player 0"):
-        reduce(family, f, None, replace(cfg, chang_constant=0.5), "exact_f2")
+        reduce(family, f, None, cfg, "exact_f2")
+
+
+@pytest.mark.parametrize("p", [257, 1021, 1031, 2003])
+def test_chang_record_names_the_first_of_sets_tied_in_exact_arithmetic(p):
+    # on Z_p every heavy set's slack is the same up to rounding (within 3e-14)
+    cfg = ReductionConfig(players=100, transcript_trials=4, seed=0)
+    res = reduce(zoo_protocol("running-sum-mod-p", n=1, p=p), zoo_function("mod-p-sum-zero", n=1, p=p),
+                 None, cfg, "exact_group")
+    assert res.report.checks["chang-per-player"]["player"] == 0
 
 
 def test_build_invariant_structure_trivial_and_parity():
@@ -809,8 +820,9 @@ BOOST_CASES = {
     "z3": (zoo_function("mod-p-sum-zero", n=3, p=3), zoo_protocol("running-sum-mod-p", n=3, p=3),
            ReductionConfig(players=48, transcript_trials=4, target_q=1.0), "exact_group"),
     "tape": (DenseFunction(GroupSpec.boolean(3), (np.arange(8) & 1).astype(float)), tape_mask_chain,
-             ReductionConfig(players=30, transcript_trials=4, r_eval_samples=8), "exact_f2"),
+             ReductionConfig(players=30, transcript_trials=4), "exact_f2"),
 }
+TAPE_EVAL_SAMPLES = 8  # few samples per tape estimate, so the tape case's r* moves with D and noise
 PER_ROUND_COUNTERS = ("message_calls", "player_sets_built", "player_set_hits", "message_batches",
                       "subgroups_built")
 
@@ -843,8 +855,10 @@ def boost_by_fresh_reduces(f, source, cfg, rounds, variant):
 def test_minimax_boost_matches_fresh_reduce_per_round(name, seed, rounds):
     f, source, cfg, variant = BOOST_CASES[name]
     cfg = replace(cfg, seed=seed)
-    res = minimax_boost(f, source, cfg, rounds, variant)
-    mixture, per_x, checks, reports = boost_by_fresh_reduces(f, source, cfg, rounds, variant)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "R_EVAL_SAMPLES", TAPE_EVAL_SAMPLES)
+        res = minimax_boost(f, source, cfg, rounds, variant)
+        mixture, per_x, checks, reports = boost_by_fresh_reduces(f, source, cfg, rounds, variant)
     assert serialize_sketch(res.mixture) == serialize_sketch(mixture)
     assert res.per_x_success == per_x
     assert res.checks == checks
@@ -889,6 +903,49 @@ def test_minimax_boost_shares_annihilators_within_one_call_only():
     assert [r.subgroups_built for r in again.round_reports] == [1, 0, 0, 0]
 
 
+def _counting_annihilator(mp) -> list:
+    """Patch compiler.annihilator to record its calls; returns the record."""
+    calls, inner = [], compiler.annihilator
+
+    def counted(group, gammas):
+        calls.append(list(gammas))
+        return inner(group, gammas)
+
+    mp.setattr(compiler, "annihilator", counted)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dissociation_inputs())
+def test_invariant_structure_memo_is_keyed_by_the_span(inputs):
+    moduli, gammas, _, _ = inputs
+    g, memo = GroupSpec(moduli), {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_annihilator(mp)
+        first = build_invariant_structure(g, gammas, np.ones(g.size), "subgroup", subgroups=memo)
+        assert len(memo) == 1 and len(calls) == 1
+        assert first.invariant == compiler.annihilator(g, gammas) and first.dual.dtype == bool
+        # other characters with the same span hit the stored H, and no annihilator is computed
+        same = [g.neg(x) for x in gammas] + [0]
+        second = build_invariant_structure(g, same, np.ones(g.size), "subgroup", subgroups=memo)
+        assert second.invariant is first.invariant and np.array_equal(second.dual, first.dual)
+        assert len(memo) == 1 and len(calls) == 2  # the one call above, by the test itself
+        bigger = GroupSpec(moduli + (2,))
+        third = build_invariant_structure(bigger, gammas, np.ones(bigger.size), "subgroup", subgroups=memo)
+        assert third.invariant.spec == bigger and len(memo) == 2 and len(calls) == 3
+
+
+def test_boost_rounds_with_one_span_compute_one_annihilator(monkeypatch):
+    # the boost-zp shape, whose four rounds all keep the generator 1093
+    calls = _counting_annihilator(monkeypatch)
+    f = zoo_function("mod-p-sum-zero", n=7, p=3)
+    family = zoo_protocol("running-sum-mod-p", n=7, p=3)
+    cfg = ReductionConfig(players=111, transcript_trials=4, target_q=1.0, seed=3025046857)
+    res = minimax_boost(f, family, cfg, 4, "exact_group")
+    assert [r.subgroups_built for r in res.round_reports] == [1, 0, 0, 0]
+    assert calls == [[1093]]
+
+
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
 def test_minimax_boost_rejects_eta_without_a_hedge_bound(monkeypatch, eta):
     def no_round(*args, **kwargs):
@@ -901,7 +958,8 @@ def test_minimax_boost_rejects_eta_without_a_hedge_bound(monkeypatch, eta):
                       rounds=2, eta=eta)
 
 
-def test_minimax_boost_keys_shared_sources_by_tape():
+def test_minimax_boost_keys_shared_sources_by_tape(monkeypatch):
+    monkeypatch.setattr(compiler, "R_EVAL_SAMPLES", TAPE_EVAL_SAMPLES)
     f, source, cfg, variant = BOOST_CASES["tape"]
     res = minimax_boost(f, source, replace(cfg, seed=1), 4, variant)
     tapes = [r.r_star for r in res.round_reports]
@@ -916,9 +974,9 @@ def test_coset_constancy_check_can_fail(monkeypatch):
     from modsketch import fourier
     from modsketch.compiler import InvariantViolation
 
-    def uneven(joint, h, invariant=None):
-        w = fourier.averaged_shift(joint, h, invariant)
-        if invariant is None:
+    def uneven(joint, h, keep=None):
+        w = fourier.averaged_shift(joint, h, keep)
+        if keep is None:
             return w
         vals = w.real_values(tol=1e-7)
         odd = np.arange(len(vals)) & 1  # varies inside each parity bucket
@@ -930,6 +988,67 @@ def test_coset_constancy_check_can_fail(monkeypatch):
     with pytest.raises(InvariantViolation, match="coset-constancy") as err:
         reduce(zoo_protocol("parity-chain", n=4), f, None, cfg, "exact_f2")
     assert err.value.stage == "build-junta"
+
+
+FAILING_CHECKS = {  # check -> (stage, variant, patched stage, what it returns)
+    "cost-bound": ("structure", "exact_f2", "build_invariant_structure",
+                   lambda st: replace(st, generators=st.generators * 65)),  # parity's one, 65 > 32(c + 1)
+    "complexity-bound": ("structure", "exact_group", "build_invariant_structure",
+                         lambda st: replace(st, sketch=SimpleNamespace(post=(0,) * 3 ** (st.cost + 1)))),
+    # parity-chain on F2^4, N = 40: every player is heavy, so the bounds read
+    # 16 * 2^(-40/4) (heavy) and 16 * 2^(-40/8) = 0.5 (player)
+    "mixing-heavy-bound": ("mixing", "exact_f2", "mixing_gap", lambda gap: 0.25),
+    "mixing-player-bound": ("mixing", "exact_f2", "mixing_gap", lambda gap: 1.0),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FAILING_CHECKS))
+def test_structure_and_mixing_checks_can_fail(tmp_path, capsys, monkeypatch, check):
+    import json
+
+    from modsketch.cli import main
+    from modsketch.compiler import InvariantViolation
+
+    stage, variant, attr, corrupt = FAILING_CHECKS[check]
+    inner = getattr(compiler, attr)
+    monkeypatch.setattr(compiler, attr, lambda *args, **kwargs: corrupt(inner(*args, **kwargs)))
+    if variant == "exact_f2":
+        f, family, players = ("parity", {"n": 4}), ("parity-chain", {"n": 4}), 40
+    else:
+        f, family, players = ("mod-p-sum-zero", {"n": 3, "p": 3}), ("running-sum-mod-p", {"n": 3, "p": 3}), 48
+    cfg = ReductionConfig(players=players, transcript_trials=4, seed=3)
+    with pytest.raises(InvariantViolation, match=f"{check}: ") as err:
+        reduce(zoo_protocol(family[0], **family[1]), zoo_function(f[0], **f[1]), None, cfg, variant)
+    assert err.value.stage == stage
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "experiment": "reduce", "variant": variant,
+        "function": {"name": f[0], "params": f[1]},
+        "protocol": {"name": family[0], "params": family[1]},
+        "reduction": {"players": players, "trials": 4},
+    }))
+    assert main(["reduce", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"stage failure: [{stage}] {check}: ")
+
+
+def test_f2_reduces_and_boosts_build_no_coordinate_matrix(monkeypatch):
+    # F2 element arithmetic is xor: no |G| x n coordinate matrix past the DFT blocks' own
+    coords_matrix = GroupSpec.coords_matrix
+
+    def small_only(spec):
+        assert spec.size <= 32, f"coordinate matrix of {spec!r} built"
+        return coords_matrix(spec)
+
+    monkeypatch.setattr(GroupSpec, "coords_matrix", small_only)
+    n, a, b = 10, 0b1100110011, 0b0101010101
+    for fn, proto, variant, params in (("parity", "parity-chain", "exact_f2", {}),
+                                       ("majority", "parity-chain", "exact_f2", {}),
+                                       ("two-parity-blend", "two-parity-blend-chain", "approx_f2", {"a": a, "b": b})):
+        cfg = ReductionConfig(players=10 * n, transcript_trials=2, seed=5)
+        reduce(zoo_protocol(proto, n=n, **params), zoo_function(fn, n=n, **params), None, cfg, variant)
+    cfg = ReductionConfig(players=10 * n, transcript_trials=2, target_q=1.0, seed=5)
+    minimax_boost(zoo_function("parity", n=n), zoo_protocol("parity-chain", n=n), cfg, 2, "exact_f2")
 
 
 def test_report_serializes_to_plain_json():

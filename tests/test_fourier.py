@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from modsketch.algebra import (
     GroupSpec,
     max_independent_subset,
+    orthogonal_complement,
     rank_basis,
+    span_mask,
     subgroup_generated,
 )
 from modsketch.fourier import (
@@ -25,7 +27,6 @@ from modsketch.fourier import (
     averaged_shift,
     chang_sum,
     convolve,
-    dual_annihilator_mask,
     _blocks,
     extract_dissociated,
     inverse_transform,
@@ -309,24 +310,6 @@ def test_annihilator_matches_exhaustive_oracle(inputs):
     assert list(sub.elements) == exhaustive_annihilator(moduli, gammas)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_dissociation_inputs())
-def test_annihilator_memo_is_keyed_by_the_member_bitmap(inputs):
-    moduli, gammas, _, _ = inputs
-    g, memo = GroupSpec(moduli), {}
-    sub = annihilator(g, gammas, memo)
-    assert len(memo) == 1 and sub == annihilator(g, gammas)
-    # other characters with the same annihilator hit the stored object
-    same = [g.neg(x) for x in gammas] + [0]
-    assert annihilator(g, same, memo) is sub and len(memo) == 1
-    # a hit is a lookup only: no subgroup is built for it
-    key = next(iter(memo))
-    memo[key] = stored = object()
-    assert annihilator(g, gammas, memo) is stored
-    bigger = GroupSpec(moduli + (2,))
-    assert annihilator(bigger, gammas, memo) is not stored and len(memo) == 2
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(2, 7), min_size=1, max_size=4).flatmap(
     lambda moduli: st.tuples(st.just(tuple(moduli)),
@@ -342,8 +325,10 @@ def test_pairing_mask_matches_per_gamma_loop(inputs):
 
 @pytest.mark.parametrize("gamma", [-1, 9, 2**70])
 def test_annihilator_rejects_characters_outside_the_group(gamma):
-    with pytest.raises(ValueError, match=f"index {gamma} out of range"):
-        annihilator(GroupSpec((3, 3)), [0, gamma])
+    for spec in (GroupSpec((3, 3)), GroupSpec.boolean(3)):
+        for fn in (annihilator, span_mask, subgroup_generated):
+            with pytest.raises(ValueError, match=f"index {gamma} out of range"):
+                fn(spec, [0, gamma])
 
 
 def test_extract_dissociated_limit_error():
@@ -369,42 +354,28 @@ def test_annihilator_examples_and_size_bound():
 
 
 @settings(max_examples=100, deadline=None)
-@given(_dissociation_inputs(), st.lists(st.integers(0, 215), max_size=3))
-def test_dual_annihilator_mask_is_computed_once(inputs, generators):
+@given(_dissociation_inputs())
+def test_span_mask_is_the_annihilator_of_the_annihilator(inputs):
     moduli, gammas, _, _ = inputs
     g = GroupSpec(moduli)
     ann = annihilator(g, gammas)
-    for sub in (ann, subgroup_generated(g, [x % g.size for x in generators])):
-        mask = dual_annihilator_mask(g, sub)
-        assert dual_annihilator_mask(g, sub) is mask
-        assert not mask.flags.writeable
-        assert np.array_equal(mask, _pairing_mask(g, sub.generators()))
-        with pytest.raises(ValueError, match="does not live"):  # the group is checked first
-            dual_annihilator_mask(GroupSpec(moduli + (2,)), sub)
+    mask = span_mask(g, gammas)
+    assert mask.dtype == bool and mask.shape == (g.size,)
+    assert np.array_equal(mask, _pairing_mask(g, ann.generators()))
     # duality: the characters trivial on ann(gammas) are those trivial on its members
-    assert np.flatnonzero(dual_annihilator_mask(g, ann)).tolist() == \
-        exhaustive_annihilator(moduli, ann.elements)
+    assert np.flatnonzero(mask).tolist() == exhaustive_annihilator(moduli, ann.elements)
+    assert np.flatnonzero(mask).tolist() == list(subgroup_generated(g, gammas).elements)
 
 
-def test_dual_annihilator_mask_matches_spectrum_support():
-    # for a subgroup H, the mask equals the support of phihat_H
-    g = GroupSpec((6, 4))
-    sub = subgroup_generated(g, [g.encode((3, 0)), g.encode((0, 2))])
-    mask = dual_annihilator_mask(g, sub)
-    phi = normalized_indicator(g, list(sub.elements)).phi()
-    coeffs = transform(phi).coeffs
-    assert np.allclose(coeffs[mask], 1.0, atol=1e-9)
-    assert np.allclose(coeffs[~mask], 0.0, atol=1e-9)
-    # F2 subspace flavor
-    b = GroupSpec.boolean(6)
-    V = rank_basis([0b110001, 0b001110], 6)
-    maskb = dual_annihilator_mask(b, V)
-    phib = np.zeros(64)
-    for v in V.elements():
-        phib[v] = 64 / (1 << V.dim)
-    coeffsb = transform(DenseFunction(b, phib)).coeffs
-    assert np.allclose(coeffsb[maskb], 1.0, atol=1e-9)
-    assert np.allclose(coeffsb[~maskb], 0.0, atol=1e-9)
+def test_span_mask_matches_spectrum_support():
+    # the span of the gammas is the support of phihat_H, H = ann(gammas)
+    z = GroupSpec((6, 4))
+    for g, gammas in ((z, [z.encode((2, 0)), z.encode((3, 2))]), (GroupSpec.boolean(6), [0b110001, 0b001110])):
+        mask = span_mask(g, gammas)
+        phi = normalized_indicator(g, list(annihilator(g, gammas).elements)).phi()
+        coeffs = transform(phi).coeffs
+        assert np.allclose(coeffs[mask], 1.0, atol=1e-9)
+        assert np.allclose(coeffs[~mask], 0.0, atol=1e-9)
 
 
 def test_averaged_shift_matches_stepwise_oracle():
@@ -429,7 +400,7 @@ def test_averaged_shift_matches_stepwise_oracle():
             want = shift_average_oracle(moduli, lists, h.values)
             assert np.max(np.abs(got - want)) < 1e-9
             sub = subgroup_generated(spec, [spec.encode(tuple(1 for _ in moduli))])
-            got_v = averaged_shift(joint, h, sub).values
+            got_v = averaged_shift(joint, h, _pairing_mask(spec, sub.elements)).values
             want_v = shift_average_oracle(moduli, lists, h.values, sub.elements)
             assert np.max(np.abs(got_v - want_v)) < 1e-9
 
@@ -437,20 +408,20 @@ def test_averaged_shift_matches_stepwise_oracle():
 def test_mixing_gap_trivial_cases():
     spec = GroupSpec.boolean(4)
     whole = [normalized_indicator(spec, range(16)) for _ in range(5)]
-    V = rank_basis([0b0011], 4)
+    keep = _pairing_mask(spec, [0b0011])  # the characters trivial on V = <0011>
     hp = DenseFunction(spec, np.where(np.arange(16) % 2 == 0, 1.0, -1.0))
-    assert mixing_gap(joint_spectrum(spec, Counter(whole)), V, hp) < 1e-12
+    assert mixing_gap(joint_spectrum(spec, Counter(whole)), keep, hp) < 1e-12
     const = DenseFunction(spec, np.ones(16))
     some = [normalized_indicator(spec, [0, 1, 5]) for _ in range(5)]
-    assert mixing_gap(joint_spectrum(spec, Counter(some)), V, const) < 1e-12
+    assert mixing_gap(joint_spectrum(spec, Counter(some)), keep, const) < 1e-12
 
 
 def test_mixing_gap_rejects_non_unit_values():
     spec = GroupSpec.boolean(3)
     inds = [normalized_indicator(spec, [0, 1])]
-    V = rank_basis([], 3)
+    keep = np.ones(8, dtype=bool)
     with pytest.raises(ValueError):
-        mixing_gap(joint_spectrum(spec, Counter(inds)), V, DenseFunction(spec, np.full(8, 0.5)))
+        mixing_gap(joint_spectrum(spec, Counter(inds)), keep, DenseFunction(spec, np.full(8, 0.5)))
 
 
 def _rel_err(got, want) -> float:
@@ -609,8 +580,9 @@ def _f2_subspaces(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_f2_subspaces())
-def test_dual_annihilator_mask_matches_row_oracle(case):
+def test_span_mask_matches_row_oracle(case):
+    # the span of V^perp's rows is the set of characters orthogonal to V
     n, V = case
-    got = dual_annihilator_mask(GroupSpec.boolean(n), V)
+    got = span_mask(GroupSpec.boolean(n), orthogonal_complement(V).basis)
     assert np.array_equal(got, annihilator_mask_rows(n, V.basis))
     assert int(got.sum()) == 1 << (n - V.dim)
