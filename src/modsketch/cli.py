@@ -146,14 +146,17 @@ def _load_protocol(cfg: dict):
         raise ConfigError(f"bad protocol spec: {e}") from e
 
 
-def _int_field(section: dict, key: str, default: int, minimum: int) -> int:
-    """section[key] (default if absent) as an int >= minimum; an integral
-    float is accepted, a string, a bool or a fraction is not."""
-    value = section.get(key, default)
+def _int_field(section: dict, key: str, default: int, minimum: int, maximum: int = sys.maxsize) -> int:
+    """section[key] (default if absent) as an int in [minimum, maximum], at
+    most an index by default; an integral float is accepted, a string, a
+    bool or a fraction is not."""
+    value = raw = section.get(key, default)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{key} must be >= {minimum} (an integer), got {value!r}")
+    if value > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {raw!r}")
     return value
 
 
@@ -176,6 +179,8 @@ def _load_distribution(cfg: dict, group: GroupSpec) -> Distribution:
         return Distribution.uniform(group)
     if isinstance(spec, dict) and "weights-file" in spec:
         path = spec["weights-file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"weights-file must be a path string, got {path!r}")
         try:
             weights = [float(tok) for tok in Path(path).read_text().split()]
             if len(weights) != group.size:
@@ -191,7 +196,7 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
     if not isinstance(red, dict) or "players" not in red:
         raise ConfigError("config needs reduction: {players, ...}")
     fields = dict(
-        players=_int_field(red, "players", 0, 1),
+        players=_int_field(red, "players", 0, 1, sys.maxsize - 1),  # the compiler runs N + 1 players
         transcript_trials=_int_field(red, "trials", 64, 1),
         target_q=_float_field(red, "target_q", 0.0),
         target_eps=_float_field(red, "target_eps", 0.0),
@@ -250,6 +255,9 @@ def _record(kind: str, config: ExperimentConfig, result: dict, ok: bool, started
 
 
 def _run_reduce(config: ExperimentConfig) -> tuple[dict, bool]:
+    output = config.raw.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError(f"output must be an object {{per_x_table: bool}}, got {output!r}")
     f = _load_function(config.raw)
     family = _load_protocol(config.raw)
     if family.group != f.group:
@@ -264,7 +272,7 @@ def _run_reduce(config: ExperimentConfig) -> tuple[dict, bool]:
         "report": res.report.to_dict(),
         "sketch_file": str(sketch_path),
     }
-    if config.raw.get("output", {}).get("per_x_table"):
+    if output.get("per_x_table"):
         out = np.asarray(res.sketch.eval_all())
         fv = f.real_values()
         table = _write_per_x_csv(

@@ -398,12 +398,10 @@ class _PlayerSetSource:
             prev = tuple(messages[:i])
             table = np.array([fn(x, prev, self.r_star) for x in range(size)])
         else:
-            table = np.asarray(batch(np.arange(size, dtype=np.int64), key[1], self.r_star))
+            table = np.asarray(batch(key[1], self.r_star))
             if table.shape != (size,):
-                raise CompilerError(
-                    "transcript-search",
-                    f"player {i}'s batch form returned shape {table.shape}, not ({size},)",
-                )
+                raise CompilerError("transcript-search",
+                                    f"player {i}'s batch form returned shape {table.shape}, not ({size},)")
             self.batches += 1
         self.message_calls += len(table)
         if self.memo:

@@ -513,7 +513,8 @@ def _fold(state: np.ndarray, totals: np.ndarray, rows: np.ndarray, moduli, per_g
 
 def _stream_chunks(updates: Iterable[tuple[int, int]]):
     """The stream as flat [coordinate, increment, coordinate, ...] lists of
-    at most STREAM_CHUNK updates each."""
+    at most STREAM_CHUNK updates each, none held here (nor, by contract, by
+    the caller) while the next is read: one chunk is live, not two."""
     updates = iter(updates)
     while chunk := list(itertools.islice(updates, STREAM_CHUNK)):
         try:
@@ -522,7 +523,9 @@ def _stream_chunks(updates: Iterable[tuple[int, int]]):
             pairs = False
         if not pairs:
             raise ValueError("every update must be a (coordinate, increment) pair")
-        yield list(itertools.chain.from_iterable(chunk))
+        chunk = list(itertools.chain.from_iterable(chunk))
+        yield chunk
+        del chunk
 
 
 def _int64_pairs(flat: list, n: int) -> np.ndarray:
@@ -604,5 +607,6 @@ def derandomized_apply(
     state = np.zeros(template.s, dtype=np.int64)
     for flat in _stream_chunks(updates):
         coords, totals = _coordinate_totals(flat, template.n, p)
+        del flat  # released before the next chunk is read
         state = _fold(state, totals, _template_rows(template, coords), p, per_group)
     return state

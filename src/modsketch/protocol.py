@@ -61,9 +61,9 @@ class BroadcastProtocol:
     protocol at streaming=False.
 
     A message function may carry an array form as its attribute
-    `batch(xs, last, r)`: xs is an int64 array of input indices, last is
-    prev[-1] (None for player one), and the result is an array equal, entry
-    by entry, to [fn(x, prev, r) for x in xs].  The compiler builds a
+    `batch(last, r)`: last is prev[-1] (None for player one), and the
+    result is the function's table over all of G, the array equal to
+    [fn(x, prev, r) for x in range(group.size)].  The compiler builds a
     streaming protocol's message tables from it when it is there (it sees
     only prev[-1], so it is never used when streaming is False).  A wrapper
     that does not copy the attribute just falls back to per-x calls.
@@ -172,53 +172,44 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
     Both message functions carry an array form (see BroadcastProtocol)
     over a transition table T[state, coordinate, digit], built on its first
     use with one step call per state, coordinate and nonzero digit (digit 0
-    keeps the state), and an emit table over the states.  A machine whose
-    table would exceed TRANSFORM_SIZE_LIMIT entries gets no array form.
+    keeps the state), and an emit table over the states; the form walks
+    the digits, one gather per coordinate over every prefix so far (no
+    coordinate matrix).  A machine whose table would exceed
+    TRANSFORM_SIZE_LIMIT entries gets no array form.
     """
     c = fsm.state_bits
     if max_state_bits is not None and c > max_state_bits:
-        raise ValueError(
-            f"FSM needs {c} state bits, over the declared budget {max_state_bits}"
-        )
+        raise ValueError(f"FSM needs {c} state bits, over the declared budget {max_state_bits}")
 
     def middle(x: int, prev: tuple, r: int) -> int:
         state = prev[-1] if prev else fsm.initial
         return fsm.run_input(state, x)
 
     def last(x: int, prev: tuple, r: int):
-        state = prev[-1] if prev else fsm.initial
-        return fsm.emit(fsm.run_input(state, x))
+        return fsm.emit(middle(x, prev, r))
 
     group = fsm.group
-    n, width = group.n, max(group.moduli)
-    if fsm.n_states * n * width <= TRANSFORM_SIZE_LIMIT:
+    if fsm.n_states * group.n * max(group.moduli) <= TRANSFORM_SIZE_LIMIT:
         tables = functools.cache(lambda: _fsm_tables(fsm))  # built on the first batch call
 
-        def run_all(xs: np.ndarray, state, r: int) -> np.ndarray:
-            flat = tables()[0].reshape(-1)  # T[st, j, digit] at st*n*width + j*width + digit
+        def run_all(state, r: int) -> np.ndarray:
+            table = tables()[0]
             state = fsm.initial if state is None else state
             if not 0 <= state < fsm.n_states:
                 raise ValueError(f"state {state} outside [0, {fsm.n_states})")
-            offsets = group.coords_matrix()[xs].T + (np.arange(n) * width)[:, None]
-            st = np.full(len(xs), state, dtype=np.int64)
-            for j in range(n):
-                st = flat[st * (n * width) + offsets[j]]
+            st = np.array([state], dtype=np.int64)
+            for j, m in enumerate(group.moduli):  # digit j is the slowest axis so far: index order
+                st = table[st[None, :], j, np.arange(m)[:, None]].reshape(-1)
             return st
 
-        def emit_all(xs: np.ndarray, state, r: int) -> np.ndarray:
-            states = run_all(xs, state, r)
-            return tables()[1][states]
-
         middle.batch = run_all
-        last.batch = emit_all
+        last.batch = lambda state, r: tables()[1][run_all(state, r)]
 
-    fns = tuple([middle] * (n_players - 1) + [last])
     return BroadcastProtocol(
-        group=fsm.group,
+        group=group,
         n_players=n_players,
         message_bits=c,
-        msg_fns=fns,
-        randomness_bits=0,
+        msg_fns=(middle,) * (n_players - 1) + (last,),
         streaming=True,
         name=f"state-passing({fsm.name or 'fsm'})",
     )

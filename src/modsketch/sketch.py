@@ -380,8 +380,7 @@ def apply_stream(sketch: Sketch, updates: Iterable[tuple[int, int]]) -> SketchSt
     outside [0, n).
     """
     state = SketchState(sketch)
-    for flat in prg._stream_chunks(updates):
-        state._queue = flat
+    for state._queue in prg._stream_chunks(updates):  # the flush takes it: no chunk held past it
         state._flush()
     return state
 

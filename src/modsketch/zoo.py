@@ -122,9 +122,9 @@ def _two_parity_blend(
     return DenseFunction(group, 0.5 + w1 * sa + w2 * sb)
 
 
-def _parities(xs: np.ndarray, mask: int) -> np.ndarray:
-    """parity(x & mask) of every input index, as int64."""
-    return (np.bitwise_count(xs & mask) & 1).astype(np.int64)
+def _parities(n: int, mask: int) -> np.ndarray:
+    """parity(x & mask) over every x of F2^n, as int64."""
+    return (np.bitwise_count(np.arange(1 << n, dtype=np.int64) & mask) & 1).astype(np.int64)
 
 
 def _parity_chain(n: int, mask: int | None = None) -> ProtocolFamily:
@@ -135,7 +135,7 @@ def _parity_chain(n: int, mask: int | None = None) -> ProtocolFamily:
         acc = prev[-1] if prev else 0
         return acc ^ ((x & m).bit_count() & 1)
 
-    msg.batch = lambda xs, state, r: (state or 0) ^ _parities(xs, m)
+    msg.batch = lambda state, r: (state or 0) ^ _parities(n, m)
 
     def build(n_players: int) -> BroadcastProtocol:
         return BroadcastProtocol(
@@ -181,8 +181,8 @@ def _constant_protocol(n: int, value: int = 0, p: int = 2) -> ProtocolFamily:
     def last(x: int, prev: tuple, r: int) -> int:
         return value
 
-    msg.batch = lambda xs, state, r: np.zeros(len(xs), dtype=np.int64)
-    last.batch = lambda xs, state, r: np.full(len(xs), value)
+    msg.batch = lambda state, r: np.zeros(group.size, dtype=np.int64)
+    last.batch = lambda state, r: np.full(group.size, value)
 
     def build(n_players: int) -> BroadcastProtocol:
         return BroadcastProtocol(
@@ -219,14 +219,14 @@ def _two_parity_blend_chain(
         value = 0.5 + w1 * (1 - 2 * (z & 1)) + w2 * (1 - 2 * ((z >> 1) & 1))
         return round(value * (levels - 1)) / (levels - 1)
 
-    def msg_all(xs: np.ndarray, state, r: int) -> np.ndarray:
+    def msg_all(state, r: int) -> np.ndarray:
         acc = state or 0
-        return ((acc & 1) ^ _parities(xs, a)) | (((acc >> 1) & 1) ^ _parities(xs, b)) << 1
+        return ((acc & 1) ^ _parities(n, a)) | (((acc >> 1) & 1) ^ _parities(n, b)) << 1
 
-    def last_all(xs: np.ndarray, state, r: int) -> np.ndarray:
+    def last_all(state, r: int) -> np.ndarray:
         # input 0 forwards the incoming pair, so last(0, (z,), r) is the output for z
         outputs = np.array([last(0, (z,), r) for z in range(4)])
-        return outputs[msg_all(xs, state, r)]
+        return outputs[msg_all(state, r)]
 
     msg.batch, last.batch = msg_all, last_all
 

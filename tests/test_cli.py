@@ -637,3 +637,14 @@ def test_malformed_configs_exit_with_one_line(tmp_path, capsys, payload, message
     err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
     assert err == f"config error: {message.format(path=cfg)}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"reduction": {"players": 1e30}}, "players must be <= 9223372036854775806, got 1e+30"),
+    ({"distribution": {"weights-file": 3}}, "weights-file must be a path string, got 3"),
+    ({"output": []}, "output must be an object {per_x_table: bool}, got []"),
+])
+def test_fields_of_the_wrong_kind_are_config_errors_not_tracebacks(tmp_path, capsys, change, message):
+    cfg = _write_config(tmp_path, {**_REDUCE_F4, **change})
+    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: {message}\n"

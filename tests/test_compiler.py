@@ -28,7 +28,7 @@ from modsketch.compiler import (
     reduce,
     sample_and_select_transcript,
 )
-from modsketch.fourier import ChangBoundError, DenseFunction, normalized_indicator
+from modsketch.fourier import DFT_BLOCK_ORDER, ChangBoundError, DenseFunction, normalized_indicator
 from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
 from modsketch.seeding import derive_seed
 from modsketch.sketch import Distribution, RandomizedSketch, serialize_sketch
@@ -622,7 +622,7 @@ def test_table_walk_rejects_an_oversized_message_like_protocol_run(batched):
         return x
 
     if batched:
-        msg.batch = lambda xs, last, r: xs.copy()
+        msg.batch = lambda last, r: np.arange(4)
     protocol = BroadcastProtocol(group=GroupSpec.boolean(2), n_players=3, message_bits=1,
                                  msg_fns=(msg,) * 3, streaming=True)
     with pytest.raises(ValueError) as want:
@@ -697,7 +697,7 @@ def test_array_form_of_the_wrong_shape_is_rejected():
     def msg(x, prev, r):
         return 0
 
-    msg.batch = lambda xs, last, r: np.zeros(1, dtype=np.int64)
+    msg.batch = lambda last, r: np.zeros(1, dtype=np.int64)
     protocol = BroadcastProtocol(group=GroupSpec.boolean(2), n_players=3, message_bits=1,
                                  msg_fns=(msg,) * 3, streaming=True)
     with pytest.raises(CompilerError, match=r"player 0's batch form returned shape \(1,\), not \(4,\)"):
@@ -990,33 +990,62 @@ def test_coset_constancy_check_can_fail(monkeypatch):
     assert err.value.stage == "build-junta"
 
 
-FAILING_CHECKS = {  # check -> (stage, variant, patched stage, what it returns)
-    "cost-bound": ("structure", "exact_f2", "build_invariant_structure",
-                   lambda st: replace(st, generators=st.generators * 65)),  # parity's one, 65 > 32(c + 1)
-    "complexity-bound": ("structure", "exact_group", "build_invariant_structure",
-                         lambda st: replace(st, sketch=SimpleNamespace(post=(0,) * 3 ** (st.cost + 1)))),
+def _returning(corrupt):
+    """A patch of a stage whose output is corrupted."""
+    return lambda inner: lambda *args, **kwargs: corrupt(inner(*args, **kwargs))
+
+
+def _without_search_gate(target):
+    """A patch of the transcript search that drops its own gate on target_q
+    or target_eps, leaving the final budget check to catch the miss."""
+    return lambda inner: lambda protocol, f, D, cfg, *rest: inner(protocol, f, D, replace(cfg, **{target: None}), *rest)
+
+
+_PARITY = (("parity", {"n": 4}), ("parity-chain", {"n": 4}), 40)
+_SUM_ZERO = (("mod-p-sum-zero", {"n": 3, "p": 3}), ("running-sum-mod-p", {"n": 3, "p": 3}), 48)
+_MASKS = {"n": 4, "a": 3, "b": 12}
+_BLEND = (("two-parity-blend", _MASKS), ("two-parity-blend-chain", {**_MASKS, "levels": 2}), 80)  # error 0.08
+
+# check -> (stage, variant, (function, protocol, N), reduction settings, (patched stage, patch))
+FAILING_CHECKS = {
+    "heavy-majority": ("heavy-set", "exact_f2", _PARITY, {},
+                       ("heavy_set", _returning(lambda res: (res[0][:len(res[0]) // 2 - 1], *res[1:])))),
+    "cost-bound": ("structure", "exact_f2", _PARITY, {},
+                   ("build_invariant_structure",  # parity's one generator, 65 > 32(c + 1)
+                    _returning(lambda st: replace(st, generators=st.generators * 65)))),
+    "complexity-bound": ("structure", "exact_group", _SUM_ZERO, {},
+                         ("build_invariant_structure",
+                          _returning(lambda st: replace(st, sketch=SimpleNamespace(post=(0,) * 3 ** (st.cost + 1)))))),
     # parity-chain on F2^4, N = 40: every player is heavy, so the bounds read
     # 16 * 2^(-40/4) (heavy) and 16 * 2^(-40/8) = 0.5 (player)
-    "mixing-heavy-bound": ("mixing", "exact_f2", "mixing_gap", lambda gap: 0.25),
-    "mixing-player-bound": ("mixing", "exact_f2", "mixing_gap", lambda gap: 1.0),
+    "mixing-heavy-bound": ("mixing", "exact_f2", _PARITY, {}, ("mixing_gap", _returning(lambda gap: 0.25))),
+    "mixing-player-bound": ("mixing", "exact_f2", _PARITY, {}, ("mixing_gap", _returning(lambda gap: 1.0))),
+    "quality-transfer": ("quality", "exact_f2", _PARITY, {},
+                         ("build_junta", _returning(lambda junta: replace(junta, quality=0.0)))),
+    # the constant protocol succeeds on half of F2^4; at N = 80 the budget is 1 - 16 * 2^(-10)
+    "success-budget": ("quality", "exact_f2", (_PARITY[0], ("constant", {"n": 4}), 80), {"target_q": 1.0},
+                       ("sample_and_select_transcript", _without_search_gate("target_q"))),
+    "error-conversion-chain": ("quality", "approx_f2", _BLEND, {},
+                               ("build_junta", _returning(lambda junta: replace(junta, quality=1.0)))),
+    "error-transfer": ("quality", "approx_f2", _BLEND, {},  # rhs 1.5 b + 3 gap with b = gap = 0
+                       ("sample_and_select_transcript",
+                        _returning(lambda sel: replace(sel, transcript=replace(sel.transcript, b=0.0))))),
+    # error 0.08 against 2 * 0 + 16 * 2^(-10)
+    "error-budget": ("quality", "approx_f2", _BLEND, {"target_eps": 0.0},
+                     ("sample_and_select_transcript", _without_search_gate("target_eps"))),
 }
 
 
 @pytest.mark.parametrize("check", sorted(FAILING_CHECKS))
-def test_structure_and_mixing_checks_can_fail(tmp_path, capsys, monkeypatch, check):
+def test_report_checks_can_fail(tmp_path, capsys, monkeypatch, check):
     import json
 
     from modsketch.cli import main
     from modsketch.compiler import InvariantViolation
 
-    stage, variant, attr, corrupt = FAILING_CHECKS[check]
-    inner = getattr(compiler, attr)
-    monkeypatch.setattr(compiler, attr, lambda *args, **kwargs: corrupt(inner(*args, **kwargs)))
-    if variant == "exact_f2":
-        f, family, players = ("parity", {"n": 4}), ("parity-chain", {"n": 4}), 40
-    else:
-        f, family, players = ("mod-p-sum-zero", {"n": 3, "p": 3}), ("running-sum-mod-p", {"n": 3, "p": 3}), 48
-    cfg = ReductionConfig(players=players, transcript_trials=4, seed=3)
+    stage, variant, (f, family, players), settings, (attr, patch) = FAILING_CHECKS[check]
+    monkeypatch.setattr(compiler, attr, patch(getattr(compiler, attr)))
+    cfg = ReductionConfig(players=players, transcript_trials=4, seed=3, **settings)
     with pytest.raises(InvariantViolation, match=f"{check}: ") as err:
         reduce(zoo_protocol(family[0], **family[1]), zoo_function(f[0], **f[1]), None, cfg, variant)
     assert err.value.stage == stage
@@ -1025,7 +1054,7 @@ def test_structure_and_mixing_checks_can_fail(tmp_path, capsys, monkeypatch, che
         "experiment": "reduce", "variant": variant,
         "function": {"name": f[0], "params": f[1]},
         "protocol": {"name": family[0], "params": family[1]},
-        "reduction": {"players": players, "trials": 4},
+        "reduction": {"players": players, "trials": 4, **settings},
     }))
     assert main(["reduce", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -1049,6 +1078,32 @@ def test_f2_reduces_and_boosts_build_no_coordinate_matrix(monkeypatch):
         reduce(zoo_protocol(proto, n=n, **params), zoo_function(fn, n=n, **params), None, cfg, variant)
     cfg = ReductionConfig(players=10 * n, transcript_trials=2, target_q=1.0, seed=5)
     minimax_boost(zoo_function("parity", n=n), zoo_protocol("parity-chain", n=n), cfg, 2, "exact_f2")
+
+
+def test_message_tables_build_no_coordinate_matrix(monkeypatch):
+    # the array forms walk the digits; mod-p-sum-zero reads the matrix, so targets come first
+    cases = [(zoo_protocol("running-sum-mod-p", n=8, p=3), zoo_function("mod-p-sum-zero", n=8, p=3)),
+             (zoo_protocol("state-passing", fsm="running-sum", n=12, p=2),
+              zoo_function("mod-p-sum-zero", n=12, p=2))]
+    rng = random.Random(11)
+    group = GroupSpec((3, 2, 5, 4))
+    moves = {(s, j, d): rng.randrange(3) for s in range(3) for j, m in enumerate(group.moduli) for d in range(1, m)}
+    fsm = StreamFSM(group=group, n_states=3, initial=1, step=lambda s, j, d: moves[s, j, d], emit=lambda s: s % 2)
+    coords_matrix = GroupSpec.coords_matrix
+
+    def small_only(spec):
+        assert spec.size <= DFT_BLOCK_ORDER, f"coordinate matrix of {spec!r} built"
+        return coords_matrix(spec)
+
+    monkeypatch.setattr(GroupSpec, "coords_matrix", small_only)
+    for family, f in cases:
+        cfg = ReductionConfig(players=40, transcript_trials=4, seed=5)
+        sel = sample_and_select_transcript(family(41), f, Distribution.uniform(f.group), cfg)
+        assert sel.message_batches > 0
+    for fn in fsm_to_players(fsm, 3).msg_fns[1:]:
+        for state in (None, 0, 1, 2):
+            prev = () if state is None else (state,)
+            assert fn.batch(state, 0).tolist() == [fn(x, prev, 0) for x in range(group.size)]
 
 
 def test_report_serializes_to_plain_json():

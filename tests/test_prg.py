@@ -22,6 +22,7 @@ from modsketch.prg import (
     fsm_distance,
 )
 from modsketch.seeding import derived_rng
+from modsketch.sketch import ZpJunta, apply_stream
 
 from oracles import (
     accumulate_stream,
@@ -418,6 +419,23 @@ def test_stream_memory_is_proportional_to_the_chunk(n, chunk):
     with mock.patch.object(prg, "STREAM_CHUNK", chunk):
         assert _peak_bytes(lambda: derandomized_apply(t, stream)) < 512 * chunk + (64 << 10)
 
+
+@pytest.mark.parametrize("high", [10, 2**63])  # small and int64-range increments
+@pytest.mark.parametrize("run", ["derandomized_apply", "apply_stream"])
+def test_stream_path_holds_one_chunk_at_a_time(high, run):
+    # four chunks peak where one does: no chunk stays live while the next is read
+    n, chunk = 7, 2**12
+    rng = random.Random(high)
+    t = RowTemplate(n, 4, 5, 8, rng.getrandbits(RowTemplate.required_seed_bits(n, 4, 5, 8)))
+    sk = ZpJunta(n, 5, ((1, 2, 3, 4, 0, 1, 2), (0, 1, 4, 4, 3, 2, 1)), tuple(range(25)))
+    apply = {"derandomized_apply": lambda s: derandomized_apply(t, s), "apply_stream": lambda s: apply_stream(sk, s)}[run]
+
+    def peak(chunks):
+        stream = ((rng.randrange(n), rng.randrange(-high, high)) for _ in range(chunks * chunk))
+        with mock.patch.object(prg, "STREAM_CHUNK", chunk):
+            return _peak_bytes(lambda: apply(stream))
+
+    assert peak(4) <= peak(1) + 16 * chunk
 
 def test_stream_path_never_regenerates_rows_one_by_one(monkeypatch):
     rng = random.Random(8)
