@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .compiler import (
     minimax_boost,
     reduce as compile_reduce,
 )
-from .fourier import ChangBoundError, DenseFunction, DissociationLimitError, TransformLimitError
+from .fourier import TRANSFORM_SIZE_LIMIT, ChangBoundError, DenseFunction, DissociationLimitError, TransformLimitError
 from .prg import RowTemplate, block_parity_counter, check_fsm_size, derandomized_apply, fsm_distance
 from .protocol import additive_lift
 from .seeding import derived_rng, parse_seed
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 EXPERIMENT_KINDS = ("reduce", "boost", "sketch-eval", "simulate", "prg-check")
+REDUCTION_KEYS = ("players", "trials", "target_q", "target_eps", "dissociated_limit", "delta")
+# A protocol holds one message function per player, built before any other size
+# check, so players are bounded at desk scale: 2^40 of them raised MemoryError.
+PLAYERS_LIMIT = TRANSFORM_SIZE_LIMIT
 
 
 class ConfigError(ValueError):
@@ -173,6 +178,24 @@ def _float_field(section: dict, key: str, minimum: float, maximum: float = math.
     return float(value)
 
 
+def _fraction_field(section: dict, key: str) -> Fraction | None:
+    """section[key] as an exact Fraction, from a number (a float read as the
+    decimal it prints as) or a "p/q" string of two integers, or None if
+    absent or null."""
+    value = section.get(key)
+    if value is None:
+        return None
+    try:
+        if isinstance(value, str):
+            num, _, den = value.partition("/")
+            return Fraction(int(num), int(den))
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return Fraction(repr(value))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"{key} must be a number or a 'p/q' string, got {value!r}")
+
+
 def _load_distribution(cfg: dict, group: GroupSpec) -> Distribution:
     spec = cfg.get("distribution", "uniform")
     if spec == "uniform":
@@ -195,9 +218,14 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
     red = cfg.get("reduction")
     if not isinstance(red, dict) or "players" not in red:
         raise ConfigError("config needs reduction: {players, ...}")
+    unknown = [key for key in red if key not in REDUCTION_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown reduction keys {', '.join(map(repr, unknown))}; "
+                          f"want some of {', '.join(REDUCTION_KEYS)}")
     fields = dict(
-        players=_int_field(red, "players", 0, 1, sys.maxsize - 1),  # the compiler runs N + 1 players
+        players=_int_field(red, "players", 0, 1, PLAYERS_LIMIT),
         transcript_trials=_int_field(red, "trials", 64, 1),
+        delta=_fraction_field(red, "delta"),
         target_q=_float_field(red, "target_q", 0.0),
         target_eps=_float_field(red, "target_eps", 0.0),
         seed=seed,
@@ -376,7 +404,7 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     family = _load_protocol(config.raw)
-    n_players = _int_field(config.raw, "players", 3, 1)
+    n_players = _int_field(config.raw, "players", 3, 1, PLAYERS_LIMIT)
     protocol = family(n_players)
     rng = derived_rng(config.seed, "simulate")
     runs = []

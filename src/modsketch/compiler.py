@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fourier  # fourier.transform is looked up per call, so a patched transform sees it
 from .algebra import (GroupSpec, SubgroupEnum, SubspaceF2, heaviest_first, max_independent_subset,
                       orthogonal_complement, rank_basis, span_mask)
 from .fourier import (
@@ -147,10 +148,12 @@ class PlayerSets:
     Players holding the same indicator object (see _PlayerSetSource) share
     one distinct set: `distinct` maps each to its player count, in
     first-seen order, and `joint()` is their spectral product, formed on
-    first use and kept.
+    first use and kept.  `energies`, when given, keeps each set's
+    |phihat|^2 for every PlayerSets that shares it (see energy()).
     """
 
     indicators: list[NormalizedIndicator]
+    energies: dict | None = None
 
     def __post_init__(self):
         self.distinct = Counter(self.indicators)
@@ -172,22 +175,62 @@ class PlayerSets:
             self._joint = joint_spectrum(self.indicators[0].group, self.distinct)
         return self._joint
 
+    def energy(self, ind: NormalizedIndicator) -> np.ndarray:
+        """|phihat|^2 of a distinct set, kept in `energies` if given."""
+        if self.energies is None:
+            return np.abs(ind.spectrum().coeffs) ** 2
+        if ind not in self.energies:
+            self.energies[ind] = np.abs(ind.spectrum().coeffs) ** 2
+        return self.energies[ind]
+
+
+# The views of a tail h that averaged_shift and mixing_gap read: h, h^2, and the
+# unit-modulus (-1)^h (exact mode, binary h) or e^(-i h) (approx mode, h in [0,1])
+TAIL_VIEWS = {"h": lambda h: h, "h2": lambda h: h**2, "signed": lambda h: 1.0 - 2.0 * h,
+              "exponential": lambda h: np.exp(-1j * h)}
+
 
 @dataclass
 class TailFunction:
-    """The last player's output as a function of its own input."""
+    """The last player's output as a function of its own input.
+
+    operand(view) gives a view of h (see TAIL_VIEWS) as averaged_shift and
+    mixing_gap take it: the function, which they transform, or with `keep`
+    set (a tail that a shared _PlayerSetSource holds for several searches)
+    its transform, made on first use and kept.
+    """
 
     h: DenseFunction
+    keep: bool = False
 
-    def signed(self) -> DenseFunction:
-        """(-1)^h for binary h."""
-        vals = self.h.real_values()
-        return DenseFunction(self.h.group, 1.0 - 2.0 * vals)
+    def __post_init__(self):
+        self._spectra: dict[str, Spectrum] = {}
 
-    def exponential(self) -> DenseFunction:
-        """e^(-i h) for [0,1]-valued h."""
-        vals = self.h.real_values()
-        return DenseFunction(self.h.group, np.exp(-1j * vals))
+    @classmethod
+    def checked(cls, group: GroupSpec, table: np.ndarray, mode: str, keep: bool = False) -> "TailFunction":
+        """The tail with values `table`: binary in exact mode, in [0,1] (up to
+        1e-12, then clipped) in approx mode, else CompilerError."""
+        h_vals = table.astype(np.float64)
+        if mode == "exact":
+            if not np.all(np.isin(h_vals, (0.0, 1.0))):
+                raise CompilerError(
+                    "transcript-search", "exact mode needs a binary tail function"
+                )
+        else:
+            if np.any(h_vals < -1e-12) or np.any(h_vals > 1 + 1e-12):
+                raise CompilerError(
+                    "transcript-search", "approximating tail must take values in [0,1]"
+                )
+            h_vals = np.clip(h_vals, 0.0, 1.0)
+        return cls(DenseFunction(group, h_vals), keep)
+
+    def operand(self, view: str = "h") -> DenseFunction | Spectrum:
+        if view in self._spectra:
+            return self._spectra[view]
+        fn = DenseFunction(self.h.group, TAIL_VIEWS[view](self.h.values))
+        if self.keep:
+            fn = self._spectra[view] = fourier.transform(fn)
+        return fn
 
 
 @dataclass
@@ -366,14 +409,22 @@ class _PlayerSetSource:
     protocol's table comes from one call of the function's array form when
     it has one (see BroadcastProtocol); message_calls counts the messages
     computed either way, and batches the tables built by array forms.
+
+    A `shared` source, one that several searches draw on, also keeps for a
+    streaming protocol each checked tail per (fn_N, prev[-1], mode), with
+    its transforms, and each distinct set's energy |phihat|^2; an unshared
+    one keeps neither, so a lone search allocates no more than it reads.
     """
 
-    def __init__(self, protocol: BroadcastProtocol, r_star: int):
+    def __init__(self, protocol: BroadcastProtocol, r_star: int, shared: bool = False):
         self.protocol = protocol
         self.r_star = r_star
         self.memo = protocol.streaming
+        self.shared = shared and self.memo
         self.tables: dict = {}
         self.sets: dict = {}
+        self.tails: dict = {}
+        self.energies = {} if self.shared else None
         self.message_calls = 0
         self.batches = 0
         self.built = 0
@@ -440,6 +491,18 @@ class _PlayerSetSource:
             self.sets[key] = ind
         return ind
 
+    def tail(self, messages: tuple, mode: str) -> TailFunction:
+        """The last player's output on its input x, messages fixed, checked
+        for `mode` (see TailFunction.checked); kept if the source is shared."""
+        n = self.protocol.n_players - 1
+        key = (*self._key(n, messages), mode)
+        tail = self.tails.get(key)
+        if tail is None:
+            tail = TailFunction.checked(self.protocol.group, self.table(n, messages), mode, self.shared)
+            if self.shared:
+                self.tails[key] = tail
+        return tail
+
 
 def _evaluate_candidate(
     source: _PlayerSetSource,
@@ -459,31 +522,19 @@ def _evaluate_candidate(
     if prob < threshold:
         return None
 
-    h_vals = source.table(n, messages).astype(np.float64)
-    if mode == "exact":
-        if not np.all(np.isin(h_vals, (0.0, 1.0))):
-            raise CompilerError(
-                "transcript-search", "exact mode needs a binary tail function"
-            )
-    else:
-        if np.any(h_vals < -1e-12) or np.any(h_vals > 1 + 1e-12):
-            raise CompilerError(
-                "transcript-search", "approximating tail must take values in [0,1]"
-            )
-        h_vals = np.clip(h_vals, 0.0, 1.0)
-    h = DenseFunction(group, h_vals)
+    tail = source.tail(messages, mode)
     fv = f.real_values()
-    ps = PlayerSets(indicators)
+    ps = PlayerSets(indicators, source.energies)
 
-    shifted = averaged_shift(ps.joint(), h).real_values(tol=1e-7)
+    shifted = averaged_shift(ps.joint(), tail.operand()).real_values(tol=1e-7)
     if mode == "exact":
         per_x = fv * shifted + (1.0 - fv) * (1.0 - shifted)
         quality = float(np.dot(D.probs, per_x))
     else:
-        shifted_sq = averaged_shift(ps.joint(), DenseFunction(group, h_vals**2)).real_values(tol=1e-7)
+        shifted_sq = averaged_shift(ps.joint(), tail.operand("h2")).real_values(tol=1e-7)
         per_x = shifted_sq - 2.0 * fv * shifted + fv**2
         quality = float(np.dot(D.probs, per_x))
-    return prob, quality, ps, TailFunction(h)
+    return prob, quality, ps, tail
 
 
 def sample_and_select_transcript(
@@ -505,7 +556,8 @@ def sample_and_select_transcript(
     streaming protocol, player sets are memoized across players and
     candidates and trials are sampled from the same message tables (see
     _PlayerSetSource); `sources` maps each tape r* to its
-    source and may be shared by several searches on the same protocol.
+    source and may be shared by several searches on the same protocol,
+    whose sources then also keep tails and set energies.
     The counters returned are this search's work only.
     """
     if cfg.transcript_trials < 1:
@@ -515,9 +567,8 @@ def sample_and_select_transcript(
     delta = cfg.resolved_delta()
     threshold = delta * Fraction(1, 2 ** (protocol.message_bits * n))
     r_star, r_calls = _select_r_star(protocol, f, D, cfg, mode)
-    if sources is None:
-        sources = {}
-    source = sources.setdefault(r_star, _PlayerSetSource(protocol, r_star))
+    shared, sources = sources is not None, {} if sources is None else sources
+    source = sources.setdefault(r_star, _PlayerSetSource(protocol, r_star, shared))
     before = source.counters()
     rng = derived_rng(cfg.seed, "transcripts")
 
@@ -583,7 +634,8 @@ def heavy_set(
     B keeps players of density >= 2^(-2(c+1)) (inclusive, exact, decided
     once per distinct set by PlayerSets.heavy); S keeps dual indices whose
     spectral energy summed over B reaches |B|/2 (inclusive with float
-    tolerance), the sum taken as count * energy over the distinct sets.
+    tolerance), the sum taken as count * energy over the distinct sets
+    (each set's energy read through PlayerSets.energy).
     Returns (B, S indices, per-gamma energy weights).
     """
     if not player_sets.indicators:
@@ -593,7 +645,7 @@ def heavy_set(
     B = [i for i, ind in enumerate(player_sets.indicators) if ind in keep]
     weights = np.zeros(player_sets.indicators[0].group.size, dtype=np.float64)
     for ind in heavy:
-        weights += player_sets.distinct[ind] * np.abs(ind.spectrum().coeffs) ** 2
+        weights += player_sets.distinct[ind] * player_sets.energy(ind)
     S = np.nonzero(weights >= len(B) / 2 - tol)[0]
     return B, S, weights
 
@@ -605,6 +657,7 @@ def build_invariant_structure(
     kind: str,
     dissociated_limit: int = 16,
     subgroups: dict | None = None,
+    structures: dict | None = None,
 ) -> InvariantStructure:
     """Span the heavy spectrum and return the structure the junta lives on.
 
@@ -616,10 +669,23 @@ def build_invariant_structure(
     invariant, is the span of the generators (Ann(Ann(S)) = <S>).
     `subgroups` memoizes H by the group and that span, which is canonical:
     a span already there returns the stored H, with its coset table, and
-    no annihilator is computed.
+    no annihilator is computed.  `structures` memoizes the whole structure
+    by the group, kind, limit and S in heaviest_first order, which is all
+    the greedy reads: a repeat returns the stored structure without
+    extracting generators or spanning them.
     """
     s_list = [int(g) for g in S]
     w_list = [float(weights[g]) for g in s_list]
+    if structures is None:
+        return _invariant_structure(group, s_list, w_list, kind, dissociated_limit, subgroups)
+    order = heaviest_first(w_list, [group.decode(g) for g in s_list])
+    key = (group, kind, dissociated_limit, tuple(s_list[i] for i in order))
+    if key not in structures:
+        structures[key] = _invariant_structure(group, s_list, w_list, kind, dissociated_limit, subgroups)
+    return structures[key]
+
+
+def _invariant_structure(group, s_list, w_list, kind, dissociated_limit, subgroups) -> InvariantStructure:
     if kind == "subspace":
         gens = max_independent_subset(s_list, w_list, n=group.n)
         invariant = orthogonal_complement(rank_basis(gens, group.n))
@@ -679,7 +745,7 @@ def build_junta(
     [0,1]-valued bucket averages as the post table.
     """
     ids, n_buckets = structure.sketch.buckets(), structure.complexity
-    w_fn = averaged_shift(joint, tail.h, structure.dual)
+    w_fn = averaged_shift(joint, tail.operand(), structure.dual)
     w = w_fn.real_values(tol=1e-7)
     order = np.argsort(ids, kind="stable")
     starts = np.searchsorted(ids[order], np.arange(n_buckets))
@@ -776,11 +842,13 @@ def _reduce(
     variant: str,
     sources: dict | None = None,
     subgroups: dict | None = None,
+    structures: dict | None = None,
 ) -> ReduceResult:
     """reduce's pipeline on a built protocol and a checked variant, the
     transcript search drawing on `sources` (see sample_and_select_transcript;
     with None its tables are freed before the later stages run) and the
-    invariant structure on `subgroups` (see build_invariant_structure)."""
+    invariant structure on `subgroups` and `structures` (see
+    build_invariant_structure)."""
     mode = "exact" if variant.startswith("exact") else "approx"
     kind = "subspace" if variant.endswith("_f2") else "subgroup"
     group = f.group
@@ -806,7 +874,7 @@ def _reduce(
     subgroups = {} if subgroups is None else subgroups
     known = len(subgroups)
     structure = build_invariant_structure(
-        group, S, weights, kind, cfg.dissociated_limit, subgroups
+        group, S, weights, kind, cfg.dissociated_limit, subgroups, structures
     )
     timings["structure"] = time.perf_counter() - t1
     if kind == "subspace":
@@ -828,8 +896,7 @@ def _reduce(
 
     t2 = time.perf_counter()
     joint = sel.player_sets.joint()
-    tail_view = sel.tail.signed() if mode == "exact" else sel.tail.exponential()
-    gap = mixing_gap(joint, structure.dual, tail_view)
+    gap = mixing_gap(joint, structure.dual, sel.tail.operand("signed" if mode == "exact" else "exponential"))
     # |B| >= N/2 makes the heavy bound the tighter, so the N-based one is tested first (a gap
     # above it fails it, one between the two fails the heavy bound); the report lists heavy first
     checks["mixing-heavy-bound"] = None
@@ -933,12 +1000,16 @@ def minimax_boost(
     Only exact variants: an approx round reports a squared error, not a
     success probability, so the bound would not constrain it.
 
-    The protocol is built once, and the rounds that select the same tape
-    r* share its message tables and player sets (with their spectra) for
-    this call only, and the rounds whose annihilators coincide share one
-    SubgroupEnum, with its coset table and generators (the memo is keyed by
-    the span of the round's generators, so a round that reuses one computes
-    no annihilator).  Each round's report counts that round's work.  eta must
+    The protocol is built once, and the rounds share, for this call only,
+    what does not depend on their distribution.  The rounds that select the
+    same tape r* share its message tables, player sets (with their spectra
+    and energies |phihat|^2) and tails (checked once, with the transforms
+    of h, h^2 and the view the mixing gap reads).  The rounds whose heavy
+    spectra S agree in heaviest_first order share one invariant structure,
+    so a repeat round extracts no generators and spans none, and the
+    rounds whose generators span the same group share one SubgroupEnum,
+    with its coset table, so a round that reuses one computes no
+    annihilator.  Each round's report counts that round's work.  eta must
     be finite and > 0 (at eta <= 0 the regret check could never fail)."""
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -957,7 +1028,8 @@ def minimax_boost(
 
     _check_variant(variant, group)
     protocol = _as_protocol(protocol_source, cfg.players + 1, group)
-    sources, subgroups = {}, {}  # for this call's rounds only: r* -> _PlayerSetSource, (G, span bitmap) -> H
+    # for this call's rounds only: r* -> _PlayerSetSource, (G, span bitmap) -> H, (G, kind, limit, S) -> structure
+    sources, subgroups, structures = {}, {}, {}
     weights = np.full(group.size, 1.0 / group.size)
     sketches = []
     corrects = np.zeros(group.size, dtype=np.int64)
@@ -965,7 +1037,7 @@ def minimax_boost(
     for t in range(rounds):
         D_t = Distribution(group, weights / weights.sum(), name=f"boost-round-{t}")
         round_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"boost-{t}"))
-        res = _reduce(protocol, f, D_t, round_cfg, variant, sources, subgroups)
+        res = _reduce(protocol, f, D_t, round_cfg, variant, sources, subgroups, structures)
         sketches.append(res.sketch)
         reports.append(res.report)
         out = np.asarray(res.sketch.eval_all())

@@ -314,40 +314,47 @@ def joint_spectrum(group: GroupSpec, sets: Mapping[NormalizedIndicator, int]) ->
     return Spectrum(group, prod)
 
 
-def averaged_shift(joint: Spectrum, f: DenseFunction, keep: np.ndarray | None = None) -> DenseFunction:
+def _spectrum_of(f: DenseFunction | Spectrum) -> Spectrum:
+    """f's spectrum: f itself if it is one, else its transform."""
+    return f if isinstance(f, Spectrum) else transform(f)
+
+
+def averaged_shift(joint: Spectrum, f: DenseFunction | Spectrum, keep: np.ndarray | None = None) -> DenseFunction:
     """E[f(x - y_1 - ... - y_N + v)] as a function of x.
 
     joint is the joint spectrum of the sets the y_i are uniform on (see
     joint_spectrum) and v is uniform on an invariant subgroup H, given by
     `keep`, the boolean mask of the characters trivial on H (the support of
-    phihat_H; v is omitted if None): one spectral product with f and one
-    inverse transform.
+    phihat_H; v is omitted if None): one spectral product with f (or with
+    fhat, when the caller already holds it) and one inverse transform.
     """
     if joint.group != f.group:
         raise ValueError("spectrum group mismatch")
-    prod = transform(f).coeffs * joint.coeffs
+    prod = _spectrum_of(f).coeffs * joint.coeffs
     if keep is not None:
         prod *= keep
     return inverse_transform(Spectrum(f.group, prod))
 
 
-def mixing_gap(joint: Spectrum, keep: np.ndarray, hp: DenseFunction) -> float:
+def mixing_gap(joint: Spectrum, keep: np.ndarray, hp: DenseFunction | Spectrum) -> float:
     """Largest deviation the invariant shift can cause to a shift average.
 
     Returns max over x of |E[hp(x - sum y_i)] - E[hp(x - sum y_i + v)]|
     with the y_i uniform on the sets whose joint spectrum is given and v
     uniform on the invariant subgroup H, `keep` being the mask of the
     characters trivial on H (see averaged_shift): the inverse transform of
-    hphat * joint off that mask.  (Over F2 the
+    hphat * joint off that mask.  hp must take unit-modulus values, which
+    is checked when hp is given as a function; given as its spectrum, the
+    caller vouches for them.  (Over F2 the
     signs are immaterial; over general groups this subtracted-shift
     orientation is the one the sketch compiler consumes.)  The compiler
     compares the result against |G| * 2^(-N/8) itself.
     """
     if joint.group != hp.group:
         raise ValueError("spectrum group mismatch")
-    if np.max(np.abs(np.abs(hp.values) - 1.0)) > 1e-6:
+    if isinstance(hp, DenseFunction) and np.max(np.abs(np.abs(hp.values) - 1.0)) > 1e-6:
         raise ValueError("hp must take unit-modulus values")
-    diff = inverse_transform(Spectrum(hp.group, transform(hp).coeffs * joint.coeffs * ~keep))
+    diff = inverse_transform(Spectrum(hp.group, _spectrum_of(hp).coeffs * joint.coeffs * ~keep))
     return float(np.max(np.abs(diff.values)))
 
 

@@ -640,11 +640,63 @@ def test_malformed_configs_exit_with_one_line(tmp_path, capsys, payload, message
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"reduction": {"players": 1e30}}, "players must be <= 9223372036854775806, got 1e+30"),
+    ({"reduction": {"players": 1e30}}, "players must be <= 1048576, got 1e+30"),
     ({"distribution": {"weights-file": 3}}, "weights-file must be a path string, got 3"),
     ({"output": []}, "output must be an object {per_x_table: bool}, got []"),
 ])
 def test_fields_of_the_wrong_kind_are_config_errors_not_tracebacks(tmp_path, capsys, change, message):
     cfg = _write_config(tmp_path, {**_REDUCE_F4, **change})
     err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["reduce", "boost", "simulate"])
+def test_players_beyond_desk_scale_are_config_errors(tmp_path, capsys, kind):
+    # 2^40 players raised MemoryError while the protocol built its N + 1 message functions
+    raw = json.loads(json.dumps(_BASES[kind]))
+    (raw if kind == "simulate" else raw["reduction"])["players"] = 2**40
+    cfg = _write_config(tmp_path, {"experiment": kind, **raw})
+    err = _one_line_failure(capsys, [kind, "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: players must be <= {2**20}, got {2**40}\n"
+
+
+@pytest.mark.parametrize("kind", ["reduce", "boost"])
+@pytest.mark.parametrize("extra, named", [
+    ({"bogus": 1}, "'bogus'"),
+    ({"target_qq": 1.0, "Delta": 0.5}, "'target_qq', 'Delta'"),
+])
+def test_unknown_reduction_keys_are_config_errors(tmp_path, capsys, kind, extra, named):
+    raw = json.loads(json.dumps(_BASES[kind]))
+    raw["reduction"].update(extra)
+    cfg = _write_config(tmp_path, {"experiment": kind, **raw})
+    err = _one_line_failure(capsys, [kind, "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == (f"config error: unknown reduction keys {named}; want some of players, trials, "
+                   "target_q, target_eps, dissociated_limit, delta\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("delta, want", [("1/1000", "1/1000"), (0.001, "1/1000"), (0.5, "1/2"),
+                                         ("3/6", "1/2")])
+def test_reduction_delta_is_read_exactly(tmp_path, delta, want):
+    raw = {"experiment": "reduce", **json.loads(json.dumps(_BASES["reduce"]))}
+    raw["reduction"]["delta"] = delta
+    record, _ = run_experiment(ExperimentConfig.load(_write_config(tmp_path, raw), None, str(tmp_path / "o"), 0.05))
+    report = record["result"]["report"]
+    assert report["delta"] == want
+    assert report["checks"]["transcript-probability"]["rhs"] == f"{want}*2^-8"
+
+
+@pytest.mark.parametrize("delta, message", [
+    ("0.5", "delta must be a number or a 'p/q' string, got '0.5'"),
+    ("1/0", "delta must be a number or a 'p/q' string, got '1/0'"),
+    (True, "delta must be a number or a 'p/q' string, got True"),
+    ([1, 2], "delta must be a number or a 'p/q' string, got [1, 2]"),
+    (1, "bad reduction settings: delta must lie in (0, 1)"),
+    ("-1/2", "bad reduction settings: delta must lie in (0, 1)"),
+])
+def test_bad_reduction_delta_is_a_config_error(tmp_path, capsys, delta, message):
+    raw = {"experiment": "reduce", **json.loads(json.dumps(_BASES["reduce"]))}
+    raw["reduction"]["delta"] = delta
+    err = _one_line_failure(capsys, ["reduce", "--config", _write_config(tmp_path, raw),
+                                     "--out", str(tmp_path / "o")], 2)
     assert err == f"config error: {message}\n"

@@ -935,15 +935,94 @@ def test_invariant_structure_memo_is_keyed_by_the_span(inputs):
         assert third.invariant.spec == bigger and len(memo) == 2 and len(calls) == 3
 
 
+def _recording(mp, owner, attr) -> list:
+    """Patch owner.attr to record the positional arguments of its calls;
+    returns the record."""
+    calls, inner = [], getattr(owner, attr)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    mp.setattr(owner, attr, recorded)
+    return calls
+
+
 def test_boost_rounds_with_one_span_compute_one_annihilator(monkeypatch):
     # the boost-zp shape, whose four rounds all keep the generator 1093
+    from modsketch import fourier
+
     calls = _counting_annihilator(monkeypatch)
+    extracted = _recording(monkeypatch, compiler, "extract_dissociated")
+    spanned = _recording(monkeypatch, compiler, "span_mask")
+    transforms = _recording(monkeypatch, fourier, "transform")
+    per_round = []
+    reduce_round = compiler._reduce
+
+    def counted_round(*args, **kwargs):
+        before = len(transforms)
+        res = reduce_round(*args, **kwargs)
+        per_round.append(len(transforms) - before)
+        return res
+
+    monkeypatch.setattr(compiler, "_reduce", counted_round)
     f = zoo_function("mod-p-sum-zero", n=7, p=3)
     family = zoo_protocol("running-sum-mod-p", n=7, p=3)
     cfg = ReductionConfig(players=111, transcript_trials=4, target_q=1.0, seed=3025046857)
     res = minimax_boost(f, family, cfg, 4, "exact_group")
     assert [r.subgroups_built for r in res.round_reports] == [1, 0, 0, 0]
     assert calls == [[1093]]
+    # the rounds share S = {0, 1093, 2186} in heaviest_first order: one greedy and one span per call
+    assert all(r.heavy_set_members == [0, 1093, 2186] for r in res.round_reports)
+    assert len(extracted) == 1 and len(spanned) == 1
+    # a round transforms only the player sets it builds and, when its tail (keyed by the
+    # last message, on one tape) is new, h and (-1)^h once; a repeat round transforms no tail
+    tails = [(r.r_star, r.transcript[-1]) for r in res.round_reports]
+    new = [tail not in tails[:t] for t, tail in enumerate(tails)]
+    assert not all(new)
+    assert per_round == [r.player_sets_built + 2 * fresh for r, fresh in zip(res.round_reports, new)]
+
+
+def test_only_a_shared_source_keeps_tails_and_energies():
+    protocol = zoo_protocol("parity-chain", n=4)(9)
+    messages = (1,) * 8
+    lone, shared = compiler._PlayerSetSource(protocol, 0), compiler._PlayerSetSource(protocol, 0, shared=True)
+    # a lone search's tail hands over h itself, which averaged_shift transforms, and keeps nothing
+    tail = lone.tail(messages, "exact")
+    assert lone.tail(messages, "exact") is not tail and not lone.tails and lone.energies is None
+    assert isinstance(tail.operand(), DenseFunction) and np.array_equal(tail.operand().values, tail.h.values)
+    assert np.array_equal(tail.operand("signed").values, 1 - 2 * tail.h.values)
+    kept = shared.tail(messages, "exact")
+    assert shared.tail(messages, "exact") is kept and shared.tail(messages, "approx") is not kept
+    hat = kept.operand()
+    assert kept.operand() is hat and np.array_equal(hat.coeffs, compiler.fourier.transform(kept.h).coeffs)
+    # a set's energy is computed once per shared source
+    ind = shared.indicator(0, messages)
+    first = PlayerSets([ind], shared.energies).energy(ind)
+    assert PlayerSets([ind] * 2, shared.energies).energy(ind) is first
+    assert np.array_equal(first, np.abs(ind.spectrum().coeffs) ** 2)
+    assert PlayerSets([ind]).energy(ind) is not PlayerSets([ind]).energy(ind)
+
+
+def test_structure_memo_is_keyed_by_the_heaviest_first_order(monkeypatch):
+    extracted = _recording(monkeypatch, compiler, "extract_dissociated")
+    g, memo, subgroups = GroupSpec((3, 3)), {}, {}
+    weights = np.zeros(9)
+    weights[[1, 3, 4]] = [3.0, 2.0, 1.0]
+    first = build_invariant_structure(g, [1, 3, 4], weights, "subgroup", subgroups=subgroups, structures=memo)
+    # other weights with the same order, S listed in another order: the stored structure
+    weights[[1, 3, 4]] = [5.0, 4.0, 0.5]
+    assert build_invariant_structure(g, [4, 3, 1], weights, "subgroup", subgroups=subgroups,
+                                     structures=memo) is first
+    assert len(extracted) == 1 and len(memo) == 1
+    # another order is another key; here it spans the same group, so H is shared
+    weights[[1, 3, 4]] = [1.0, 2.0, 3.0]
+    other = build_invariant_structure(g, [1, 3, 4], weights, "subgroup", subgroups=subgroups, structures=memo)
+    assert len(extracted) == 2 and len(memo) == 2 and len(subgroups) == 1
+    assert other is not first and other.invariant is first.invariant and other.generators == [4, 3]
+    # the limit and the kind are part of the key
+    build_invariant_structure(g, [1, 3, 4], weights, "subgroup", 4, subgroups, memo)
+    assert len(extracted) == 3 and len(memo) == 3
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
