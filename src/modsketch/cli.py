@@ -52,8 +52,18 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENT_KINDS = ("reduce", "boost", "sketch-eval", "simulate", "prg-check")
+# The top-level keys each experiment kind reads, beside experiment, seed and out
+EXPERIMENT_KEYS = {
+    "reduce": ("function", "protocol", "variant", "distribution", "reduction", "output"),
+    "boost": ("function", "protocol", "variant", "distribution", "reduction", "rounds"),
+    "sketch-eval": ("sketch-file", "function", "target_q", "target_eps", "stream-file"),
+    "simulate": ("protocol", "players", "function", "inputs", "runs"),
+    "prg-check": ("prg",),
+}
+EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
 REDUCTION_KEYS = ("players", "trials", "target_q", "target_eps", "dissociated_limit", "delta")
+OUTPUT_KEYS = ("per_x_table",)
+PRG_KEYS = ("block_bits", "block_count", "states", "samples", "n", "s", "p", "shuffles")
 # A protocol holds one message function per player, built before any other size
 # check, so players are bounded at desk scale: 2^40 of them raised MemoryError.
 PLAYERS_LIMIT = TRANSFORM_SIZE_LIMIT
@@ -63,11 +73,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _reject_unknown_keys(section: dict, allowed, where: str) -> None:
+    """ConfigError naming the keys of section that are not in allowed."""
+    unknown = [key for key in section if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {', '.join(map(repr, unknown))}; "
+                          f"want some of {', '.join(allowed)}")
+
+
 def parse_stream_file(path: str | Path) -> tuple[int, int, list[tuple[int, int]]]:
     """Read an update stream: header "n=<int> p=<int>", then one
     "<coordinate> <increment>" pair per line.  Increments may be any
     int64 integers; they are reduced mod p on application, not here."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as e:
+        raise ConfigError(f"cannot read stream file {path}: {e}") from e
     body = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not body:
         raise ConfigError(f"{path}: empty stream file")
@@ -122,6 +143,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}"
             )
+        _reject_unknown_keys(raw, ("experiment", "seed", "out") + EXPERIMENT_KEYS[kind], kind)
         seed_text = seed_override or str(raw.get("seed", "0"))
         try:
             seed = parse_seed(seed_text)
@@ -218,10 +240,7 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
     red = cfg.get("reduction")
     if not isinstance(red, dict) or "players" not in red:
         raise ConfigError("config needs reduction: {players, ...}")
-    unknown = [key for key in red if key not in REDUCTION_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown reduction keys {', '.join(map(repr, unknown))}; "
-                          f"want some of {', '.join(REDUCTION_KEYS)}")
+    _reject_unknown_keys(red, REDUCTION_KEYS, "reduction")
     fields = dict(
         players=_int_field(red, "players", 0, 1, PLAYERS_LIMIT),
         transcript_trials=_int_field(red, "trials", 64, 1),
@@ -286,6 +305,7 @@ def _run_reduce(config: ExperimentConfig) -> tuple[dict, bool]:
     output = config.raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError(f"output must be an object {{per_x_table: bool}}, got {output!r}")
+    _reject_unknown_keys(output, OUTPUT_KEYS, "output")
     f = _load_function(config.raw)
     family = _load_protocol(config.raw)
     if family.group != f.group:
@@ -362,7 +382,9 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
     result: dict = {"sketch_file": path}
     ok = True
     stream = config.raw.get("stream-file")
-    if stream:
+    if stream is not None:
+        if not isinstance(stream, str):
+            raise ConfigError(f"stream-file must be a path string, got {stream!r}")
         if hasattr(sketch, "entries"):
             raise ConfigError("stream replay needs a deterministic sketch")
         _, _, updates = parse_stream_file(stream)
@@ -439,6 +461,9 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
 
 def _run_prg_check(config: ExperimentConfig) -> tuple[dict, bool]:
     prg_cfg = config.raw.get("prg", {})
+    if not isinstance(prg_cfg, dict):
+        raise ConfigError(f"prg must be an object of generator settings, got {prg_cfg!r}")
+    _reject_unknown_keys(prg_cfg, PRG_KEYS, "prg")
     b = _int_field(prg_cfg, "block_bits", 8, 1)
     k = _int_field(prg_cfg, "block_count", 16, 1)
     states = _int_field(prg_cfg, "states", 8, 1)

@@ -148,12 +148,10 @@ class PlayerSets:
     Players holding the same indicator object (see _PlayerSetSource) share
     one distinct set: `distinct` maps each to its player count, in
     first-seen order, and `joint()` is their spectral product, formed on
-    first use and kept.  `energies`, when given, keeps each set's
-    |phihat|^2 for every PlayerSets that shares it (see energy()).
+    first use and kept.
     """
 
     indicators: list[NormalizedIndicator]
-    energies: dict | None = None
 
     def __post_init__(self):
         self.distinct = Counter(self.indicators)
@@ -175,14 +173,6 @@ class PlayerSets:
             self._joint = joint_spectrum(self.indicators[0].group, self.distinct)
         return self._joint
 
-    def energy(self, ind: NormalizedIndicator) -> np.ndarray:
-        """|phihat|^2 of a distinct set, kept in `energies` if given."""
-        if self.energies is None:
-            return np.abs(ind.spectrum().coeffs) ** 2
-        if ind not in self.energies:
-            self.energies[ind] = np.abs(ind.spectrum().coeffs) ** 2
-        return self.energies[ind]
-
 
 # The views of a tail h that averaged_shift and mixing_gap read: h, h^2, and the
 # unit-modulus (-1)^h (exact mode, binary h) or e^(-i h) (approx mode, h in [0,1])
@@ -194,20 +184,17 @@ TAIL_VIEWS = {"h": lambda h: h, "h2": lambda h: h**2, "signed": lambda h: 1.0 - 
 class TailFunction:
     """The last player's output as a function of its own input.
 
-    operand(view) gives a view of h (see TAIL_VIEWS) as averaged_shift and
-    mixing_gap take it: the function, which they transform, or with `keep`
-    set (a tail that a shared _PlayerSetSource holds for several searches)
-    its transform, made on first use and kept.
+    operand(view) gives the transform of a view of h (see TAIL_VIEWS), as
+    averaged_shift and mixing_gap take it, made on first use and kept.
     """
 
     h: DenseFunction
-    keep: bool = False
 
     def __post_init__(self):
         self._spectra: dict[str, Spectrum] = {}
 
     @classmethod
-    def checked(cls, group: GroupSpec, table: np.ndarray, mode: str, keep: bool = False) -> "TailFunction":
+    def checked(cls, group: GroupSpec, table: np.ndarray, mode: str) -> "TailFunction":
         """The tail with values `table`: binary in exact mode, in [0,1] (up to
         1e-12, then clipped) in approx mode, else CompilerError."""
         h_vals = table.astype(np.float64)
@@ -222,15 +209,13 @@ class TailFunction:
                     "transcript-search", "approximating tail must take values in [0,1]"
                 )
             h_vals = np.clip(h_vals, 0.0, 1.0)
-        return cls(DenseFunction(group, h_vals), keep)
+        return cls(DenseFunction(group, h_vals))
 
-    def operand(self, view: str = "h") -> DenseFunction | Spectrum:
-        if view in self._spectra:
-            return self._spectra[view]
-        fn = DenseFunction(self.h.group, TAIL_VIEWS[view](self.h.values))
-        if self.keep:
-            fn = self._spectra[view] = fourier.transform(fn)
-        return fn
+    def operand(self, view: str = "h") -> Spectrum:
+        if view not in self._spectra:
+            view_fn = DenseFunction(self.h.group, TAIL_VIEWS[view](self.h.values))
+            self._spectra[view] = fourier.transform(view_fn)
+        return self._spectra[view]
 
 
 @dataclass
@@ -409,22 +394,17 @@ class _PlayerSetSource:
     protocol's table comes from one call of the function's array form when
     it has one (see BroadcastProtocol); message_calls counts the messages
     computed either way, and batches the tables built by array forms.
-
-    A `shared` source, one that several searches draw on, also keeps for a
-    streaming protocol each checked tail per (fn_N, prev[-1], mode), with
-    its transforms, and each distinct set's energy |phihat|^2; an unshared
-    one keeps neither, so a lone search allocates no more than it reads.
+    A streaming protocol's checked tails are kept too, per (fn_N, prev[-1],
+    mode), each with the transforms its operand() has made.
     """
 
-    def __init__(self, protocol: BroadcastProtocol, r_star: int, shared: bool = False):
+    def __init__(self, protocol: BroadcastProtocol, r_star: int):
         self.protocol = protocol
         self.r_star = r_star
         self.memo = protocol.streaming
-        self.shared = shared and self.memo
         self.tables: dict = {}
         self.sets: dict = {}
         self.tails: dict = {}
-        self.energies = {} if self.shared else None
         self.message_calls = 0
         self.batches = 0
         self.built = 0
@@ -493,13 +473,13 @@ class _PlayerSetSource:
 
     def tail(self, messages: tuple, mode: str) -> TailFunction:
         """The last player's output on its input x, messages fixed, checked
-        for `mode` (see TailFunction.checked); kept if the source is shared."""
+        for `mode` (see TailFunction.checked); kept for a streaming protocol."""
         n = self.protocol.n_players - 1
         key = (*self._key(n, messages), mode)
         tail = self.tails.get(key)
         if tail is None:
-            tail = TailFunction.checked(self.protocol.group, self.table(n, messages), mode, self.shared)
-            if self.shared:
+            tail = TailFunction.checked(self.protocol.group, self.table(n, messages), mode)
+            if self.memo:
                 self.tails[key] = tail
         return tail
 
@@ -524,7 +504,7 @@ def _evaluate_candidate(
 
     tail = source.tail(messages, mode)
     fv = f.real_values()
-    ps = PlayerSets(indicators, source.energies)
+    ps = PlayerSets(indicators)
 
     shifted = averaged_shift(ps.joint(), tail.operand()).real_values(tol=1e-7)
     if mode == "exact":
@@ -556,8 +536,7 @@ def sample_and_select_transcript(
     streaming protocol, player sets are memoized across players and
     candidates and trials are sampled from the same message tables (see
     _PlayerSetSource); `sources` maps each tape r* to its
-    source and may be shared by several searches on the same protocol,
-    whose sources then also keep tails and set energies.
+    source and may be shared by several searches on the same protocol.
     The counters returned are this search's work only.
     """
     if cfg.transcript_trials < 1:
@@ -567,8 +546,8 @@ def sample_and_select_transcript(
     delta = cfg.resolved_delta()
     threshold = delta * Fraction(1, 2 ** (protocol.message_bits * n))
     r_star, r_calls = _select_r_star(protocol, f, D, cfg, mode)
-    shared, sources = sources is not None, {} if sources is None else sources
-    source = sources.setdefault(r_star, _PlayerSetSource(protocol, r_star, shared))
+    sources = {} if sources is None else sources
+    source = sources.setdefault(r_star, _PlayerSetSource(protocol, r_star))
     before = source.counters()
     rng = derived_rng(cfg.seed, "transcripts")
 
@@ -634,8 +613,7 @@ def heavy_set(
     B keeps players of density >= 2^(-2(c+1)) (inclusive, exact, decided
     once per distinct set by PlayerSets.heavy); S keeps dual indices whose
     spectral energy summed over B reaches |B|/2 (inclusive with float
-    tolerance), the sum taken as count * energy over the distinct sets
-    (each set's energy read through PlayerSets.energy).
+    tolerance), the sum taken as count * |phihat|^2 over the distinct sets.
     Returns (B, S indices, per-gamma energy weights).
     """
     if not player_sets.indicators:
@@ -645,7 +623,7 @@ def heavy_set(
     B = [i for i, ind in enumerate(player_sets.indicators) if ind in keep]
     weights = np.zeros(player_sets.indicators[0].group.size, dtype=np.float64)
     for ind in heavy:
-        weights += player_sets.distinct[ind] * player_sets.energy(ind)
+        weights += player_sets.distinct[ind] * np.abs(ind.spectrum().coeffs) ** 2
     S = np.nonzero(weights >= len(B) / 2 - tol)[0]
     return B, S, weights
 
@@ -656,7 +634,6 @@ def build_invariant_structure(
     weights: np.ndarray,
     kind: str,
     dissociated_limit: int = 16,
-    subgroups: dict | None = None,
     structures: dict | None = None,
 ) -> InvariantStructure:
     """Span the heavy spectrum and return the structure the junta lives on.
@@ -667,25 +644,23 @@ def build_invariant_structure(
     dissociated subset, whose annihilator subgroup H defines the buckets
     as cosets of H.  Either way `dual`, the characters trivial on the
     invariant, is the span of the generators (Ann(Ann(S)) = <S>).
-    `subgroups` memoizes H by the group and that span, which is canonical:
-    a span already there returns the stored H, with its coset table, and
-    no annihilator is computed.  `structures` memoizes the whole structure
-    by the group, kind, limit and S in heaviest_first order, which is all
-    the greedy reads: a repeat returns the stored structure without
-    extracting generators or spanning them.
+    `structures` memoizes the structure by the group, kind, limit and S in
+    heaviest_first order, which is all the greedy reads: a repeat returns
+    the stored structure, with its H and coset table, without extracting
+    generators, spanning them or computing an annihilator.
     """
     s_list = [int(g) for g in S]
     w_list = [float(weights[g]) for g in s_list]
     if structures is None:
-        return _invariant_structure(group, s_list, w_list, kind, dissociated_limit, subgroups)
+        return _invariant_structure(group, s_list, w_list, kind, dissociated_limit)
     order = heaviest_first(w_list, [group.decode(g) for g in s_list])
     key = (group, kind, dissociated_limit, tuple(s_list[i] for i in order))
     if key not in structures:
-        structures[key] = _invariant_structure(group, s_list, w_list, kind, dissociated_limit, subgroups)
+        structures[key] = _invariant_structure(group, s_list, w_list, kind, dissociated_limit)
     return structures[key]
 
 
-def _invariant_structure(group, s_list, w_list, kind, dissociated_limit, subgroups) -> InvariantStructure:
+def _invariant_structure(group, s_list, w_list, kind, dissociated_limit) -> InvariantStructure:
     if kind == "subspace":
         gens = max_independent_subset(s_list, w_list, n=group.n)
         invariant = orthogonal_complement(rank_basis(gens, group.n))
@@ -694,11 +669,7 @@ def _invariant_structure(group, s_list, w_list, kind, dissociated_limit, subgrou
     if kind != "subgroup":
         raise ValueError(f"unknown structure kind {kind!r}")
     gens = extract_dissociated(group, s_list, w_list, limit=dissociated_limit)
-    dual = span_mask(group, gens)
-    subgroups, key = {} if subgroups is None else subgroups, (group, dual.tobytes())
-    if key not in subgroups:
-        subgroups[key] = annihilator(group, gens)
-    sub = subgroups[key]
+    sub, dual = annihilator(group, gens), span_mask(group, gens)
     return InvariantStructure("subgroup", gens, sub, dual, HInvariantSketch(sub, (0,) * sub.n_cosets))
 
 
@@ -841,14 +812,12 @@ def _reduce(
     cfg: ReductionConfig,
     variant: str,
     sources: dict | None = None,
-    subgroups: dict | None = None,
     structures: dict | None = None,
 ) -> ReduceResult:
     """reduce's pipeline on a built protocol and a checked variant, the
     transcript search drawing on `sources` (see sample_and_select_transcript;
     with None its tables are freed before the later stages run) and the
-    invariant structure on `subgroups` and `structures` (see
-    build_invariant_structure)."""
+    invariant structure on `structures` (see build_invariant_structure)."""
     mode = "exact" if variant.startswith("exact") else "approx"
     kind = "subspace" if variant.endswith("_f2") else "subgroup"
     group = f.group
@@ -871,11 +840,9 @@ def _reduce(
     t1 = time.perf_counter()
     B, S, weights = heavy_set(sel.player_sets, c)
     _record(checks, "heavy-majority", len(B), f">= {n}/2", "heavy-set", 2 * len(B) >= n)
-    subgroups = {} if subgroups is None else subgroups
-    known = len(subgroups)
-    structure = build_invariant_structure(
-        group, S, weights, kind, cfg.dissociated_limit, subgroups, structures
-    )
+    structures = {} if structures is None else structures
+    known = len(structures)
+    structure = build_invariant_structure(group, S, weights, kind, cfg.dissociated_limit, structures)
     timings["structure"] = time.perf_counter() - t1
     if kind == "subspace":
         _record(checks, "cost-bound", structure.cost, 32 * (c + 1), "structure")
@@ -970,7 +937,7 @@ def _reduce(
         player_sets_built=sel.player_sets_built,
         player_set_hits=sel.player_set_hits,
         message_batches=sel.message_batches,
-        subgroups_built=len(subgroups) - known,
+        subgroups_built=int(kind == "subgroup" and len(structures) > known),
     )
     return ReduceResult(junta.sketch, report)
 
@@ -1002,15 +969,14 @@ def minimax_boost(
 
     The protocol is built once, and the rounds share, for this call only,
     what does not depend on their distribution.  The rounds that select the
-    same tape r* share its message tables, player sets (with their spectra
-    and energies |phihat|^2) and tails (checked once, with the transforms
+    same tape r* share one _PlayerSetSource: its message tables, player
+    sets (with their spectra) and tails (checked once, with the transforms
     of h, h^2 and the view the mixing gap reads).  The rounds whose heavy
     spectra S agree in heaviest_first order share one invariant structure,
-    so a repeat round extracts no generators and spans none, and the
-    rounds whose generators span the same group share one SubgroupEnum,
-    with its coset table, so a round that reuses one computes no
-    annihilator.  Each round's report counts that round's work.  eta must
-    be finite and > 0 (at eta <= 0 the regret check could never fail)."""
+    with its SubgroupEnum and coset table, so a repeat round extracts no
+    generators, spans none and computes no annihilator.  Each round's
+    report counts that round's work.  eta must be finite and > 0 (at
+    eta <= 0 the regret check could never fail)."""
     if rounds < 1:
         raise ValueError("need at least one round")
     if not variant.startswith("exact"):
@@ -1028,8 +994,8 @@ def minimax_boost(
 
     _check_variant(variant, group)
     protocol = _as_protocol(protocol_source, cfg.players + 1, group)
-    # for this call's rounds only: r* -> _PlayerSetSource, (G, span bitmap) -> H, (G, kind, limit, S) -> structure
-    sources, subgroups, structures = {}, {}, {}
+    # for this call's rounds only: r* -> _PlayerSetSource, (G, kind, limit, S) -> structure
+    sources, structures = {}, {}
     weights = np.full(group.size, 1.0 / group.size)
     sketches = []
     corrects = np.zeros(group.size, dtype=np.int64)
@@ -1037,7 +1003,7 @@ def minimax_boost(
     for t in range(rounds):
         D_t = Distribution(group, weights / weights.sum(), name=f"boost-round-{t}")
         round_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"boost-{t}"))
-        res = _reduce(protocol, f, D_t, round_cfg, variant, sources, subgroups, structures)
+        res = _reduce(protocol, f, D_t, round_cfg, variant, sources, structures)
         sketches.append(res.sketch)
         reports.append(res.report)
         out = np.asarray(res.sketch.eval_all())

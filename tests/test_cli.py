@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +547,7 @@ _BASES = {
               "protocol": {"name": "parity-chain", "params": {"n": 4}},
               "reduction": {"players": 8}},
     "simulate": {"protocol": {"name": "parity-chain", "params": {"n": 4}}},
+    "sketch-eval": {"sketch-file": "sketch.json", "function": {"name": "parity", "params": {"n": 4}}},
     "prg-check": {"prg": {"block_bits": 2, "block_count": 4, "states": 2, "samples": 10,
                           "n": 4, "s": 2, "shuffles": 1}},
 }
@@ -700,3 +702,56 @@ def test_bad_reduction_delta_is_a_config_error(tmp_path, capsys, delta, message)
     err = _one_line_failure(capsys, ["reduce", "--config", _write_config(tmp_path, raw),
                                      "--out", str(tmp_path / "o")], 2)
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("prg", [[], 3, None, "x", True, 1.5, -1])
+def test_prg_that_is_not_an_object_is_a_config_error(tmp_path, capsys, prg):
+    cfg = _write_config(tmp_path, {"experiment": "prg-check", "prg": prg})
+    err = _one_line_failure(capsys, ["prg-check", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: prg must be an object of generator settings, got {prg!r}\n"
+
+
+@pytest.mark.parametrize("kind, section, extra, message", [
+    ("prg-check", "prg", {"block_bit": 8}, "unknown prg keys 'block_bit'; want some of block_bits, "
+     "block_count, states, samples, n, s, p, shuffles"),
+    ("reduce", "output", {"per_x_tabel": True}, "unknown output keys 'per_x_tabel'; want some of per_x_table"),
+    ("boost", None, {"round": 3}, "unknown boost keys 'round'; want some of experiment, seed, out, function, "
+     "protocol, variant, distribution, reduction, rounds"),
+    ("reduce", None, {"rounds": 3, "prg": {}}, "unknown reduce keys 'rounds', 'prg'; want some of experiment, "
+     "seed, out, function, protocol, variant, distribution, reduction, output"),
+    ("simulate", None, {"run": 3}, "unknown simulate keys 'run'; want some of experiment, seed, out, protocol, "
+     "players, function, inputs, runs"),
+    ("prg-check", None, {"block_bits": 8}, "unknown prg-check keys 'block_bits'; want some of experiment, seed, "
+     "out, prg"),
+    ("sketch-eval", None, {"sketch_file": "sketch.json"}, "unknown sketch-eval keys 'sketch_file'; want some of "
+     "experiment, seed, out, sketch-file, function, target_q, target_eps, stream-file"),
+])
+def test_unknown_keys_are_config_errors_that_name_them(tmp_path, capsys, kind, section, extra, message):
+    raw = json.loads(json.dumps(_BASES[kind]))
+    (raw.setdefault(section, {}) if section else raw).update(extra)
+    cfg = _write_config(tmp_path, {"experiment": kind, **raw})
+    err = _one_line_failure(capsys, [kind, "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_bad_stream_file_is_a_config_error(tmp_path, capsys, missing):
+    sketch_file = tmp_path / "sketch.json"
+    sketch_file.write_text(serialize_sketch(LinearJuntaF2(5, (31,), (0, 1))))
+    path = tmp_path / "missing.txt"
+    cfg = _write_config(tmp_path, {"experiment": "sketch-eval", "sketch-file": str(sketch_file),
+                                   "function": {"name": "parity", "params": {"n": 5}},
+                                   "stream-file": str(path) if missing else 3})
+    err = _one_line_failure(capsys, ["sketch-eval", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    if missing:
+        assert err == f"config error: cannot read stream file {path}: [Errno 2] No such file or directory: '{path}'\n"
+    else:
+        assert err == "config error: stream-file must be a path string, got 3\n"
+
+
+def test_readme_reduce_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme.split("### Reduce config\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg = _write_config(tmp_path, json.loads(body))
+    assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "o")]) == 0

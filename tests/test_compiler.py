@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from modsketch import compiler
 from modsketch import protocol as protocol_module
-from modsketch.algebra import GroupSpec, orthogonal_complement, rank_basis
+from modsketch.algebra import GroupSpec, orthogonal_complement, rank_basis, span_mask
 from modsketch.compiler import (
     CompilerError,
     PlayerSets,
@@ -35,7 +35,6 @@ from modsketch.sketch import Distribution, RandomizedSketch, serialize_sketch
 from modsketch.zoo import zoo_fsm, zoo_function, zoo_protocol
 
 from oracles import bucket_reduce, group_add, group_sub, transcript_frequencies, transcript_success
-from test_fourier import _dissociation_inputs
 from test_protocol import random_fsms
 
 
@@ -272,6 +271,12 @@ def test_build_invariant_structure_group_case():
     assert st.generators == [2]
     assert st.invariant.elements == (0, 2)
     assert st.complexity == 2 <= 4
+    # H is the annihilator of S, and dual, a bool mask, is the span of the generators
+    for moduli, gammas in (((3, 3), [1, 3, 4]), ((2, 6), [7, 3, 10]), ((5,), [2, 3])):
+        g = GroupSpec(moduli)
+        st = build_invariant_structure(g, gammas, np.ones(g.size), "subgroup")
+        assert st.invariant == compiler.annihilator(g, gammas)
+        assert st.dual.dtype == bool and np.array_equal(st.dual, span_mask(g, st.generators))
 
 
 def test_junta_w_values_coset_constant_exhaustive():
@@ -915,26 +920,6 @@ def _counting_annihilator(mp) -> list:
     return calls
 
 
-@settings(max_examples=100, deadline=None)
-@given(_dissociation_inputs())
-def test_invariant_structure_memo_is_keyed_by_the_span(inputs):
-    moduli, gammas, _, _ = inputs
-    g, memo = GroupSpec(moduli), {}
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_annihilator(mp)
-        first = build_invariant_structure(g, gammas, np.ones(g.size), "subgroup", subgroups=memo)
-        assert len(memo) == 1 and len(calls) == 1
-        assert first.invariant == compiler.annihilator(g, gammas) and first.dual.dtype == bool
-        # other characters with the same span hit the stored H, and no annihilator is computed
-        same = [g.neg(x) for x in gammas] + [0]
-        second = build_invariant_structure(g, same, np.ones(g.size), "subgroup", subgroups=memo)
-        assert second.invariant is first.invariant and np.array_equal(second.dual, first.dual)
-        assert len(memo) == 1 and len(calls) == 2  # the one call above, by the test itself
-        bigger = GroupSpec(moduli + (2,))
-        third = build_invariant_structure(bigger, gammas, np.ones(bigger.size), "subgroup", subgroups=memo)
-        assert third.invariant.spec == bigger and len(memo) == 2 and len(calls) == 3
-
-
 def _recording(mp, owner, attr) -> list:
     """Patch owner.attr to record the positional arguments of its calls;
     returns the record."""
@@ -983,45 +968,56 @@ def test_boost_rounds_with_one_span_compute_one_annihilator(monkeypatch):
     assert per_round == [r.player_sets_built + 2 * fresh for r, fresh in zip(res.round_reports, new)]
 
 
-def test_only_a_shared_source_keeps_tails_and_energies():
+def test_a_streaming_source_keeps_each_tail_with_its_transforms():
     protocol = zoo_protocol("parity-chain", n=4)(9)
     messages = (1,) * 8
-    lone, shared = compiler._PlayerSetSource(protocol, 0), compiler._PlayerSetSource(protocol, 0, shared=True)
-    # a lone search's tail hands over h itself, which averaged_shift transforms, and keeps nothing
-    tail = lone.tail(messages, "exact")
-    assert lone.tail(messages, "exact") is not tail and not lone.tails and lone.energies is None
-    assert isinstance(tail.operand(), DenseFunction) and np.array_equal(tail.operand().values, tail.h.values)
-    assert np.array_equal(tail.operand("signed").values, 1 - 2 * tail.h.values)
-    kept = shared.tail(messages, "exact")
-    assert shared.tail(messages, "exact") is kept and shared.tail(messages, "approx") is not kept
-    hat = kept.operand()
-    assert kept.operand() is hat and np.array_equal(hat.coeffs, compiler.fourier.transform(kept.h).coeffs)
-    # a set's energy is computed once per shared source
-    ind = shared.indicator(0, messages)
-    first = PlayerSets([ind], shared.energies).energy(ind)
-    assert PlayerSets([ind] * 2, shared.energies).energy(ind) is first
-    assert np.array_equal(first, np.abs(ind.spectrum().coeffs) ** 2)
-    assert PlayerSets([ind]).energy(ind) is not PlayerSets([ind]).energy(ind)
+    source = compiler._PlayerSetSource(protocol, 0)
+    # each tail is checked once per (last function, incoming message, mode) and kept
+    tail = source.tail(messages, "exact")
+    assert source.tail(messages, "exact") is tail and source.tail(messages, "approx") is not tail
+    assert source.tail((1,) * 7 + (0,), "exact") is not tail and len(source.tails) == 3
+    # operand(view) is the transform of that view, made once and kept
+    hat, signed = tail.operand(), tail.operand("signed")
+    assert tail.operand() is hat and tail.operand("signed") is signed
+    assert np.array_equal(hat.coeffs, compiler.fourier.transform(tail.h).coeffs)
+    assert np.array_equal(signed.coeffs, compiler.fourier.transform(DenseFunction(tail.h.group, 1 - 2 * tail.h.values)).coeffs)
+    # a protocol that is not streaming reads all of prev, so its tails are not kept
+    other = compiler._PlayerSetSource(replace(protocol, streaming=False), 0)
+    assert other.tail(messages, "exact") is not other.tail(messages, "exact") and not other.tails
+
+
+@pytest.mark.parametrize("variant, f, family, params", [
+    ("exact_f2", "parity", "parity-chain", {"n": 4}),
+    ("exact_f2", "majority", "parity-chain", {"n": 4}),
+    ("approx_f2", "two-parity-blend", "two-parity-blend-chain", {"n": 4, "a": 3, "b": 12}),
+])
+def test_a_plain_reduce_transforms_the_selected_tail_once(monkeypatch, variant, f, family, params):
+    # the conditional quality and the junta both read h's transform: one transform serves both
+    transforms = _recording(monkeypatch, compiler.fourier, "transform")
+    juntas = _recording(monkeypatch, compiler, "build_junta")
+    cfg = ReductionConfig(players=40, transcript_trials=4, seed=3)
+    reduce(zoo_protocol(family, **params), zoo_function(f, **params), None, cfg, variant)
+    ((tail, *_),) = juntas
+    assert sum(args[0].values is tail.h.values for args in transforms) == 1
 
 
 def test_structure_memo_is_keyed_by_the_heaviest_first_order(monkeypatch):
     extracted = _recording(monkeypatch, compiler, "extract_dissociated")
-    g, memo, subgroups = GroupSpec((3, 3)), {}, {}
+    g, memo = GroupSpec((3, 3)), {}
     weights = np.zeros(9)
     weights[[1, 3, 4]] = [3.0, 2.0, 1.0]
-    first = build_invariant_structure(g, [1, 3, 4], weights, "subgroup", subgroups=subgroups, structures=memo)
+    first = build_invariant_structure(g, [1, 3, 4], weights, "subgroup", structures=memo)
     # other weights with the same order, S listed in another order: the stored structure
     weights[[1, 3, 4]] = [5.0, 4.0, 0.5]
-    assert build_invariant_structure(g, [4, 3, 1], weights, "subgroup", subgroups=subgroups,
-                                     structures=memo) is first
+    assert build_invariant_structure(g, [4, 3, 1], weights, "subgroup", structures=memo) is first
     assert len(extracted) == 1 and len(memo) == 1
-    # another order is another key; here it spans the same group, so H is shared
+    # another order is another key; here it spans the same group
     weights[[1, 3, 4]] = [1.0, 2.0, 3.0]
-    other = build_invariant_structure(g, [1, 3, 4], weights, "subgroup", subgroups=subgroups, structures=memo)
-    assert len(extracted) == 2 and len(memo) == 2 and len(subgroups) == 1
-    assert other is not first and other.invariant is first.invariant and other.generators == [4, 3]
+    other = build_invariant_structure(g, [1, 3, 4], weights, "subgroup", structures=memo)
+    assert len(extracted) == 2 and len(memo) == 2
+    assert other is not first and other.invariant == first.invariant and other.generators == [4, 3]
     # the limit and the kind are part of the key
-    build_invariant_structure(g, [1, 3, 4], weights, "subgroup", 4, subgroups, memo)
+    build_invariant_structure(g, [1, 3, 4], weights, "subgroup", 4, memo)
     assert len(extracted) == 3 and len(memo) == 3
 
 
