@@ -149,8 +149,10 @@ class ExperimentConfig:
             seed = parse_seed(seed_text)
         except ValueError as e:
             raise ConfigError(f"bad seed {seed_text!r}: want decimal or 0x-prefixed hex") from e
-        out_dir = Path(out or raw.get("out", "."))
-        return cls(kind, raw, seed, out_dir, tolerance)
+        config_out = raw.get("out", ".")
+        if not isinstance(config_out, str):
+            raise ConfigError(f"out must be a directory path string, got {config_out!r}")
+        return cls(kind, raw, seed, Path(out or config_out), tolerance)
 
 
 def _load_function(cfg: dict) -> DenseFunction:
@@ -222,6 +224,8 @@ def _load_distribution(cfg: dict, group: GroupSpec) -> Distribution:
     spec = cfg.get("distribution", "uniform")
     if spec == "uniform":
         return Distribution.uniform(group)
+    if isinstance(spec, dict):
+        _reject_unknown_keys(spec, ("weights-file",), "distribution")
     if isinstance(spec, dict) and "weights-file" in spec:
         path = spec["weights-file"]
         if not isinstance(path, str):
@@ -437,14 +441,14 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     explicit = config.raw.get("inputs")
     n_runs = _int_field(config.raw, "runs", 10, 0)
     size = protocol.group.size
-    if explicit and not (
+    if explicit is not None and not (
         isinstance(explicit, list) and len(explicit) == n_players
         and all(type(v) is int and 0 <= v < size for v in explicit)
     ):
         raise ConfigError(f"inputs must be {n_players} integers in [0, {size})")
     input_sets = (
         [explicit]
-        if explicit
+        if explicit is not None
         else [[rng.randrange(size) for _ in range(n_players)] for _ in range(n_runs)]
     )
     for inputs in input_sets:

@@ -9,7 +9,6 @@ becomes such a protocol by passing its state along the chain.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -169,13 +168,12 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
     updates encoding its own input, and forwards the new state; the last
     player applies the output map instead.
 
-    Both message functions carry an array form (see BroadcastProtocol)
-    over a transition table T[state, coordinate, digit], built on its first
-    use with one step call per state, coordinate and nonzero digit (digit 0
-    keeps the state), and an emit table over the states; the form walks
-    the digits, one gather per coordinate over every prefix so far (no
-    coordinate matrix).  A machine whose table would exceed
-    TRANSFORM_SIZE_LIMIT entries gets no array form.
+    Both message functions carry an array form (see BroadcastProtocol):
+    a walk over the digits with one take per coordinate from that
+    coordinate's step table (see _fsm_tables), the states of every prefix
+    so far in index order (no coordinate matrix), and for the last player
+    a read of the emit table at the walk's end.  A machine whose tables
+    would exceed TRANSFORM_SIZE_LIMIT entries gets no array form.
     """
     c = fsm.state_bits
     if max_state_bits is not None and c > max_state_bits:
@@ -190,20 +188,19 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
 
     group = fsm.group
     if fsm.n_states * group.n * max(group.moduli) <= TRANSFORM_SIZE_LIMIT:
-        tables = functools.cache(lambda: _fsm_tables(fsm))  # built on the first batch call
 
         def run_all(state, r: int) -> np.ndarray:
-            table = tables()[0]
+            steps = _fsm_tables(fsm)[0]
             state = fsm.initial if state is None else state
             if not 0 <= state < fsm.n_states:
                 raise ValueError(f"state {state} outside [0, {fsm.n_states})")
             st = np.array([state], dtype=np.int64)
-            for j, m in enumerate(group.moduli):  # digit j is the slowest axis so far: index order
-                st = table[st[None, :], j, np.arange(m)[:, None]].reshape(-1)
+            for step in steps:  # digit j is the slowest axis so far: index order
+                st = step.take(st, axis=1).reshape(-1)
             return st
 
         middle.batch = run_all
-        last.batch = lambda state, r: tables()[1][run_all(state, r)]
+        last.batch = lambda state, r: _fsm_tables(fsm)[1][run_all(state, r)]
 
     return BroadcastProtocol(
         group=group,
@@ -215,24 +212,29 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
     )
 
 
-def _fsm_tables(fsm: StreamFSM) -> tuple[np.ndarray, np.ndarray]:
-    """T[state, coordinate, digit] (digit 0 keeps the state) and the emit
-    table over the states, from one step call per state, coordinate and
-    nonzero digit."""
-    moduli = fsm.group.moduli
-    table = np.empty((fsm.n_states, len(moduli), max(moduli)), dtype=np.int64)
-    table[...] = np.arange(fsm.n_states)[:, None, None]
+def _fsm_tables(fsm: StreamFSM) -> tuple[list[np.ndarray], np.ndarray]:
+    """One contiguous (m_j, n_states) step table per coordinate j, whose row
+    d holds the state after digit d (row 0 keeps the state), and the emit
+    table over the states.  Built on the first call, with one step call per
+    state, coordinate and nonzero digit, and kept on the machine, so every
+    protocol lifted from it shares them."""
+    tables = fsm.__dict__.get("_tables")
+    if tables is not None:
+        return tables
+    steps = [np.tile(np.arange(fsm.n_states, dtype=np.int64), (m, 1)) for m in fsm.group.moduli]
     for state in range(fsm.n_states):
-        for j, m in enumerate(moduli):
-            for digit in range(1, m):
+        for j, step in enumerate(steps):
+            for digit in range(1, len(step)):
                 nxt = fsm.step(state, j, digit)
                 if not 0 <= nxt < fsm.n_states:
                     raise ValueError(
                         f"step(state={state}, coordinate={j}, digit={digit}) = {nxt} "
                         f"is outside [0, {fsm.n_states})"
                     )
-                table[state, j, digit] = nxt
-    return table, np.array([fsm.emit(state) for state in range(fsm.n_states)])
+                step[digit, state] = nxt
+    tables = steps, np.array([fsm.emit(state) for state in range(fsm.n_states)])
+    object.__setattr__(fsm, "_tables", tables)  # StreamFSM is frozen
+    return tables
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ which is what the CLI exposes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -122,32 +122,25 @@ def _two_parity_blend(
     return DenseFunction(group, 0.5 + w1 * sa + w2 * sb)
 
 
-def _parities(n: int, mask: int) -> np.ndarray:
-    """parity(x & mask) over every x of F2^n, as int64."""
-    return (np.bitwise_count(np.arange(1 << n, dtype=np.int64) & mask) & 1).astype(np.int64)
+def _lifted(fsm: StreamFSM, family: str, name: str | None = None) -> ProtocolFamily:
+    """The players fsm_to_players makes of fsm, as a family; name, when given,
+    replaces the protocol's state-passing name."""
+
+    def build(n_players: int) -> BroadcastProtocol:
+        protocol = fsm_to_players(fsm, n_players)
+        return protocol if name is None else replace(protocol, name=name)
+
+    return ProtocolFamily(fsm.group, fsm.state_bits, build, family)
 
 
 def _parity_chain(n: int, mask: int | None = None) -> ProtocolFamily:
-    group = GroupSpec.boolean(n)
+    """2-state machine: an odd increment at coordinate j flips the state when
+    mask bit j is set, so the state is the masked parity."""
     m = (1 << n) - 1 if mask is None else _check_mask(n, mask)
-
-    def msg(x: int, prev: tuple, r: int) -> int:
-        acc = prev[-1] if prev else 0
-        return acc ^ ((x & m).bit_count() & 1)
-
-    msg.batch = lambda state, r: (state or 0) ^ _parities(n, m)
-
-    def build(n_players: int) -> BroadcastProtocol:
-        return BroadcastProtocol(
-            group=group,
-            n_players=n_players,
-            message_bits=1,
-            msg_fns=(msg,) * n_players,
-            streaming=True,
-            name=f"parity-chain(mask={m:#x})",
-        )
-
-    return ProtocolFamily(group, 1, build, "parity-chain")
+    fsm = StreamFSM(group=GroupSpec.boolean(n), n_states=2, initial=0,
+                    step=lambda s, j, inc: s ^ (m >> j & inc & 1), emit=lambda s: s,
+                    name=f"parity-chain(mask={m:#x})")
+    return _lifted(fsm, "parity-chain", fsm.name)
 
 
 def _running_sum_fsm(n: int, p: int) -> StreamFSM:
@@ -163,95 +156,40 @@ def _running_sum_fsm(n: int, p: int) -> StreamFSM:
 
 
 def _running_sum_protocol(n: int, p: int) -> ProtocolFamily:
-    fsm = _running_sum_fsm(n, p)
-    return ProtocolFamily(
-        fsm.group,
-        fsm.state_bits,
-        lambda n_players: fsm_to_players(fsm, n_players),
-        "running-sum-mod-p",
-    )
+    return _lifted(_running_sum_fsm(n, p), "running-sum-mod-p")
 
 
 def _constant_protocol(n: int, value: int = 0, p: int = 2) -> ProtocolFamily:
     group = GroupSpec.boolean(n) if p == 2 else GroupSpec.cyclic_power(p, n)
-
-    def msg(x: int, prev: tuple, r: int) -> int:
-        return 0
-
-    def last(x: int, prev: tuple, r: int) -> int:
-        return value
-
-    msg.batch = lambda state, r: np.zeros(group.size, dtype=np.int64)
-    last.batch = lambda state, r: np.full(group.size, value)
-
-    def build(n_players: int) -> BroadcastProtocol:
-        return BroadcastProtocol(
-            group=group,
-            n_players=n_players,
-            message_bits=1,
-            msg_fns=(msg,) * (n_players - 1) + (last,),
-            streaming=True,
-            name=f"constant({value})",
-        )
-
-    return ProtocolFamily(group, 1, build, "constant")
+    fsm = StreamFSM(group=group, n_states=1, initial=0, step=lambda s, j, inc: 0,
+                    emit=lambda s: value, name=f"constant({value})")
+    return _lifted(fsm, "constant", fsm.name)
 
 
 def _two_parity_blend_chain(
     n: int, a: int, b: int, w1: float = 0.3, w2: float = 0.2, levels: int = 5
 ) -> ProtocolFamily:
-    """2-bit chain carrying both masked parities; the tail reconstructs the
-    blend and snaps it to a uniform grid, so the protocol's squared error
-    is the exact quantization error."""
+    """4-state machine carrying both masked parities (state bit 0 for a, bit 1
+    for b); the output map reconstructs the blend and snaps it to a uniform
+    grid, so the protocol's squared error is the exact quantization error."""
     if levels < 2:
         raise ValueError("need at least 2 quantization levels")
     a, b = _check_mask(n, a, "a"), _check_mask(n, b, "b")
-    group = GroupSpec.boolean(n)
+    flips = [(a >> j & 1) | (b >> j & 1) << 1 for j in range(n)]
 
-    def msg(x: int, prev: tuple, r: int) -> int:
-        acc = prev[-1] if prev else 0
-        pa = (acc & 1) ^ ((x & a).bit_count() & 1)
-        pb = ((acc >> 1) & 1) ^ ((x & b).bit_count() & 1)
-        return pa | (pb << 1)
-
-    def last(x: int, prev: tuple, r: int) -> float:
-        z = msg(x, prev, r)
+    def emit(z: int) -> float:
         value = 0.5 + w1 * (1 - 2 * (z & 1)) + w2 * (1 - 2 * ((z >> 1) & 1))
         return round(value * (levels - 1)) / (levels - 1)
 
-    def msg_all(state, r: int) -> np.ndarray:
-        acc = state or 0
-        return ((acc & 1) ^ _parities(n, a)) | (((acc >> 1) & 1) ^ _parities(n, b)) << 1
-
-    def last_all(state, r: int) -> np.ndarray:
-        # input 0 forwards the incoming pair, so last(0, (z,), r) is the output for z
-        outputs = np.array([last(0, (z,), r) for z in range(4)])
-        return outputs[msg_all(state, r)]
-
-    msg.batch, last.batch = msg_all, last_all
-
-    def build(n_players: int) -> BroadcastProtocol:
-        return BroadcastProtocol(
-            group=group,
-            n_players=n_players,
-            message_bits=2,
-            msg_fns=(msg,) * (n_players - 1) + (last,),
-            streaming=True,
-            name="two-parity-blend-chain",
-        )
-
-    return ProtocolFamily(group, 2, build, "two-parity-blend-chain")
+    fsm = StreamFSM(group=GroupSpec.boolean(n), n_states=4, initial=0,
+                    step=lambda s, j, inc: s ^ flips[j] * (inc & 1), emit=emit,
+                    name="two-parity-blend-chain")
+    return _lifted(fsm, "two-parity-blend-chain", fsm.name)
 
 
 def _state_passing_protocol(fsm: str, **fsm_params) -> ProtocolFamily:
     """Lift any registered streaming machine into a protocol family."""
-    machine = zoo_fsm(fsm, **fsm_params)
-    return ProtocolFamily(
-        machine.group,
-        machine.state_bits,
-        lambda n_players: fsm_to_players(machine, n_players),
-        f"state-passing({fsm})",
-    )
+    return _lifted(zoo_fsm(fsm, **fsm_params), f"state-passing({fsm})")
 
 
 FUNCTIONS = {

@@ -531,10 +531,11 @@ def test_reduce_report_carries_transcript_counters(tmp_path):
     keys = list(report)
     at = keys.index("candidates_evaluated")
     assert keys[at + 1:at + 5] == ["message_calls", "player_sets_built", "player_set_hits", "message_batches"]
-    # one candidate: tables for no state, 0 and 1, each from one call of the
-    # parity chain's array form; sampling reads its messages off these tables
-    assert report["message_calls"] == 3 * 16
-    assert report["message_batches"] == 3
+    # one candidate: the middle players' tables for no state, 0 and 1 and the
+    # tail's for its one incoming state, each from one call of the parity
+    # chain's array form; sampling reads its messages off these tables
+    assert report["message_calls"] == 4 * 16
+    assert report["message_batches"] == 4
     assert report["player_sets_built"] + report["player_set_hits"] == 40
     assert report["player_set_hits"] >= 35
 
@@ -569,6 +570,11 @@ _BASES = {
     ("prg-check", "prg", "block_count", 3, "bad prg settings: block count must be a power of two"),
     ("prg-check", "prg", "samples", 1.5, "samples must be >= 1 (an integer), got 1.5"),
     ("prg-check", "prg", "p", "2", "p must be >= 2 (an integer), got '2'"),
+    # a falsy inputs is not absent: only a missing or null one means random inputs
+    ("simulate", None, "inputs", 0, "inputs must be 3 integers in [0, 16)"),
+    ("simulate", None, "inputs", [], "inputs must be 3 integers in [0, 16)"),
+    ("simulate", None, "inputs", "", "inputs must be 3 integers in [0, 16)"),
+    ("simulate", None, "inputs", False, "inputs must be 3 integers in [0, 16)"),
 ])
 def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, kind, section, key, value, message):
     raw = json.loads(json.dumps(_BASES[kind]))
@@ -576,6 +582,20 @@ def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, kind, sect
     cfg = _write_config(tmp_path, {"experiment": kind, **raw})
     err = _one_line_failure(capsys, [kind, "--config", cfg, "--out", str(tmp_path / "o")], 2)
     assert err.startswith(f"config error: {message}")
+
+
+def test_null_simulate_inputs_mean_random_inputs(tmp_path):
+    cfg = _write_config(tmp_path, {"experiment": "simulate", **_BASES["simulate"], "inputs": None, "runs": 2})
+    record, ok = run_experiment(ExperimentConfig.load(cfg, None, str(tmp_path / "o"), 0.05))
+    assert ok and len(record["result"]["runs"]) == 2
+
+
+@pytest.mark.parametrize("out", [3, None, ["o"], True])
+def test_config_out_that_is_not_a_path_string_is_a_config_error(tmp_path, capsys, out):
+    # with no --out the config's out is the report directory
+    cfg = _write_config(tmp_path, {"experiment": "simulate", **_BASES["simulate"], "out": out})
+    err = _one_line_failure(capsys, ["simulate", "--config", cfg], 2)
+    assert err == f"config error: out must be a directory path string, got {out!r}\n"
 
 
 def test_integral_floats_are_accepted(tmp_path):
@@ -725,6 +745,8 @@ def test_prg_that_is_not_an_object_is_a_config_error(tmp_path, capsys, prg):
      "out, prg"),
     ("sketch-eval", None, {"sketch_file": "sketch.json"}, "unknown sketch-eval keys 'sketch_file'; want some of "
      "experiment, seed, out, sketch-file, function, target_q, target_eps, stream-file"),
+    ("reduce", "distribution", {"weights-file": "w.txt", "bogus": 1},
+     "unknown distribution keys 'bogus'; want some of weights-file"),
 ])
 def test_unknown_keys_are_config_errors_that_name_them(tmp_path, capsys, kind, section, extra, message):
     raw = json.loads(json.dumps(_BASES[kind]))

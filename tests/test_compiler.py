@@ -559,14 +559,14 @@ def _counted(protocol):
 
 
 def test_streaming_reduce_tabulates_each_message_function_once_per_state():
-    # parity chain, n=6, N=60: one table per incoming state (none, 0, 1)
-    # serves all 60 player sets and the tail, and sampling reads the same tables
+    # parity chain, n=6, N=60: one middle table per incoming state (none, 0, 1)
+    # serves all 60 player sets, one more the tail, and sampling reads the same tables
     n, N = 6, 60
     protocol, calls = _counted(zoo_protocol("parity-chain", n=n)(N + 1))
     cfg = ReductionConfig(players=N, transcript_trials=8, target_q=1.0, seed=4)
     res = reduce(protocol, zoo_function("parity", n=n), None, cfg, "exact_f2")
     assert res.report.quality == 1.0
-    assert calls[0] == 3 * 2**n
+    assert calls[0] == 4 * 2**n
     assert res.report.message_calls == calls[0]
     assert res.report.player_sets_built <= 1 + 2 * 2
     assert res.report.player_sets_built + res.report.player_set_hits == N * res.report.candidates_evaluated

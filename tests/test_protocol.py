@@ -339,6 +339,46 @@ def _assert_batch_matches_calls(fn, size, states, r=0):
         assert got.tolist() == [fn(x, prev, r) for x in range(size)]
 
 
+def _chain_closed_forms():
+    """(protocol, incoming states, middle, tail) for every zoo chain on F2^n,
+    n <= 5, with every mask (every pair for the blend), and constant on F2
+    and Z_3: middle(state, x) and tail(state, x) are the chain's messages in
+    closed form, state 0 standing for player one's missing state."""
+    def par(v):
+        return v.bit_count() & 1
+
+    def quantized(z, w1=0.3, w2=0.2, levels=5):
+        value = 0.5 + w1 * (1 - 2 * (z & 1)) + w2 * (1 - 2 * (z >> 1 & 1))
+        return round(value * (levels - 1)) / (levels - 1)
+
+    for n in range(1, 6):
+        for m in range(1 << n):
+            def parity(s, x, m=m):
+                return s ^ par(x & m)
+
+            yield zoo_protocol("parity-chain", n=n, mask=m)(3), (None, 0, 1), parity, parity
+        for a, b in itertools.product(range(1 << n), repeat=2):
+            def pair(s, x, a=a, b=b):
+                return (s & 1 ^ par(x & a)) | (s >> 1 & 1 ^ par(x & b)) << 1
+
+            yield (zoo_protocol("two-parity-blend-chain", n=n, a=a, b=b)(3), (None, 0, 1, 2, 3), pair,
+                   lambda s, x, pair=pair: quantized(pair(s, x)))
+        for value, p in itertools.product((0, 1), (2, 3)):
+            yield (zoo_protocol("constant", n=n, value=value, p=p)(3), (None, 0),
+                   lambda s, x: 0, lambda s, x, value=value: value)
+
+
+def test_zoo_chains_match_their_closed_forms():
+    for protocol, states, *forms in _chain_closed_forms():
+        size = protocol.group.size
+        for fn, form in zip(protocol.msg_fns[1:], forms):
+            for state in states:
+                want = [form(state or 0, x) for x in range(size)]
+                assert fn.batch(state, 0).tolist() == want
+                prev = () if state is None else (state,)
+                assert [fn(x, prev, 0) for x in range(size)] == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_zoo_chain_array_forms_match_per_input_calls(data):
