@@ -397,23 +397,19 @@ def max_independent_subset(
 class SubgroupEnum:
     """A subgroup of a finite abelian group as an explicit element list."""
 
-    __slots__ = ("spec", "elements", "_member_set", "_coset_ids", "_n_cosets", "_generators")
+    __slots__ = ("spec", "elements", "_coset_ids", "_n_cosets", "_generators")
 
     def __init__(self, spec: GroupSpec, elements: Iterable[int]):
         self.spec = spec
         self.elements = tuple(sorted(set(int(e) for e in elements)))
         if not self.elements or self.elements[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        self._member_set = frozenset(self.elements)
         self._coset_ids = None
         self._n_cosets = None
         self._generators = None
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self._member_set
 
     def __eq__(self, other) -> bool:
         return (

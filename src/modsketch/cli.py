@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,14 +24,13 @@ import numpy as np
 from . import __version__
 from .algebra import GroupSpec
 from .compiler import (
-    BOOST_SIZE_LIMIT,
     VARIANTS,
     CompilerError,
     ReductionConfig,
     minimax_boost,
     reduce as compile_reduce,
 )
-from .fourier import TRANSFORM_SIZE_LIMIT, ChangBoundError, DenseFunction, DissociationLimitError, TransformLimitError
+from .fourier import TRANSFORM_SIZE_LIMIT, ChangBoundError, DenseFunction, TransformLimitError
 from .prg import RowTemplate, block_parity_counter, check_fsm_size, derandomized_apply, fsm_distance
 from .protocol import additive_lift
 from .seeding import derived_rng, parse_seed
@@ -61,12 +61,14 @@ EXPERIMENT_KEYS = {
     "prg-check": ("prg",),
 }
 EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
-REDUCTION_KEYS = ("players", "trials", "target_q", "target_eps", "dissociated_limit", "delta")
+REDUCTION_KEYS = ("players", "trials", "target_q", "target_eps", "delta")
 OUTPUT_KEYS = ("per_x_table",)
 PRG_KEYS = ("block_bits", "block_count", "states", "samples", "n", "s", "p", "shuffles")
-# A protocol holds one message function per player, built before any other size
-# check, so players are bounded at desk scale: 2^40 of them raised MemoryError.
-PLAYERS_LIMIT = TRANSFORM_SIZE_LIMIT
+# Counts that size a table or a loop are bounded at desk scale: a protocol holds
+# one message function per player, built before any other size check, so 2^40
+# players or samples raised MemoryError, and 2^40 trials, rounds, runs or shuffles
+# never ended.
+COUNT_LIMIT = TRANSFORM_SIZE_LIMIT
 
 
 class ConfigError(ValueError):
@@ -246,13 +248,12 @@ def _reduction_config(cfg: dict, seed: int) -> ReductionConfig:
         raise ConfigError("config needs reduction: {players, ...}")
     _reject_unknown_keys(red, REDUCTION_KEYS, "reduction")
     fields = dict(
-        players=_int_field(red, "players", 0, 1, PLAYERS_LIMIT),
-        transcript_trials=_int_field(red, "trials", 64, 1),
+        players=_int_field(red, "players", 0, 1, COUNT_LIMIT),
+        transcript_trials=_int_field(red, "trials", 64, 1, COUNT_LIMIT),
         delta=_fraction_field(red, "delta"),
         target_q=_float_field(red, "target_q", 0.0),
         target_eps=_float_field(red, "target_eps", 0.0),
         seed=seed,
-        dissociated_limit=_int_field(red, "dissociated_limit", 16, 0),
     )
     try:
         return ReductionConfig(**fields)
@@ -350,19 +351,19 @@ def _run_boost(config: ExperimentConfig) -> tuple[dict, bool]:
         raise ConfigError(f"boost needs an exact variant, got {variant!r}")
     if not np.all(np.isin(f.real_values(), (0.0, 1.0))):
         raise ConfigError("boost needs a binary target function")
-    if f.group.size > BOOST_SIZE_LIMIT:
-        raise ConfigError(f"boost needs |G| <= {BOOST_SIZE_LIMIT}, got {f.group.size}")
     cfg = _reduction_config(config.raw, config.seed)
-    rounds = _int_field(config.raw, "rounds", 10, 1)
+    rounds = _int_field(config.raw, "rounds", 10, 1, COUNT_LIMIT)
     res = minimax_boost(f, family, cfg, rounds, variant)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     sketch_path = config.out_dir / "mixture.json"
     sketch_path.write_text(serialize_sketch(res.mixture) + "\n")
+    right = Counter(p.numerator * rounds // p.denominator for p in res.per_x_success)
     result = {
         "rounds": rounds,
         "min_success": str(res.min_success),
         "sketch_file": str(sketch_path),
-        "per_x_success": [str(p) for p in res.per_x_success],
+        # entry k counts the inputs right in k of the rounds
+        "success_counts": [right[k] for k in range(rounds + 1)],
         "checks": res.checks,
     }
     ok = cfg.target_q is None or float(res.min_success) >= cfg.target_q - config.tolerance
@@ -430,7 +431,7 @@ def _run_sketch_eval(config: ExperimentConfig) -> tuple[dict, bool]:
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     family = _load_protocol(config.raw)
-    n_players = _int_field(config.raw, "players", 3, 1, PLAYERS_LIMIT)
+    n_players = _int_field(config.raw, "players", 3, 1, COUNT_LIMIT)
     protocol = family(n_players)
     rng = derived_rng(config.seed, "simulate")
     runs = []
@@ -439,7 +440,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     if "function" in config.raw:
         check_fn = additive_lift(_load_function(config.raw), n_players)
     explicit = config.raw.get("inputs")
-    n_runs = _int_field(config.raw, "runs", 10, 0)
+    n_runs = _int_field(config.raw, "runs", 10, 0, COUNT_LIMIT)
     size = protocol.group.size
     if explicit is not None and not (
         isinstance(explicit, list) and len(explicit) == n_players
@@ -471,11 +472,13 @@ def _run_prg_check(config: ExperimentConfig) -> tuple[dict, bool]:
     b = _int_field(prg_cfg, "block_bits", 8, 1)
     k = _int_field(prg_cfg, "block_count", 16, 1)
     states = _int_field(prg_cfg, "states", 8, 1)
-    samples = _int_field(prg_cfg, "samples", 100_000, 1)
+    samples = _int_field(prg_cfg, "samples", 100_000, 1, COUNT_LIMIT)
     n = _int_field(prg_cfg, "n", 64, 1)
     s = _int_field(prg_cfg, "s", 8, 1)
     p = _int_field(prg_cfg, "p", 2, 2)
-    shuffles = _int_field(prg_cfg, "shuffles", 20, 0)
+    shuffles = _int_field(prg_cfg, "shuffles", 20, 0, COUNT_LIMIT)
+    if n * s > COUNT_LIMIT:  # the explicit n x s matrix the check materializes
+        raise ConfigError(f"bad prg settings: the explicit {n} x {s} matrix exceeds {COUNT_LIMIT} entries")
     try:  # an unsupported field size, a block count not a power of two, an oversized FSM
         check_fsm_size(states, b, k)
         dist = fsm_distance(block_parity_counter(states, b), b, k, samples=samples, seed=config.seed)
@@ -572,7 +575,7 @@ def main(argv=None) -> int:
                 f"config is for {config.kind!r} but the {args.command!r} subcommand was used"
             )
         record, ok = run_experiment(config)
-    except (ConfigError, DissociationLimitError, TransformLimitError) as e:
+    except (ConfigError, TransformLimitError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (CompilerError, ChangBoundError) as e:

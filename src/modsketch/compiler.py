@@ -69,7 +69,6 @@ __all__ = [
 
 VARIANTS = ("exact_f2", "approx_f2", "exact_group", "approx_group")
 BOUNDARY_TOL = 1e-9
-BOOST_SIZE_LIMIT = 1 << 16
 # _select_r_star tries every tape up to this many, else this many random tapes
 R_TAPE_EXHAUSTIVE_LIMIT = 1 << 16
 R_TAPE_SAMPLES = 256
@@ -109,7 +108,6 @@ class ReductionConfig:
     target_q: float | None = None
     target_eps: float | None = None
     seed: int = 0
-    dissociated_limit: int = 16
 
     def __post_init__(self):
         if self.players < 1:
@@ -633,7 +631,6 @@ def build_invariant_structure(
     S: Sequence[int],
     weights: np.ndarray,
     kind: str,
-    dissociated_limit: int = 16,
     structures: dict | None = None,
 ) -> InvariantStructure:
     """Span the heavy spectrum and return the structure the junta lives on.
@@ -644,33 +641,31 @@ def build_invariant_structure(
     dissociated subset, whose annihilator subgroup H defines the buckets
     as cosets of H.  Either way `dual`, the characters trivial on the
     invariant, is the span of the generators (Ann(Ann(S)) = <S>).
-    `structures` memoizes the structure by the group, kind, limit and S in
+    `structures` memoizes the structure by the group, kind and S in
     heaviest_first order, which is all the greedy reads: a repeat returns
     the stored structure, with its H and coset table, without extracting
     generators, spanning them or computing an annihilator.
     """
+    structures = {} if structures is None else structures
     s_list = [int(g) for g in S]
     w_list = [float(weights[g]) for g in s_list]
-    if structures is None:
-        return _invariant_structure(group, s_list, w_list, kind, dissociated_limit)
     order = heaviest_first(w_list, [group.decode(g) for g in s_list])
-    key = (group, kind, dissociated_limit, tuple(s_list[i] for i in order))
-    if key not in structures:
-        structures[key] = _invariant_structure(group, s_list, w_list, kind, dissociated_limit)
-    return structures[key]
-
-
-def _invariant_structure(group, s_list, w_list, kind, dissociated_limit) -> InvariantStructure:
+    key = (group, kind, tuple(s_list[i] for i in order))
+    if key in structures:
+        return structures[key]
     if kind == "subspace":
         gens = max_independent_subset(s_list, w_list, n=group.n)
         invariant = orthogonal_complement(rank_basis(gens, group.n))
         shape = LinearJuntaF2(group.n, tuple(gens), (0,) * (1 << len(gens)))
-        return InvariantStructure("subspace", gens, invariant, span_mask(group, gens), shape)
-    if kind != "subgroup":
+        structure = InvariantStructure("subspace", gens, invariant, span_mask(group, gens), shape)
+    elif kind == "subgroup":
+        gens = extract_dissociated(group, s_list, w_list)
+        sub, dual = annihilator(group, gens), span_mask(group, gens)
+        structure = InvariantStructure("subgroup", gens, sub, dual, HInvariantSketch(sub, (0,) * sub.n_cosets))
+    else:
         raise ValueError(f"unknown structure kind {kind!r}")
-    gens = extract_dissociated(group, s_list, w_list, limit=dissociated_limit)
-    sub, dual = annihilator(group, gens), span_mask(group, gens)
-    return InvariantStructure("subgroup", gens, sub, dual, HInvariantSketch(sub, (0,) * sub.n_cosets))
+    structures[key] = structure
+    return structure
 
 
 @dataclass
@@ -842,7 +837,7 @@ def _reduce(
     _record(checks, "heavy-majority", len(B), f">= {n}/2", "heavy-set", 2 * len(B) >= n)
     structures = {} if structures is None else structures
     known = len(structures)
-    structure = build_invariant_structure(group, S, weights, kind, cfg.dissociated_limit, structures)
+    structure = build_invariant_structure(group, S, weights, kind, structures)
     timings["structure"] = time.perf_counter() - t1
     if kind == "subspace":
         _record(checks, "cost-bound", structure.cost, 32 * (c + 1), "structure")
@@ -982,8 +977,6 @@ def minimax_boost(
     if not variant.startswith("exact"):
         raise ValueError(f"boosting needs an exact variant, got {variant!r}")
     group = f.group
-    if group.size > BOOST_SIZE_LIMIT:
-        raise ValueError("input space too large for exact boosting")
     fv = f.real_values()
     if not np.all(np.isin(fv, (0.0, 1.0))):
         raise ValueError("boosting needs a binary target function")
@@ -994,7 +987,7 @@ def minimax_boost(
 
     _check_variant(variant, group)
     protocol = _as_protocol(protocol_source, cfg.players + 1, group)
-    # for this call's rounds only: r* -> _PlayerSetSource, (G, kind, limit, S) -> structure
+    # for this call's rounds only: r* -> _PlayerSetSource, (G, kind, S) -> structure
     sources, structures = {}, {}
     weights = np.full(group.size, 1.0 / group.size)
     sketches = []

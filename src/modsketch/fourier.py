@@ -42,7 +42,6 @@ __all__ = [
     "extract_dissociated",
     "annihilator",
     "TransformLimitError",
-    "DissociationLimitError",
     "ChangBoundError",
 ]
 
@@ -56,14 +55,9 @@ DFT_BLOCK_ORDER = 32
 # DFT_BLOCK_ORDER go through np.fft, whose generic radix is slower on such
 # primes (BENCH_large-moduli.json).
 DENSE_PRIME_LIMIT = 170
-DISSOCIATED_DEFAULT_LIMIT = 16
 
 
 class TransformLimitError(ValueError):
-    pass
-
-
-class DissociationLimitError(ValueError):
     pass
 
 
@@ -370,9 +364,7 @@ def chang_sum(indicator: NormalizedIndicator, gammas: Sequence[int]) -> float:
     return float(np.sum(np.abs(coeffs[idx]) ** 2)) if idx.size else 0.0
 
 
-def _greedy_dissociated(
-    spec: GroupSpec, gammas: Iterable[int], limit: int | None = None
-) -> list[int]:
+def _greedy_dissociated(spec: GroupSpec, gammas: Iterable[int]) -> list[int]:
     """Keep each gamma, in order, unless it is a {-1,0,1}-combination of
     those kept before it.
 
@@ -380,16 +372,12 @@ def _greedy_dissociated(
     signed sum of the kept elements, grown by reach |= (reach + gamma) |
     (reach - gamma).  Each shifted copy is rolled one axis at a time,
     skipping the zero coordinates of gamma: numpy rolls several axes at
-    once as up to 2^n slice copies.  Raises DissociationLimitError when a
-    candidate arrives while `limit` elements are already kept.
+    once as up to 2^n slice copies.  A dissociated set's 2^k subset sums
+    are distinct, so at most log2|G| elements are kept.
     """
     chosen: list[int] = []
     reach = None
     for g in gammas:
-        if limit is not None and len(chosen) >= limit:
-            raise DissociationLimitError(
-                f"dissociated set would exceed the enumeration limit {limit}"
-            )
         if reach is None:
             _check_size(spec)
             reach = np.zeros(spec.moduli[::-1], dtype=bool)  # axis -1 = coordinate 0
@@ -420,19 +408,17 @@ def extract_dissociated(
     spec: GroupSpec,
     gammas: Sequence[int],
     weights: Sequence[float],
-    limit: int = DISSOCIATED_DEFAULT_LIMIT,
 ) -> list[int]:
     """Greedy maximal dissociated subset, heaviest first (ties by the lex
     rule of heaviest_first).
 
-    Raises DissociationLimitError if a candidate arrives once the set
-    holds `limit` elements.  Over F2 the result provably equals the greedy
-    maximal independent subset, and this is asserted.
+    Over F2 the result provably equals the greedy maximal independent
+    subset, and this is asserted.
     """
     if len(gammas) != len(weights):
         raise ValueError("weights length must match gammas")
     order = heaviest_first(weights, [spec.decode(g) for g in gammas])
-    chosen = _greedy_dissociated(spec, [gammas[i] for i in order], limit)
+    chosen = _greedy_dissociated(spec, [gammas[i] for i in order])
     if spec.is_boolean:
         independent = max_independent_subset(
             list(gammas), list(weights), n=spec.n

@@ -8,6 +8,7 @@ which is what the CLI exposes.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import GroupSpec
-from .fourier import DenseFunction
+from .fourier import TRANSFORM_SIZE_LIMIT, DenseFunction
 from .protocol import BroadcastProtocol, StreamFSM, fsm_to_players
 
 __all__ = [
@@ -32,15 +33,29 @@ class UnknownZooEntry(KeyError):
     pass
 
 
-ZOO_GROUP_LIMIT = 1 << 20
+def _as_index(value) -> int | None:
+    """value as an int if it is an integer (numpy integers too) or an
+    integral float, never a bool; None otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
-def _check_scale(size: int):
-    """Reject oversized instances before any dense table is allocated."""
-    if size > ZOO_GROUP_LIMIT:
-        raise ValueError(
-            f"|G| = {size} exceeds the desk-scale limit {ZOO_GROUP_LIMIT}"
-        )
+def _group(n, p=2) -> GroupSpec:
+    """Z_p^n, checked against TRANSFORM_SIZE_LIMIT before any tuple of n
+    moduli, 2^n or p^n is built: n >= 1 and p >= 2 must be integers."""
+    n_int, p_int = _as_index(n), _as_index(p)
+    if n_int is None or n_int < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if p_int is None or p_int < 2:
+        raise ValueError(f"p must be an integer >= 2, got {p!r}")
+    # p >= 2, so n past log2 of the limit is too large without computing p^n
+    if n_int >= TRANSFORM_SIZE_LIMIT.bit_length() or p_int**n_int > TRANSFORM_SIZE_LIMIT:
+        raise ValueError(f"|G| = {p_int}^{n_int} exceeds the transform limit {TRANSFORM_SIZE_LIMIT}")
+    return GroupSpec.cyclic_power(p_int, n_int)
 
 
 @dataclass(frozen=True)
@@ -56,54 +71,53 @@ class ProtocolFamily:
         return self.build(n_players)
 
 
-def _check_mask(n: int, mask, name: str = "mask") -> int:
-    """mask as a subset of the n coordinates, as an int in [0, 2^n): an integer
-    (numpy integers too) or an integral float, never a bool."""
-    if isinstance(mask, float) and mask.is_integer():
-        mask = int(mask)
-    try:
-        value = None if isinstance(mask, bool) else operator.index(mask)
-    except TypeError:
-        value = None
-    if value is None or not 0 <= value < 1 << n:
-        raise ValueError(f"{name} must be an integer in [0, 2^{n}), got {mask!r}")
+def _check_mask(group: GroupSpec, mask, name: str = "mask") -> int:
+    """mask as a subset of group's n coordinates, as an int in [0, 2^n) (see
+    _as_index)."""
+    value = _as_index(mask)
+    if value is None or not 0 <= value < 1 << group.n:
+        raise ValueError(f"{name} must be an integer in [0, 2^{group.n}), got {mask!r}")
     return value
 
 
+def _check_weights(w1: float, w2: float) -> None:
+    """The blend's weights keep it in [0, 1]; NaN is rejected."""
+    if not (w1 >= 0 and w2 >= 0 and w1 + w2 <= 0.5):
+        raise ValueError("need w1, w2 >= 0 with w1 + w2 <= 1/2")
+
+
 def _parity(n: int) -> DenseFunction:
-    _check_scale(1 << n)
-    group = GroupSpec.boolean(n)
+    group = _group(n)
     xs = np.arange(group.size, dtype=np.uint64)
     return DenseFunction(group, (np.bitwise_count(xs) & 1).astype(np.float64))
 
 
 def _junta_parity(n: int, mask: int) -> DenseFunction:
-    _check_scale(1 << n)
-    mask = _check_mask(n, mask)
-    group = GroupSpec.boolean(n)
+    group = _group(n)
+    mask = _check_mask(group, mask)
     xs = np.arange(group.size, dtype=np.uint64)
     vals = (np.bitwise_count(xs & np.uint64(mask)) & 1).astype(np.float64)
     return DenseFunction(group, vals)
 
 
 def _dictator(n: int, i: int = 0) -> DenseFunction:
-    if not 0 <= i < n:
+    group = _group(n)
+    i = _as_index(i)
+    if i is None or not 0 <= i < group.n:
         raise ValueError("dictator coordinate out of range")
-    return _junta_parity(n, 1 << i)
+    return _junta_parity(group.n, 1 << i)
 
 
 def _majority(n: int) -> DenseFunction:
-    _check_scale(1 << n)
-    group = GroupSpec.boolean(n)
+    group = _group(n)
     xs = np.arange(group.size, dtype=np.uint64)
-    vals = (2 * np.bitwise_count(xs) >= n).astype(np.float64)
+    vals = (2 * np.bitwise_count(xs) >= group.n).astype(np.float64)
     return DenseFunction(group, vals)
 
 
 def _mod_p_sum_zero(n: int, p: int) -> DenseFunction:
-    _check_scale(p ** n)
-    group = GroupSpec.cyclic_power(p, n)
-    sums = group.coords_matrix().sum(axis=1) % p
+    group = _group(n, p)
+    sums = group.coords_matrix().sum(axis=1) % group.exponent
     return DenseFunction(group, (sums == 0).astype(np.float64))
 
 
@@ -111,11 +125,9 @@ def _two_parity_blend(
     n: int, a: int, b: int, w1: float = 0.3, w2: float = 0.2
 ) -> DenseFunction:
     """0.5 + w1*(-1)^<a,x> + w2*(-1)^<b,x>, a [0,1]-valued test target."""
-    if w1 < 0 or w2 < 0 or w1 + w2 > 0.5:
-        raise ValueError("need w1, w2 >= 0 with w1 + w2 <= 1/2")
-    _check_scale(1 << n)
-    a, b = _check_mask(n, a, "a"), _check_mask(n, b, "b")
-    group = GroupSpec.boolean(n)
+    _check_weights(w1, w2)
+    group = _group(n)
+    a, b = _check_mask(group, a, "a"), _check_mask(group, b, "b")
     xs = np.arange(group.size, dtype=np.uint64)
     sa = 1.0 - 2.0 * (np.bitwise_count(xs & np.uint64(a)) & 1)
     sb = 1.0 - 2.0 * (np.bitwise_count(xs & np.uint64(b)) & 1)
@@ -136,15 +148,17 @@ def _lifted(fsm: StreamFSM, family: str, name: str | None = None) -> ProtocolFam
 def _parity_chain(n: int, mask: int | None = None) -> ProtocolFamily:
     """2-state machine: an odd increment at coordinate j flips the state when
     mask bit j is set, so the state is the masked parity."""
-    m = (1 << n) - 1 if mask is None else _check_mask(n, mask)
-    fsm = StreamFSM(group=GroupSpec.boolean(n), n_states=2, initial=0,
+    group = _group(n)
+    m = (1 << group.n) - 1 if mask is None else _check_mask(group, mask)
+    fsm = StreamFSM(group=group, n_states=2, initial=0,
                     step=lambda s, j, inc: s ^ (m >> j & inc & 1), emit=lambda s: s,
                     name=f"parity-chain(mask={m:#x})")
     return _lifted(fsm, "parity-chain", fsm.name)
 
 
 def _running_sum_fsm(n: int, p: int) -> StreamFSM:
-    group = GroupSpec.cyclic_power(p, n)
+    group = _group(n, p)
+    p = group.exponent
     return StreamFSM(
         group=group,
         n_states=p,
@@ -160,8 +174,9 @@ def _running_sum_protocol(n: int, p: int) -> ProtocolFamily:
 
 
 def _constant_protocol(n: int, value: int = 0, p: int = 2) -> ProtocolFamily:
-    group = GroupSpec.boolean(n) if p == 2 else GroupSpec.cyclic_power(p, n)
-    fsm = StreamFSM(group=group, n_states=1, initial=0, step=lambda s, j, inc: 0,
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"value must be a number, got {value!r}")
+    fsm = StreamFSM(group=_group(n, p), n_states=1, initial=0, step=lambda s, j, inc: 0,
                     emit=lambda s: value, name=f"constant({value})")
     return _lifted(fsm, "constant", fsm.name)
 
@@ -172,16 +187,19 @@ def _two_parity_blend_chain(
     """4-state machine carrying both masked parities (state bit 0 for a, bit 1
     for b); the output map reconstructs the blend and snaps it to a uniform
     grid, so the protocol's squared error is the exact quantization error."""
-    if levels < 2:
+    _check_weights(w1, w2)
+    levels = _as_index(levels)
+    if levels is None or levels < 2:
         raise ValueError("need at least 2 quantization levels")
-    a, b = _check_mask(n, a, "a"), _check_mask(n, b, "b")
-    flips = [(a >> j & 1) | (b >> j & 1) << 1 for j in range(n)]
+    group = _group(n)
+    a, b = _check_mask(group, a, "a"), _check_mask(group, b, "b")
+    flips = [(a >> j & 1) | (b >> j & 1) << 1 for j in range(group.n)]
 
     def emit(z: int) -> float:
         value = 0.5 + w1 * (1 - 2 * (z & 1)) + w2 * (1 - 2 * ((z >> 1) & 1))
         return round(value * (levels - 1)) / (levels - 1)
 
-    fsm = StreamFSM(group=GroupSpec.boolean(n), n_states=4, initial=0,
+    fsm = StreamFSM(group=group, n_states=4, initial=0,
                     step=lambda s, j, inc: s ^ flips[j] * (inc & 1), emit=emit,
                     name="two-parity-blend-chain")
     return _lifted(fsm, "two-parity-blend-chain", fsm.name)

@@ -1,13 +1,16 @@
 """CLI plumbing: stream files, configs, experiment runs, exit codes."""
 
+import csv
 import json
 import random
+import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modsketch import cli
+from modsketch import cli, zoo
 from modsketch.cli import (
     ConfigError,
     ExperimentConfig,
@@ -108,6 +111,35 @@ def test_zoo_masks_are_checked(kind, name, params):
                 build(name, n=4, **{**params, key: bad})
 
 
+# extra parameters each zoo entry needs beside n
+_FUNCTION_PARAMS = {"parity": {}, "dictator": {}, "junta-parity": {"mask": 1}, "majority": {},
+                    "mod-p-sum-zero": {"p": 3}, "two-parity-blend": {"a": 1, "b": 2}}
+_PROTOCOL_PARAMS = {"parity-chain": {}, "running-sum-mod-p": {"p": 3}, "constant": {},
+                    "two-parity-blend-chain": {"a": 1, "b": 2}, "state-passing": {"fsm": "running-sum", "p": 3}}
+
+
+@pytest.mark.parametrize("n", [10**6, 2**40, 2**70])
+def test_zoo_groups_are_sized_before_they_are_built(tmp_path, capsys, n):
+    # parity-chain at n = 2^70 raised OverflowError, at 2^40 MemoryError, and a
+    # simulate at n = 10^6 ran out of memory; mod-p-sum-zero at 2^70 hung in p ** n
+    assert set(_FUNCTION_PARAMS) == set(zoo.FUNCTIONS) and set(_PROTOCOL_PARAMS) == set(zoo.PROTOCOLS)
+    small = {"name": "parity-chain", "params": {"n": 4}}
+    runs = [("reduce", {"function": {"name": name, "params": {"n": n, **extra}}, "protocol": small,
+                        "reduction": {"players": 8}}, "bad function spec")
+            for name, extra in _FUNCTION_PARAMS.items()]
+    runs += [(kind, {"protocol": {"name": name, "params": {"n": n, **extra}},
+                     **({"players": 3} if kind == "simulate" else
+                        {"function": {"name": "parity", "params": {"n": 4}}, "reduction": {"players": 8}})},
+              "bad protocol spec")
+             for name, extra in _PROTOCOL_PARAMS.items() for kind in ("simulate", "reduce")]
+    for kind, raw, message in runs:
+        cfg = _write_config(tmp_path, {"experiment": kind, **raw})
+        started = time.perf_counter()
+        err = _one_line_failure(capsys, [kind, "--config", cfg, "--out", str(tmp_path / "o")], 2)
+        assert time.perf_counter() - started < 1.0
+        assert err.startswith(f"config error: {message}: |G| = ") and "exceeds the transform limit" in err
+
+
 def _write_config(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
@@ -171,6 +203,7 @@ def test_boost_experiment(tmp_path):
     assert record["result"]["checks"]["hedge-regret"]["ok"]
     mixture = deserialize_sketch((tmp_path / "boost" / "mixture.json").read_text())
     assert len(mixture.entries) == 4
+    assert record["result"]["success_counts"] == [0, 0, 0, 0, 16]
 
 
 def test_sketch_eval_experiment(tmp_path):
@@ -379,7 +412,15 @@ def test_boost_on_zp_and_variant_errors(tmp_path, capsys):
     assert main(["boost", "--config", _zp_boost_config(tmp_path), "--out", str(out)]) in (0, 1)
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "boost"
-    assert len(report["result"]["per_x_success"]) == 3**4
+    counts = report["result"]["success_counts"]
+    assert len(counts) == 2 + 1 and sum(counts) == 3**4
+    # entry k counts the inputs right in k of 2 rounds: sketch-eval's per-input success, binned
+    eval_cfg = _write_config(tmp_path, {"experiment": "sketch-eval", "sketch-file": str(out / "mixture.json"),
+                                        "function": {"name": "mod-p-sum-zero", "params": {"n": 4, "p": 3}}})
+    record, _ = run_experiment(ExperimentConfig.load(eval_cfg, None, str(tmp_path / "eval"), 0.05))
+    with open(record["result"]["per_x_table"]) as fh:
+        rounds_right = [round(2 * float(row["success"])) for row in csv.DictReader(fh)]
+    assert [rounds_right.count(k) for k in range(3)] == counts
     capsys.readouterr()
     for variant in ("exact-zp", "exact_f2"):  # unknown; F2 on a Z_3 group
         cfg = _zp_boost_config(tmp_path, variant=variant)
@@ -448,17 +489,6 @@ def test_sketch_on_another_group_is_a_config_error(tmp_path, capsys):
     assert "does not match the sketch's group" in err
 
 
-def test_dissociation_limit_is_a_config_error(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {
-        "experiment": "reduce",
-        "function": {"name": "mod-p-sum-zero", "params": {"n": 4, "p": 3}},
-        "protocol": {"name": "running-sum-mod-p", "params": {"n": 4, "p": 3}},
-        "reduction": {"players": 20, "trials": 4, "dissociated_limit": 0},
-    })
-    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
-    assert "enumeration limit 0" in err
-
-
 @pytest.mark.parametrize("error, code", [("TransformLimitError", 2), ("ChangBoundError", 1)])
 def test_library_limit_and_bound_errors_exit_cleanly(tmp_path, capsys, monkeypatch, error, code):
     from modsketch import cli, fourier
@@ -509,14 +539,21 @@ def _boost_config(tmp_path, **extra):
     ({"distribution": {"weights-file": "w.txt"}}, "boost chooses its own input distributions"),
     ({"protocol": {"name": "parity-chain", "params": {"n": 5}}}, "function and protocol live on different groups"),
     ({"rounds": 0}, "rounds must be >= 1"),
-    ({"function": {"name": "parity", "params": {"n": 17}},
-      "protocol": {"name": "parity-chain", "params": {"n": 17}}}, "boost needs |G| <= 65536"),
 ])
 def test_boost_config_errors_exit_cleanly(tmp_path, capsys, extra, message):
     cfg = _boost_config(tmp_path, **extra)
     err = _one_line_failure(capsys, ["boost", "--config", cfg, "--out", str(tmp_path / "o")], 2)
     assert err.startswith(f"config error: {message}")
     assert not (tmp_path / "o").exists()
+
+
+def test_boost_past_two_to_the_sixteen_reports_success_counts(tmp_path):
+    # |G| = 2^17 was a config error while boost had its own size cap
+    cfg = _boost_config(tmp_path, function={"name": "parity", "params": {"n": 17}},
+                        protocol={"name": "parity-chain", "params": {"n": 17}})
+    assert main(["boost", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    counts = json.loads((tmp_path / "o" / "report.json").read_text())["result"]["success_counts"]
+    assert len(counts) == 4 + 1 and sum(counts) == 2**17
 
 
 def test_reduce_report_carries_transcript_counters(tmp_path):
@@ -558,7 +595,8 @@ _BASES = {
     ("reduce", "reduction", "players", "forty", "players must be >= 1 (an integer), got 'forty'"),
     ("reduce", "reduction", "players", True, "players must be >= 1 (an integer), got True"),
     ("reduce", "reduction", "trials", 2.5, "trials must be >= 1 (an integer), got 2.5"),
-    ("reduce", "reduction", "dissociated_limit", "16", "dissociated_limit must be >= 0"),
+    # the dissociated set is bounded by log2|G|, so the old knob is an unknown key
+    ("reduce", "reduction", "dissociated_limit", 16, "unknown reduction keys 'dissociated_limit'"),
     ("reduce", "reduction", "target_q", "0.9", "target_q must be >= 0.0 (a number), got '0.9'"),
     ("reduce", "reduction", "target_eps", -0.1, "target_eps must be >= 0.0 (a number), got -0.1"),
     ("boost", None, "rounds", "3", "rounds must be >= 1 (an integer), got '3'"),
@@ -693,7 +731,7 @@ def test_unknown_reduction_keys_are_config_errors(tmp_path, capsys, kind, extra,
     cfg = _write_config(tmp_path, {"experiment": kind, **raw})
     err = _one_line_failure(capsys, [kind, "--config", cfg, "--out", str(tmp_path / "o")], 2)
     assert err == (f"config error: unknown reduction keys {named}; want some of players, trials, "
-                   "target_q, target_eps, dissociated_limit, delta\n")
+                   "target_q, target_eps, delta\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -777,3 +815,9 @@ def test_readme_reduce_config_runs(tmp_path):
     body = readme.split("### Reduce config\n\n```json\n", 1)[1].split("```", 1)[0]
     cfg = _write_config(tmp_path, json.loads(body))
     assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_readme_names_exactly_the_reduction_keys():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = readme.split("The `reduction` object takes only the keys ", 1)[1].split(";", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == cli.REDUCTION_KEYS

@@ -1016,9 +1016,9 @@ def test_structure_memo_is_keyed_by_the_heaviest_first_order(monkeypatch):
     other = build_invariant_structure(g, [1, 3, 4], weights, "subgroup", structures=memo)
     assert len(extracted) == 2 and len(memo) == 2
     assert other is not first and other.invariant == first.invariant and other.generators == [4, 3]
-    # the limit and the kind are part of the key
-    build_invariant_structure(g, [1, 3, 4], weights, "subgroup", 4, memo)
-    assert len(extracted) == 3 and len(memo) == 3
+    # with no memo given, each call builds its own
+    assert build_invariant_structure(g, [1, 3, 4], weights, "subgroup") is not other
+    assert len(extracted) == 3 and len(memo) == 2
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])

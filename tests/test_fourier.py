@@ -20,7 +20,6 @@ from modsketch.algebra import (
 from modsketch.fourier import (
     DFT_BLOCK_ORDER,
     DenseFunction,
-    DissociationLimitError,
     Spectrum,
     TransformLimitError,
     annihilator,
@@ -243,15 +242,13 @@ def test_extract_dissociated_equals_independent_greedy_over_f2():
         assert got == want
 
 
-def _greedy_oracle(moduli, gammas, weights, limit):
+def _greedy_oracle(moduli, gammas, weights):
     """extract_dissociated's greedy, testing each candidate by brute force."""
     order = sorted(
         range(len(gammas)), key=lambda i: (-weights[i], group_decode(moduli, gammas[i]))
     )
     chosen = []
     for i in order:
-        if len(chosen) >= limit:
-            return None  # the limit error
         if is_dissociated_bruteforce(moduli, chosen + [gammas[i]]):
             chosen.append(gammas[i])
     return chosen
@@ -264,20 +261,15 @@ def _dissociation_inputs(draw):
     gammas = draw(st.lists(st.integers(0, size - 1), max_size=6))
     weights = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=len(gammas),
                             max_size=len(gammas)))
-    return moduli, gammas, weights, draw(st.integers(1, 6))
+    return moduli, gammas, weights
 
 
 @settings(max_examples=150, deadline=None)
 @given(_dissociation_inputs())
 def test_extract_dissociated_matches_bruteforce_greedy(inputs):
-    moduli, gammas, weights, limit = inputs
+    moduli, gammas, weights = inputs
     spec = GroupSpec(moduli)
-    want = _greedy_oracle(moduli, gammas, weights, limit)
-    if want is None:
-        with pytest.raises(DissociationLimitError):
-            extract_dissociated(spec, gammas, weights, limit=limit)
-    else:
-        assert extract_dissociated(spec, gammas, weights, limit=limit) == want
+    assert extract_dissociated(spec, gammas, weights) == _greedy_oracle(moduli, gammas, weights)
     assert is_dissociated(spec, gammas) == is_dissociated_bruteforce(moduli, gammas)
 
 
@@ -305,7 +297,7 @@ def test_is_dissociated_matches_bruteforce_on_sparse_shifts(inputs):
 @settings(max_examples=150, deadline=None)
 @given(_dissociation_inputs())
 def test_annihilator_matches_exhaustive_oracle(inputs):
-    moduli, gammas, _, _ = inputs
+    moduli, gammas, _ = inputs
     sub = annihilator(GroupSpec(moduli), gammas)
     assert list(sub.elements) == exhaustive_annihilator(moduli, gammas)
 
@@ -331,11 +323,22 @@ def test_annihilator_rejects_characters_outside_the_group(gamma):
                 fn(spec, [0, gamma])
 
 
-def test_extract_dissociated_limit_error():
-    spec = GroupSpec.boolean(8)
-    gammas = [1 << i for i in range(8)]
-    with pytest.raises(DissociationLimitError):
-        extract_dissociated(spec, gammas, [1.0] * 8, limit=4)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=4)
+       .filter(lambda moduli: math.prod(moduli) <= 256)
+       .flatmap(lambda moduli: st.tuples(
+           st.just(tuple(moduli)),
+           st.lists(st.tuples(st.integers(0, math.prod(moduli) - 1), st.sampled_from([0.25, 0.5, 1.0])),
+                    max_size=40))))
+def test_extract_dissociated_needs_no_size_limit(inputs):
+    # a dissociated set's 2^k subset sums are distinct, so it has at most log2|G|
+    # elements whatever the candidates: the size bound is the group's, not a knob's
+    moduli, pairs = inputs
+    gammas, weights = [g for g, _ in pairs], [w for _, w in pairs]
+    chosen = extract_dissociated(GroupSpec(moduli), gammas, weights)
+    assert set(chosen) <= set(gammas)
+    assert is_dissociated_bruteforce(moduli, chosen)
+    assert 2 ** len(chosen) <= math.prod(moduli)
 
 
 def test_annihilator_examples_and_size_bound():
@@ -356,7 +359,7 @@ def test_annihilator_examples_and_size_bound():
 @settings(max_examples=100, deadline=None)
 @given(_dissociation_inputs())
 def test_span_mask_is_the_annihilator_of_the_annihilator(inputs):
-    moduli, gammas, _, _ = inputs
+    moduli, gammas, _ = inputs
     g = GroupSpec(moduli)
     ann = annihilator(g, gammas)
     mask = span_mask(g, gammas)
