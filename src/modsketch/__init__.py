@@ -5,13 +5,9 @@ compiler with Nisan-style derandomized streaming execution."""
 __version__ = "0.1.0"
 
 from .algebra import (
-    BitVec,
     GroupSpec,
-    GroupVec,
     SubgroupEnum,
     SubspaceF2,
-    char_eval,
-    coset_rep,
     max_independent_subset,
     orthogonal_complement,
     rank_basis,
@@ -50,7 +46,6 @@ from .protocol import (
     Transcript,
     additive_lift,
     fsm_to_players,
-    run_broadcast,
     run_smp,
 )
 from .compiler import (

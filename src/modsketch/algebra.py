@@ -17,19 +17,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "BitVec",
     "GroupSpec",
-    "GroupVec",
     "SubspaceF2",
     "SubgroupEnum",
-    "CharacterIndex",
     "dot_f2",
     "rank_basis",
     "orthogonal_complement",
-    "coset_rep",
     "max_independent_subset",
     "heaviest_first",
-    "char_eval",
     "subgroup_from_elements",
     "span_mask",
 ]
@@ -38,32 +33,6 @@ __all__ = [
 def dot_f2(a: int, b: int) -> int:
     """Inner product of two packed F2 vectors."""
     return (a & b).bit_count() & 1
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """An element of F2^n, packed into an int (bit i = coordinate i)."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0 or not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits {self.bits:#x} out of range for n={self.n}")
-
-    def __add__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return BitVec(self.bits ^ other.bits, self.n)
-
-    __xor__ = __add__
-    __sub__ = __add__
-
-    def __getitem__(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
 
 class GroupSpec:
@@ -80,7 +49,6 @@ class GroupSpec:
         "size",
         "exponent",
         "strides",
-        "_char_tables",
         "_coords",
     )
 
@@ -100,7 +68,6 @@ class GroupSpec:
         self.size = size
         self.strides = tuple(strides)
         self.exponent = math.lcm(*moduli)
-        self._char_tables = None
         self._coords = None
 
     @classmethod
@@ -180,17 +147,6 @@ class GroupSpec:
         strides = np.asarray(self.strides, dtype=np.int64)
         return ((coords % moduli) * strides).sum(axis=1)
 
-    def char_table(self, j: int) -> np.ndarray:
-        """Roots of unity exp(2*pi*i*k/m_j) for coordinate j."""
-        if self._char_tables is None:
-            tables = []
-            for m in self.moduli:
-                tables.append(
-                    np.exp(2j * np.pi * np.arange(m) / m).astype(np.complex128)
-                )
-            self._char_tables = tuple(tables)
-        return self._char_tables[j]
-
     def unit_updates(self, index: int) -> list[tuple[int, int]]:
         """Stream updates (coordinate, increment) encoding one element,
         coordinates ascending, one update per nonzero coordinate."""
@@ -204,62 +160,11 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class GroupVec:
-    """An element of a finite abelian group, in mixed-radix coordinates."""
-
-    coords: tuple[int, ...]
-    spec: GroupSpec
-
-    def __post_init__(self):
-        if len(self.coords) != self.spec.n:
-            raise ValueError("coordinate count mismatch")
-        if any(not 0 <= c < m for c, m in zip(self.coords, self.spec.moduli)):
-            raise ValueError("coordinate out of range")
-
-    @property
-    def index(self) -> int:
-        return self.spec.encode(self.coords)
-
-    def __add__(self, other: "GroupVec") -> "GroupVec":
-        if self.spec != other.spec:
-            raise ValueError("group mismatch")
-        coords = tuple(
-            (a + b) % m
-            for a, b, m in zip(self.coords, other.coords, self.spec.moduli)
-        )
-        return GroupVec(coords, self.spec)
-
-    def __neg__(self) -> "GroupVec":
-        coords = tuple((m - a) % m for a, m in zip(self.coords, self.spec.moduli))
-        return GroupVec(coords, self.spec)
-
-    def __sub__(self, other: "GroupVec") -> "GroupVec":
-        return self + (-other)
-
-
-# A character of G is indexed by a group element gamma of the (isomorphic)
-# dual group: gamma(x) = prod_j exp(2*pi*i*gamma_j*x_j/m_j).
-CharacterIndex = GroupVec
-
-
-def char_eval(gamma: GroupVec, x: GroupVec) -> complex:
-    """Evaluate the character indexed by gamma at x (unit modulus)."""
-    if gamma.spec != x.spec:
-        raise ValueError("group mismatch")
-    spec = gamma.spec
-    out = complex(1.0)
-    for j, (g, a) in enumerate(zip(gamma.coords, x.coords)):
-        out *= spec.char_table(j)[(g * a) % spec.moduli[j]]
-    return out
-
-
-@dataclass(frozen=True)
 class SubspaceF2:
     """A subspace of F2^n given by a reduced row-echelon basis.
 
     Basis rows are packed ints sorted by pivot (lowest set bit) ascending;
-    each pivot coordinate appears in exactly one row, so reduction against
-    the basis is a deterministic normal form.
+    each pivot coordinate appears in exactly one row.
     """
 
     n: int
@@ -269,13 +174,6 @@ class SubspaceF2:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, x: int) -> int:
-        """Normal form of x modulo the subspace (canonical coset member)."""
-        for row in self.basis:
-            if x & (row & -row):
-                x ^= row
-        return x
-
     def elements(self) -> list[int]:
         """All 2^dim members (for desk-scale dims only)."""
         out = [0]
@@ -284,23 +182,9 @@ class SubspaceF2:
         return sorted(out)
 
 
-def rank_basis(rows: Iterable[int | BitVec], n: int | None = None) -> SubspaceF2:
-    """Reduced echelon basis of the span of the given F2 row vectors.
-
-    Accepts packed ints (n required) or BitVec values (n inferred).
-    """
-    packed: list[int] = []
-    for r in rows:
-        if isinstance(r, BitVec):
-            if n is None:
-                n = r.n
-            elif r.n != n:
-                raise ValueError("dimension mismatch among rows")
-            packed.append(r.bits)
-        else:
-            packed.append(int(r))
-    if n is None:
-        raise ValueError("dimension n required when rows are packed ints")
+def rank_basis(rows: Iterable[int], n: int) -> SubspaceF2:
+    """Reduced echelon basis of the span of the given packed F2 row vectors."""
+    packed = [int(r) for r in rows]
     if any(not 0 <= r < (1 << n) for r in packed):
         raise ValueError("row out of range for given dimension")
 
@@ -335,13 +219,6 @@ def orthogonal_complement(space: SubspaceF2) -> SubspaceF2:
     return rank_basis(comp, n)
 
 
-def coset_rep(space: SubspaceF2, x: int | BitVec) -> int:
-    """Canonical representative of x + V; equal reps iff same coset."""
-    if isinstance(x, BitVec):
-        x = x.bits
-    return space.reduce(x)
-
-
 def heaviest_first(weights: Sequence[float], keys: Sequence) -> list[int]:
     """Indices by decreasing weight, ties by increasing key.
 
@@ -353,11 +230,7 @@ def heaviest_first(weights: Sequence[float], keys: Sequence) -> list[int]:
     return sorted(range(len(weights)), key=lambda i: (-round(weights[i] / top, 9), keys[i]))
 
 
-def max_independent_subset(
-    vectors: Sequence[int | BitVec],
-    weights: Sequence[float],
-    n: int | None = None,
-) -> list[int]:
+def max_independent_subset(vectors: Sequence[int], weights: Sequence[float], n: int) -> list[int]:
     """Greedy maximal linearly independent subset, heaviest first.
 
     Ties (see heaviest_first) are broken lexicographically on the
@@ -366,17 +239,7 @@ def max_independent_subset(
     """
     if len(vectors) != len(weights):
         raise ValueError("weights length must match vectors")
-    packed = []
-    for v in vectors:
-        if isinstance(v, BitVec):
-            if n is None:
-                n = v.n
-            packed.append(v.bits)
-        else:
-            packed.append(int(v))
-    if n is None:
-        raise ValueError("dimension n required when vectors are packed ints")
-
+    packed = [int(v) for v in vectors]
     lex_keys = [tuple((bits >> i) & 1 for i in range(n)) for bits in packed]
     chosen: list[int] = []
     basis: list[int] = []

@@ -25,7 +25,6 @@ __all__ = [
     "Transcript",
     "AdditiveFunction",
     "streaming_table_fn",
-    "run_broadcast",
     "fsm_to_players",
     "additive_lift",
     "run_smp",
@@ -99,11 +98,6 @@ class BroadcastProtocol:
                 )
             messages.append(m)
         return tuple(messages), messages[-1]
-
-
-def run_broadcast(protocol: BroadcastProtocol, inputs: Sequence[int], r: int = 0):
-    """Simulate one protocol execution; returns (messages, output)."""
-    return protocol.run(inputs, r)
 
 
 @dataclass(frozen=True)

@@ -195,17 +195,6 @@ def naive_convolve(moduli, f, g) -> np.ndarray:
     return out
 
 
-def coset_partition(basis_masks, n: int) -> dict[int, int]:
-    """Map each x in F2^n to the smallest member of x + V (brute force)."""
-    members = [0]
-    for b in basis_masks:
-        members += [v ^ b for v in members]
-    rep = {}
-    for x in range(1 << n):
-        rep[x] = min(x ^ v for v in members)
-    return rep
-
-
 def exhaustive_annihilator(moduli, gammas) -> list[int]:
     """Elements where every listed character equals 1 (unit tolerance)."""
     size = 1

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsketch.algebra import (
-    BitVec,
     GroupSpec,
-    GroupVec,
-    char_eval,
-    coset_rep,
     max_independent_subset,
     orthogonal_complement,
     rank_basis,
@@ -19,18 +15,7 @@ from modsketch.algebra import (
     subgroup_generated,
 )
 
-from oracles import coset_ids_loop, coset_partition, char_value, greedy_generators, naive_rank_masks
-
-
-def test_bitvec_self_inverse():
-    v = BitVec(0b1011, 4)
-    assert (v + v).bits == 0
-    assert (v + BitVec(0b0110, 4)).bits == 0b1101
-
-
-def test_bitvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        BitVec(0b101, 4) + BitVec(0b1, 1)
+from oracles import coset_ids_loop, greedy_generators, naive_rank_masks
 
 
 def test_rank_basis_trivial_cases():
@@ -91,37 +76,6 @@ def test_orthogonal_complement_involution():
         assert W.basis == U.basis
 
 
-def test_coset_rep_even_parity_depends_only_on_parity():
-    n = 6
-    V = orthogonal_complement(rank_basis([(1 << n) - 1], n))
-    reps = {x: coset_rep(V, x) for x in range(1 << n)}
-    by_parity = {0: set(), 1: set()}
-    for x, r in reps.items():
-        by_parity[x.bit_count() & 1].add(r)
-    assert len(by_parity[0]) == 1 and len(by_parity[1]) == 1
-    assert by_parity[0] != by_parity[1]
-
-
-def test_coset_rep_members_map_to_identity_rep():
-    rng = random.Random(11)
-    V = rank_basis([rng.getrandbits(8) for _ in range(3)], 8)
-    for v in V.elements():
-        assert coset_rep(V, v) == coset_rep(V, 0)
-
-
-def test_coset_rep_matches_bruteforce_partition():
-    rng = random.Random(13)
-    n = 8
-    V = rank_basis([rng.getrandbits(n) for _ in range(4)], n)
-    brute = coset_partition(V.basis, n)
-    for x in range(1 << n):
-        for y in range(x, 1 << n):
-            same_lib = coset_rep(V, x) == coset_rep(V, y)
-            assert same_lib == (brute[x] == brute[y])
-    # class count is 2^(n - dim V)
-    assert len({coset_rep(V, x) for x in range(1 << n)}) == 1 << (n - V.dim)
-
-
 def test_max_independent_subset_examples():
     assert max_independent_subset([0], [1.0], n=3) == []
     out = max_independent_subset([0b001, 0b010, 0b011], [3.0, 2.0, 1.0], n=3)
@@ -150,41 +104,6 @@ def test_group_spec_basics():
     assert GroupSpec.boolean(4).is_boolean
     with pytest.raises(ValueError):
         GroupSpec((1, 3))
-
-
-def test_group_vec_arithmetic_and_order():
-    g = GroupSpec((6, 4))
-    x = GroupVec((1, 3), g)
-    acc = x
-    for _ in range(g.exponent - 1):
-        acc = acc + x
-    assert acc.coords == (0, 0)  # order divides the exponent
-
-
-def test_char_eval_examples_and_multiplicativity():
-    z4 = GroupSpec((4,))
-    assert abs(char_eval(GroupVec((2,), z4), GroupVec((1,), z4)) - (-1)) < 1e-12
-    g = GroupSpec((6, 4))
-    rng = random.Random(23)
-    for _ in range(50):
-        gamma = GroupVec(g.decode(rng.randrange(g.size)), g)
-        x = GroupVec(g.decode(rng.randrange(g.size)), g)
-        y = GroupVec(g.decode(rng.randrange(g.size)), g)
-        assert abs(char_eval(gamma, GroupVec((0, 0), g)) - 1) < 1e-12
-        lhs = char_eval(gamma, x + y)
-        rhs = char_eval(gamma, x) * char_eval(gamma, y)
-        assert abs(lhs - rhs) < 1e-12
-        # matches the defining product
-        assert abs(lhs - char_value(g.moduli, gamma.index, (x + y).index)) < 1e-12
-
-
-def test_char_eval_respects_orders():
-    g = GroupSpec((6, 4, 3))
-    rng = random.Random(29)
-    for _ in range(30):
-        gamma = GroupVec(g.decode(rng.randrange(g.size)), g)
-        x = GroupVec(g.decode(rng.randrange(g.size)), g)
-        assert abs(char_eval(gamma, x) ** g.exponent - 1) < 1e-10
 
 
 def test_subgroup_enum_closure_and_cosets():

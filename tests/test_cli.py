@@ -3,7 +3,7 @@
 import csv
 import json
 import random
-import re
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from modsketch import cli, zoo
+from modsketch.algebra import GroupSpec
 from modsketch.cli import (
     ConfigError,
     ExperimentConfig,
@@ -817,7 +818,138 @@ def test_readme_reduce_config_runs(tmp_path):
     assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
-def test_readme_names_exactly_the_reduction_keys():
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
-    sentence = readme.split("The `reduction` object takes only the keys ", 1)[1].split(";", 1)[0]
-    assert tuple(re.findall(r"`(\w+)`", sentence)) == cli.REDUCTION_KEYS
+def _range(key):
+    """The README's range cell for a schema key."""
+    def number(v):
+        if v == sys.maxsize:
+            return "2^63 - 1"
+        if isinstance(v, int) and v >= 1024 and v & (v - 1) == 0:
+            return f"2^{v.bit_length() - 1}"
+        return f"{v:g}"
+
+    if key.kind in ("int", "float"):
+        return f"[{number(key.lo)}, {number(key.hi)}{')' if key.hi_open else ']'}"
+    return ", ".join(key.of) if key.kind == "enum" else "-"
+
+
+def _schema_sections():
+    """Every section the schema reads, top levels first, then nested ones in
+    the order they are first referred to."""
+    sections = dict(cli.SCHEMAS)
+    queue = list(cli.SCHEMAS.values())
+    while queue:
+        for key in queue.pop(0):
+            if key.kind in ("section", "distribution", "zoo"):
+                name, keys = ("zoo spec", cli.ZOO_SPEC.keys) if key.kind == "zoo" else (key.name, key.of.keys)
+                if name not in sections:
+                    sections[name] = keys
+                    queue.append(keys)
+    return sections
+
+
+def test_readme_lists_every_sections_keys():
+    # one row per distinct key, with the sections that share it
+    rows = []
+    for section, keys in _schema_sections().items():
+        for key in keys:
+            row = next((row for row in rows if row[0] == key), None)
+            if row is None:
+                rows.append((key, [section]))
+            else:
+                row[1].append(section)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys\n", 1)[1]
+    table = table.split("| key | sections | kind | range | default |\n|---|---|---|---|---|\n", 1)[1]
+    cells = [line.strip("| ").split(" | ") for line in table.split("\n\n", 1)[0].splitlines()]
+    assert [(name.strip("`"), sections.split(", "), kind, range_) for name, sections, kind, range_, _ in cells] == [
+        (key.name, sections, key.kind, _range(key)) for key, sections in rows]
+    for (key, _), (*_, default) in zip(rows, cells):
+        if key.default is cli.REQUIRED:
+            assert default == "required", key
+        elif key.default is None:
+            assert default != "required", key
+        else:
+            assert default == f"`{json.dumps(key.default)}`", key
+
+
+_PRG_FUZZ = {"experiment": "prg-check", "prg": {"block_bits": 2, "block_count": 4, "states": 2, "samples": 10,
+                                                 "n": 4, "s": 2, "p": 2, "shuffles": 1}}
+
+
+def test_prg_check_gate_fails_at_the_default_tolerance(tmp_path):
+    # the gate these configs test: fsm_l1_distance 0.25 against 0.05
+    cfg = _write_config(tmp_path, _PRG_FUZZ)
+    assert main(["prg-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["result"]["fsm_l1_distance"] == 0.25
+
+
+@pytest.mark.parametrize("tolerance, message", [
+    ("inf", "tolerance must lie in [0, 1), got inf"),
+    ("1e400", "tolerance must lie in [0, 1), got inf"),
+    ("1", "tolerance must lie in [0, 1), got 1.0"),
+    ("nan", "tolerance must be >= 0.0 (a number), got nan"),
+    ("-0.05", "tolerance must be >= 0.0 (a number), got -0.05"),
+])
+def test_tolerance_outside_zero_one_is_a_config_error(tmp_path, capsys, tolerance, message):
+    # at inf the prg-check gate above recorded ok: true
+    cfg = _write_config(tmp_path, _PRG_FUZZ)
+    err = _one_line_failure(capsys, ["prg-check", "--config", cfg, "--out", str(tmp_path / "o"),
+                                     "--tolerance", tolerance], 2)
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["function", "protocol"])
+def test_unknown_zoo_spec_keys_are_config_errors(tmp_path, capsys, key):
+    # an extra key beside name and params was ignored
+    raw = {"experiment": "reduce", **json.loads(json.dumps(_BASES["reduce"]))}
+    raw[key]["extra"] = 1
+    err = _one_line_failure(capsys, ["reduce", "--config", _write_config(tmp_path, raw),
+                                     "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: unknown {key} keys 'extra'; want some of name, params\n"
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_per_x_table_must_be_a_json_bool(tmp_path, capsys, value):
+    # "no" wrote per_x.csv
+    cfg = _write_config(tmp_path, {**_REDUCE_F4, "output": {"per_x_table": value}})
+    err = _one_line_failure(capsys, ["reduce", "--config", cfg, "--out", str(tmp_path / "o")], 2)
+    assert err == f"config error: per_x_table must be true or false, got {value!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # an int past the float range raised OverflowError, one past 4300 digits ValueError,
+    # a file that is not UTF-8 UnicodeDecodeError
+    (json.dumps(_REDUCE_F4).replace('"players": 8', '"players": 8, "target_q": 1' + "0" * 400),
+     "target_q must lie in [0, inf), got 1" + "0" * 400),
+    (json.dumps(_REDUCE_F4).replace('"players": 8', '"players": 1' + "0" * 5000), "Exceeds the limit (4300 digits)"),
+    ("\udcff", "codec can't decode byte 0xff"),
+], ids=["float-overflow", "int-digit-limit", "not-utf8"])
+def test_configs_that_do_not_parse_as_numbers_or_text_exit_with_one_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
+    err = _one_line_failure(capsys, ["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")], 2)
+    assert err.startswith("config error: ") and message in err
+
+
+def _per_x_csv_rows(path, group, columns):
+    """The CSV writer as a loop over the rows, decoding each index."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "coords", *columns.keys()])
+        for x in range(group.size):
+            writer.writerow([x, "+".join(map(str, group.decode(x))), *(col[x] for col in columns.values())])
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 6, (3,) * 4])
+@pytest.mark.parametrize("rows", [cli.CSV_ROWS, 7])
+def test_per_x_csv_matches_the_row_loop(tmp_path, monkeypatch, moduli, rows):
+    monkeypatch.setattr(cli, "CSV_ROWS", rows)
+    group = GroupSpec(moduli)
+    rng = np.random.default_rng(3)
+    columns = {"int": rng.integers(-5, 5, group.size), "float": rng.random(group.size) * 10.0 ** rng.integers(-6, 6),
+               "success": (rng.integers(0, 8, group.size) / 7).tolist()}
+    _per_x_csv_rows(tmp_path / "loop.csv", group, columns)
+    path = cli._write_per_x_csv(tmp_path, "table.csv", group, columns)
+    assert path.read_bytes() == (tmp_path / "loop.csv").read_bytes()

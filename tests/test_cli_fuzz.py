@@ -1,5 +1,6 @@
 """The CLI contract under one-field mutations of valid configs: every run ends
-with exit 0, 1 or 2, at most one stderr line and no traceback, and quickly."""
+with exit 0, 1 or 2, at most one stderr line and no traceback, and quickly.
+The mutations the config schema rules out end with exit 2."""
 
 import contextlib
 import copy
@@ -64,6 +65,39 @@ def _paths(section, prefix=()):
 MUTATIONS = [(i, path) for i, (_, base) in enumerate(BASES) for path in _paths(base)]
 
 
+def _outside(key):
+    """The values just below key's minimum and just above its maximum."""
+    if key.kind == "int":
+        return [key.lo - 1, key.hi + 1]
+    # an open maximum is itself outside; json writes inf as Infinity
+    return [math.nextafter(key.lo, -math.inf), key.hi if key.hi_open else math.nextafter(key.hi, math.inf)]
+
+
+def _schema_mutations(raw, keys, path=()):
+    """(path, value) of each mutation the schema rules out in the section raw
+    at path: an unknown key, a numeric key just outside its range, and each
+    nested section (a zoo spec included) replaced by a list, a string or null
+    or mutated in turn."""
+    yield path + ("bogus",), 1
+    for key in keys:
+        if key.kind in ("int", "float"):
+            for value in _outside(key):
+                yield path + (key.name,), value
+        if key.kind in ("section", "distribution", "zoo") and key.name in raw:
+            for value in ([], "x", None):
+                yield path + (key.name,), value
+            if isinstance(raw[key.name], dict):
+                nested = cli.ZOO_SPEC.keys if key.kind == "zoo" else key.of.keys
+                yield from _schema_mutations(raw[key.name], nested, path + (key.name,))
+
+
+# each base replaced by a list, a string or null (the empty path), and the
+# schema's mutations of its fields
+SCHEMA_MUTATIONS = [(i, (), value) for i, (kind, base) in enumerate(BASES)
+                    for value in ([{"experiment": kind, **base}], "x", None)] + [
+    (i, path, value) for i, (kind, base) in enumerate(BASES) for path, value in _schema_mutations(base, cli.SCHEMAS[kind])]
+
+
 class _TooSlow(Exception):
     pass
 
@@ -72,11 +106,11 @@ def _on_alarm(signum, frame):
     raise _TooSlow
 
 
-def _run(kind, raw, workdir: Path):
-    """(exit code, stderr, seconds) of the CLI on raw; a run past 2 * SECONDS
-    is stopped and fails the test."""
+def _run(kind, payload, workdir: Path):
+    """(exit code, stderr, seconds) of the CLI on the config payload; a run
+    past 2 * SECONDS is stopped and fails the test."""
     cfg = workdir / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": kind, **raw}))
+    cfg.write_text(json.dumps(payload))
     err = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, 2 * SECONDS)
@@ -85,28 +119,48 @@ def _run(kind, raw, workdir: Path):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([kind, "--config", str(cfg), "--out", str(workdir / "out")])
     except _TooSlow:
-        raise AssertionError(f"{kind} ran past {2 * SECONDS} s on {raw}") from None
+        raise AssertionError(f"{kind} ran past {2 * SECONDS} s on {payload}") from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     return code, err.getvalue(), time.perf_counter() - started
 
 
+def _mutated(base_index, path, value, workdir: Path):
+    """BASES[base_index] as a config payload with the field at path set to
+    value (the empty path replaces the whole payload)."""
+    kind, base = BASES[base_index]
+    sketch = workdir / "sketch.json"
+    sketch.write_text(serialize_sketch(LinearJuntaF2(4, (15,), (0, 1))))
+    raw = json.loads(json.dumps(base).replace('"SKETCH"', json.dumps(str(sketch))))
+    if not path:
+        return copy.deepcopy(value)
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = copy.deepcopy(value)
+    return {"experiment": kind, **raw}
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(MUTATIONS), st.sampled_from(VALUES))
 def test_one_field_mutations_keep_the_cli_contract(mutation, value):
     base_index, path = mutation
-    kind, base = BASES[base_index]
+    kind = BASES[base_index][0]
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        sketch = workdir / "sketch.json"
-        sketch.write_text(serialize_sketch(LinearJuntaF2(4, (15,), (0, 1))))
-        raw = json.loads(json.dumps(base).replace('"SKETCH"', json.dumps(str(sketch))))
-        section = raw
-        for key in path[:-1]:
-            section = section[key]
-        section[path[-1]] = copy.deepcopy(value)
-        code, err, seconds = _run(kind, raw, workdir)
-    assert code in (0, 1, 2), (raw, code, err)
-    assert "Traceback" not in err and err.count("\n") <= 1, (raw, err)
-    assert seconds < SECONDS, (raw, seconds)
+        payload = _mutated(base_index, path, value, Path(tmp))
+        code, err, seconds = _run(kind, payload, Path(tmp))
+    assert code in (0, 1, 2), (payload, code, err)
+    assert "Traceback" not in err and err.count("\n") <= 1, (payload, err)
+    assert seconds < SECONDS, (payload, seconds)
+
+
+def test_mutations_the_schema_rules_out_are_config_errors():
+    # few and quick, so every one runs
+    for base_index, path, value in SCHEMA_MUTATIONS:
+        kind = BASES[base_index][0]
+        with tempfile.TemporaryDirectory() as tmp:
+            payload = _mutated(base_index, path, value, Path(tmp))
+            code, err, seconds = _run(kind, payload, Path(tmp))
+        assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1, (payload, code, err)
+        assert seconds < SECONDS, (payload, seconds)

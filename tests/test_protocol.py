@@ -15,7 +15,6 @@ from modsketch.protocol import (
     StreamFSM,
     additive_lift,
     fsm_to_players,
-    run_broadcast,
     run_smp,
     smp_from_linear_sketch,
 )
@@ -28,8 +27,8 @@ from oracles import group_add
 def test_constant_protocol_fixed_transcript():
     family = zoo_protocol("constant", n=3, value=0)
     protocol = family(4)
-    msgs1, out1 = run_broadcast(protocol, [0, 1, 2, 3])
-    msgs2, out2 = run_broadcast(protocol, [7, 7, 7, 7])
+    msgs1, out1 = protocol.run([0, 1, 2, 3])
+    msgs2, out2 = protocol.run([7, 7, 7, 7])
     assert msgs1 == msgs2 and out1 == out2 == 0
 
 
@@ -38,7 +37,7 @@ def test_parity_chain_exhaustive_n3_players4():
     family = zoo_protocol("parity-chain", n=n)
     protocol = family(players)
     for inputs in itertools.product(range(1 << n), repeat=players):
-        _, out = run_broadcast(protocol, list(inputs))
+        _, out = protocol.run(list(inputs))
         total = 0
         for x in inputs:
             total ^= x
@@ -55,7 +54,7 @@ def test_protocol_ignoring_randomness():
 def test_run_broadcast_arity_mismatch():
     protocol = zoo_protocol("parity-chain", n=4)(3)
     with pytest.raises(ValueError):
-        run_broadcast(protocol, [1, 2])
+        protocol.run([1, 2])
 
 
 def test_message_width_validation():
