@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from collections import Counter, namedtuple
@@ -90,12 +89,12 @@ ZOO_SPEC = Section("an object {name, params}", (
 ))
 FUNCTION = Key("function", "zoo", of=zoo_function)
 PROTOCOL = Key("protocol", "zoo", of=zoo_protocol)
+TARGETS = (Key("target_q", "float", None, 0.0, 1.0), Key("target_eps", "float", None, 0.0, 1.0))
 REDUCTION = Section("an object {players, ...}", (
     Key("players", "int", REQUIRED, 1, COUNT_LIMIT),
     Key("trials", "int", 64, 1, COUNT_LIMIT),
-    # ReductionConfig bounds both targets by 1 and delta to (0, 1)
-    Key("target_q", "float", None, 0.0, math.inf, hi_open=True),
-    Key("target_eps", "float", None, 0.0, math.inf, hi_open=True),
+    *TARGETS,
+    # no range: a fraction is read as given, and ReductionConfig keeps delta in (0, 1)
     Key("delta", "fraction", None),
 ))
 DISTRIBUTION = Section("'uniform' or an object {weights-file}", (Key("weights-file", "path"),))
@@ -130,8 +129,7 @@ SCHEMAS = {
     "sketch-eval": _COMMON + (
         Key("sketch-file", "path"),
         FUNCTION,
-        Key("target_q", "float", None, 0.0, 1.0),
-        Key("target_eps", "float", None, 0.0, 1.0),
+        *TARGETS,
         Key("stream-file", "path", None),
     ),
     "simulate": _COMMON + (
@@ -162,8 +160,8 @@ def _value(key: Key, value):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= lo:
             raise ConfigError(f"{name} must be >= {lo} (a number), got {value!r}")
-        # an int past the float range is out of range too, not an OverflowError
-        if not (value < hi if key.hi_open else value <= hi) or value > sys.float_info.max:
+        # every float key's hi is finite, so an int past the float range fails here, not in float()
+        if not (value < hi if key.hi_open else value <= hi):
             interval = f"[{lo:g}, {hi:g}{')' if key.hi_open else ']'}"
             raise ConfigError(f"{name} must lie in {interval}, got {value!r}")
         return float(value)

@@ -143,10 +143,10 @@ class ReductionConfig:
 class PlayerSets:
     """Per-player consistent input sets for a fixed transcript.
 
-    Players holding the same indicator object (see _PlayerSetSource) share
-    one distinct set: `distinct` maps each to its player count, in
-    first-seen order, and `joint()` is their spectral product, formed on
-    first use and kept.
+    Players whose sets have the same members hold one indicator object
+    (_PlayerSetSource shares sets by content): `distinct` maps each
+    distinct set to its player count, in first-seen order, and `joint()`
+    is their spectral product, formed on first use and kept.
     """
 
     indicators: list[NormalizedIndicator]
@@ -384,16 +384,21 @@ class _PlayerSetSource:
     protocol with the tape fixed: one reduce, or every round of one
     minimax_boost call that selects this tape.
 
-    A streaming protocol's message function reads only its input, prev[-1]
-    and r, so its table over all inputs is kept per (fn, prev[-1] or None)
-    and A_i per (fn, prev[-1] or None, m_i): every player and candidate
-    with the same key shares one table and one indicator (and so one
-    spectrum).  Other protocols get a fresh table per player.  A streaming
+    Player sets are shared by content: every player and candidate whose
+    A_i has the same members gets the one indicator first built for them
+    (and so one spectrum), whatever message function, incoming message or
+    message gave it; a linear machine's s xor L(x) = m depends only on
+    s xor m.  A streaming protocol's message function reads only its
+    input, prev[-1] and r, so its table over all inputs is kept per
+    (fn, incoming state), and A_i per (fn, incoming state, m_i) as a fast
+    path before the bitmap is formed; player one's incoming state is
+    fn.initial when the function carries one (see BroadcastProtocol), else
+    None.  Other protocols get a fresh table per player.  A streaming
     protocol's table comes from one call of the function's array form when
-    it has one (see BroadcastProtocol); message_calls counts the messages
-    computed either way, and batches the tables built by array forms.
-    A streaming protocol's checked tails are kept too, per (fn_N, prev[-1],
-    mode), each with the transforms its operand() has made.
+    it has one; message_calls counts the messages computed either way, and
+    batches the tables built by array forms.  A streaming protocol's
+    checked tails are kept too, per (fn_N, prev[-1], mode), each with the
+    transforms its operand() has made.
     """
 
     def __init__(self, protocol: BroadcastProtocol, r_star: int):
@@ -401,19 +406,22 @@ class _PlayerSetSource:
         self.r_star = r_star
         self.memo = protocol.streaming
         self.tables: dict = {}
-        self.sets: dict = {}
+        self.sets: dict = {}  # (fn, incoming state, m) -> indicator, streaming only
+        self.contents: dict = {}  # packed member bitmap -> indicator
         self.tails: dict = {}
         self.message_calls = 0
         self.batches = 0
-        self.built = 0
-        self.hits = 0
+        self.lookups = 0
 
     def counters(self) -> tuple[int, int, int, int]:
-        """(message_calls, built, hits, batches) so far."""
-        return self.message_calls, self.built, self.hits, self.batches
+        """(message_calls, distinct sets built, look-ups served by a kept
+        set, batches) so far."""
+        built = len(self.contents)
+        return self.message_calls, built, self.lookups - built, self.batches
 
     def _key(self, i: int, messages: tuple):
-        return self.protocol.msg_fns[i], messages[i - 1] if i else None
+        fn = self.protocol.msg_fns[i]
+        return fn, messages[i - 1] if i else getattr(fn, "initial", None)
 
     def table(self, i: int, messages: Sequence) -> np.ndarray:
         """fn_i(x, messages[:i], r_star) for every input x."""
@@ -446,7 +454,7 @@ class _PlayerSetSource:
             self.message_calls += protocol.n_players
             return protocol.run(xs, self.r_star)[0][:n]
         limit, fns = 1 << protocol.message_bits, protocol.msg_fns
-        messages, m = [], None
+        messages, m = [], getattr(fns[0], "initial", None)
         for i in range(n):
             table = self.tables.get((fns[i], m))  # _key(i, messages), inlined
             if table is None:
@@ -459,14 +467,17 @@ class _PlayerSetSource:
 
     def indicator(self, i: int, messages: tuple) -> NormalizedIndicator:
         """The normalized indicator of A_i = {x : fn_i(x, messages[:i]) = m_i}."""
+        self.lookups += 1
         key = (*self._key(i, messages), messages[i])
-        if self.memo and key in self.sets:
-            self.hits += 1
-            return self.sets[key]
-        ind = NormalizedIndicator(self.protocol.group, self.table(i, messages) == messages[i])
-        self.built += 1
-        if self.memo:
-            self.sets[key] = ind
+        ind = self.sets.get(key)
+        if ind is None:
+            members = self.table(i, messages) == messages[i]
+            content = np.packbits(members).tobytes()
+            ind = self.contents.get(content)
+            if ind is None:
+                ind = self.contents[content] = NormalizedIndicator(self.protocol.group, members)
+            if self.memo:
+                self.sets[key] = ind
         return ind
 
     def tail(self, messages: tuple, mode: str) -> TailFunction:
@@ -530,10 +541,10 @@ def sample_and_select_transcript(
     Exact mode maximizes the conditional success and requires it to reach
     target_q - delta; approx mode minimizes the conditional squared error
     and requires (target_eps + delta) / (1 - delta).  Raises
-    TranscriptSearchError (carrying the best candidate) otherwise.  For a
-    streaming protocol, player sets are memoized across players and
-    candidates and trials are sampled from the same message tables (see
-    _PlayerSetSource); `sources` maps each tape r* to its
+    TranscriptSearchError (carrying the best candidate) otherwise.  Player
+    sets are shared by content across players and candidates, and for a
+    streaming protocol trials are sampled from the message tables the sets
+    are read from (see _PlayerSetSource); `sources` maps each tape r* to its
     source and may be shared by several searches on the same protocol.
     The counters returned are this search's work only.
     """

@@ -65,6 +65,10 @@ class BroadcastProtocol:
     streaming protocol's message tables from it when it is there (it sees
     only prev[-1], so it is never used when streaming is False).  A wrapper
     that does not copy the attribute just falls back to per-x calls.
+    A message function may also carry `initial`, the incoming state it
+    reads when prev is empty; the compiler then keys player one's table by
+    it, so player one shares the table of every later player whose
+    incoming message equals it.
     """
 
     group: GroupSpec
@@ -167,7 +171,8 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
     coordinate's step table (see _fsm_tables), the states of every prefix
     so far in index order (no coordinate matrix), and for the last player
     a read of the emit table at the walk's end.  A machine whose tables
-    would exceed TRANSFORM_SIZE_LIMIT entries gets no array form.
+    would exceed TRANSFORM_SIZE_LIMIT entries gets no array form.  Both
+    carry the machine's initial state as `initial`.
     """
     c = fsm.state_bits
     if max_state_bits is not None and c > max_state_bits:
@@ -195,6 +200,7 @@ def fsm_to_players(fsm: StreamFSM, n_players: int, max_state_bits: int | None = 
 
         middle.batch = run_all
         last.batch = lambda state, r: _fsm_tables(fsm)[1][run_all(state, r)]
+    middle.initial = last.initial = fsm.initial
 
     return BroadcastProtocol(
         group=group,

@@ -449,6 +449,29 @@ def transcript_success(protocol, f_values) -> dict[tuple, Fraction]:
     return {k: Fraction(good, count) for k, (good, count) in hits.items()}
 
 
+def player_set_oracle(protocol, messages, tol: float = 1e-9):
+    """(joint, B, S, weights) of a transcript, one player at a time: player
+    i's bitmap {x : fn_i(x, messages[:i], 0) = m_i} becomes its normalized
+    indicator, transformed on its own by the defining sum; joint is the
+    product over players, B the players of density >= 2^(-2(c+1)), weights
+    the sum of |phihat_i|^2 over B and S the gammas of weight >= |B|/2 - tol.
+    No two players share anything, however equal their sets."""
+    size, c = protocol.group.size, protocol.message_bits
+    joint = np.ones(size, dtype=np.complex128)
+    weights = np.zeros(size)
+    B = []
+    for i, m in enumerate(messages):
+        members = [x for x in range(size) if protocol.msg_fns[i](x, tuple(messages[:i]), 0) == m]
+        phi = np.zeros(size)
+        phi[members] = size / len(members)
+        spectrum = naive_dft(protocol.group.moduli, phi)
+        joint = joint * spectrum
+        if len(members) * 4 ** (c + 1) >= size:
+            B.append(i)
+            weights = weights + np.abs(spectrum) ** 2
+    return joint, B, np.flatnonzero(weights >= len(B) / 2 - tol), weights
+
+
 def coset_ids_loop(spec, elements) -> list[int]:
     """Coset ids of the subgroup with these elements, by visiting the
     elements of G in increasing order and labelling the whole coset of each

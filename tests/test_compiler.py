@@ -28,13 +28,15 @@ from modsketch.compiler import (
     reduce,
     sample_and_select_transcript,
 )
-from modsketch.fourier import DFT_BLOCK_ORDER, ChangBoundError, DenseFunction, normalized_indicator
+from modsketch.fourier import (DFT_BLOCK_ORDER, ChangBoundError, DenseFunction, NormalizedIndicator,
+                              normalized_indicator)
 from modsketch.protocol import BroadcastProtocol, StreamFSM, fsm_to_players
-from modsketch.seeding import derive_seed
+from modsketch.seeding import derive_seed, derived_rng
 from modsketch.sketch import Distribution, RandomizedSketch, serialize_sketch
 from modsketch.zoo import zoo_fsm, zoo_function, zoo_protocol
 
-from oracles import bucket_reduce, group_add, group_sub, transcript_frequencies, transcript_success
+from oracles import (bucket_reduce, group_add, group_sub, player_set_oracle, transcript_frequencies,
+                     transcript_success)
 from test_protocol import random_fsms
 
 
@@ -525,7 +527,8 @@ def test_selected_transcript_matches_exhaustive_enumeration(case, seed):
     protocol, f = case
     group, N = protocol.group, protocol.n_players - 1
     cfg = ReductionConfig(players=N, transcript_trials=12, seed=seed)
-    sel = sample_and_select_transcript(protocol, f, Distribution.uniform(group), cfg, "exact")
+    D = Distribution.uniform(group)
+    sel = sample_and_select_transcript(protocol, f, D, cfg, "exact")
     messages = sel.transcript.messages
     assert sel.transcript.a == transcript_frequencies(protocol, N + 1)[messages]
     assert sel.transcript.a == math.prod(sel.player_sets.densities)
@@ -537,14 +540,58 @@ def test_selected_transcript_matches_exhaustive_enumeration(case, seed):
     tail = [protocol.msg_fns[N](x, messages, 0) for x in range(group.size)]
     assert sel.tail.h.values.tolist() == tail
     assert sel.player_sets_built + sel.player_set_hits == N * sel.candidates_evaluated
+    # every evaluated candidate looks up all N player sets, which are shared by content
+    rng, candidates = derived_rng(seed, "transcripts"), set()
+    for _ in range(sel.trials_used):
+        candidates.add(protocol.run(compiler._sample_inputs(group, D, N, rng)[1], 0)[0][:N])
+    assert len(candidates) == sel.candidates_evaluated
+    bitmaps = {tuple(protocol.msg_fns[i](x, messages[:i], 0) == messages[i] for x in range(group.size))
+               for messages in candidates for i in range(N)}
+    assert sel.player_sets_built == len(bitmaps)
     if not protocol.streaming:
-        assert sel.player_set_hits == 0
         assert sel.message_calls == (N + 1) * (sel.trials_used + group.size * sel.candidates_evaluated)
+
+
+@st.composite
+def _player_set_cases(draw):
+    """(protocol, f): a random table protocol (see _small_protocols), or a
+    parity chain on F2^1..3 or a running sum on Z_3^1..2, linear machines
+    whose players with other incoming states and messages hold equal sets."""
+    kind = draw(st.sampled_from(["table", "parity-chain", "running-sum-mod-p"]))
+    if kind == "table":
+        return draw(_small_protocols())
+    N = draw(st.integers(2, 6))
+    if kind == "parity-chain":
+        group = GroupSpec.boolean(draw(st.integers(1, 3)))
+        protocol = zoo_protocol(kind, n=group.n)(N + 1)
+    else:
+        group = GroupSpec.cyclic_power(3, draw(st.integers(1, 2)))
+        protocol = zoo_protocol(kind, n=group.n, p=3)(N + 1)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return protocol, DenseFunction(group, np.array([rng.getrandbits(1) for _ in range(group.size)], dtype=float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_player_set_cases(), st.integers(0, 2**16))
+def test_shared_player_sets_match_the_per_player_oracle(case, seed):
+    protocol, f = case
+    cfg = ReductionConfig(players=protocol.n_players - 1, transcript_trials=6, seed=seed)
+    sel = sample_and_select_transcript(protocol, f, Distribution.uniform(protocol.group), cfg)
+    ps = sel.player_sets
+    # one indicator per distinct bitmap among the players
+    assert len(ps.distinct) == len({ind.members.tobytes() for ind in ps.indicators})
+    joint, B, S, weights = player_set_oracle(protocol, sel.transcript.messages)
+    got_B, got_S, got_weights = heavy_set(ps, protocol.message_bits)
+    assert np.allclose(ps.joint().coeffs, joint, rtol=0, atol=1e-12)
+    assert got_B == B
+    assert np.allclose(got_weights, weights, rtol=0, atol=1e-12)
+    assert got_S.tolist() == S.tolist()
 
 
 def _counted(protocol):
     """The protocol with every message function wrapped by one call counter
-    (a function shared by several players stays shared)."""
+    (a function shared by several players stays shared).  A wrapper keeps
+    the function's `initial` and drops its array form."""
     calls = [0]
 
     def count(fn):
@@ -552,23 +599,43 @@ def _counted(protocol):
             calls[0] += 1
             return fn(x, prev, r)
 
+        if hasattr(fn, "initial"):
+            wrapper.initial = fn.initial
         return wrapper
 
     wrapped = {fn: count(fn) for fn in protocol.msg_fns}
     return replace(protocol, msg_fns=tuple(wrapped[fn] for fn in protocol.msg_fns)), calls
 
 
+@pytest.mark.parametrize("function, family, n, params, cfg, variant, sets", [
+    # the parity chain's players hold the two parity classes
+    ("parity", "parity-chain", 6, {}, ReductionConfig(players=60, transcript_trials=8, target_q=1.0, seed=4),
+     "exact_f2", 2),
+    # reduce-f2's blend at seed 1: the four classes of (a.x, b.x), over 18 keys
+    ("two-parity-blend", "two-parity-blend-chain", 13, {"a": 4382, "b": 8001},
+     ReductionConfig(players=130, transcript_trials=2, seed=524232077), "approx_f2", 4),
+])
+def test_reduce_transforms_one_indicator_per_distinct_player_set(monkeypatch, function, family, n, params,
+                                                                 cfg, variant, sets):
+    transformed = []
+    phi = NormalizedIndicator.phi  # each indicator's transform reads phi() once
+    monkeypatch.setattr(NormalizedIndicator, "phi", lambda ind: transformed.append(ind.members.tobytes()) or phi(ind))
+    res = reduce(zoo_protocol(family, n=n, **params), zoo_function(function, n=n, **params), None, cfg, variant)
+    assert len(transformed) == len(set(transformed)) == res.report.player_sets_built == sets
+
+
 def test_streaming_reduce_tabulates_each_message_function_once_per_state():
-    # parity chain, n=6, N=60: one middle table per incoming state (none, 0, 1)
-    # serves all 60 player sets, one more the tail, and sampling reads the same tables
+    # parity chain, n=6, N=60: one middle table per incoming state (0, 1; player one
+    # reads the initial state 0) serves all 60 player sets, one more the tail, and
+    # sampling reads the same tables; the sets are the two parity classes
     n, N = 6, 60
     protocol, calls = _counted(zoo_protocol("parity-chain", n=n)(N + 1))
     cfg = ReductionConfig(players=N, transcript_trials=8, target_q=1.0, seed=4)
     res = reduce(protocol, zoo_function("parity", n=n), None, cfg, "exact_f2")
     assert res.report.quality == 1.0
-    assert calls[0] == 4 * 2**n
+    assert calls[0] == 3 * 2**n
     assert res.report.message_calls == calls[0]
-    assert res.report.player_sets_built <= 1 + 2 * 2
+    assert res.report.player_sets_built == 2
     assert res.report.player_sets_built + res.report.player_set_hits == N * res.report.candidates_evaluated
     back = res.report.to_dict()
     assert back["message_calls"] == calls[0] and back["player_set_hits"] == res.report.player_set_hits
